@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Full local verification: plain build + tests, ASan tests, TSan tests on
-# the std::atomic-only modules (TSan cannot see through the cmpxchg16b
-# inline asm in the CRQ fast path, so CRQ/LCRQ suites are exercised under
-# ASan and the checker-based tests instead).
+# the `tsan`-labelled binaries (tests/CMakeLists.txt says which qualify and
+# why: TSan cannot see through the CRQ's cmpxchg16b inline asm).
 set -euo pipefail
 cmake -B build -G Ninja
 cmake --build build
@@ -14,8 +13,7 @@ ctest --test-dir build-asan --output-on-failure
 
 cmake -B build-tsan -G Ninja -DLCRQ_ENABLE_TSAN=ON -DLCRQ_ENABLE_BENCH=OFF -DLCRQ_ENABLE_EXAMPLES=OFF
 cmake --build build-tsan
-ctest --test-dir build-tsan --output-on-failure -R \
-  "test_hazard|test_ms_queue|test_two_lock|test_combining|test_kp_queue|test_counters|test_thread_id|test_bounded_and_infinite|test_scq|test_segment_pool|test_wcq"
+ctest --test-dir build-tsan --output-on-failure -L tsan
 
 # Schedule-injection build (docs/TESTING.md §5): the forced-window, kill,
 # and seeded-sweep suites need the instrumented hot paths.
@@ -23,14 +21,10 @@ cmake -B build-inject -G Ninja -DLCRQ_INJECT=ON -DLCRQ_ENABLE_BENCH=OFF -DLCRQ_E
 cmake --build build-inject
 ctest --test-dir build-inject --output-on-failure -L inject
 
-# Injection under TSan (cmpxchg16b keeps the CRQ/LCRQ binaries out; the
-# controller itself plus the CAS2-free SCQ-family suites — including the
-# segment-pool recycling windows and the blocking-facade lost-notify/drain
-# kills over an LSCQ base — are fully instrumentable).
+# Injection under TSan: the injection binaries among the `tsan` set.
 cmake -B build-tsan-inject -G Ninja -DLCRQ_INJECT=ON -DLCRQ_ENABLE_TSAN=ON -DLCRQ_ENABLE_BENCH=OFF -DLCRQ_ENABLE_EXAMPLES=OFF
 cmake --build build-tsan-inject
-ctest --test-dir build-tsan-inject --output-on-failure -R \
-  "test_injection_points|test_injection_scq|test_injection_pool|test_injection_wcq|test_injection_hierarchy|test_injection_blocking"
+ctest --test-dir build-tsan-inject --output-on-failure -L tsan -L inject
 
 # Hugepage fallback: force the THP-unavailable path (LCRQ_FORCE_NO_THP)
 # and re-run the suites that exercise -huge variants and the slab layer,

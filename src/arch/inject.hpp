@@ -41,13 +41,13 @@ enum class Point : std::uint8_t {
     kDeqBeforeEmptyCas2,   // Crq::try_take, before the empty transition
     kDeqBeforeUnsafeCas2,  // Crq::try_take, before the unsafe transition
     kRingCloseCas,         // Crq::close, CLOSED bit now set
-    kBulkEnqAfterFaa,      // Crq::enqueue_bulk, ticket range claimed
+    kBulkEnqAfterFaa,      // Crq::try_enqueue_bulk, ticket range claimed
     kBulkDeqAfterFaa,      // Crq::dequeue_bulk, ticket range claimed
     kBulkTicketReturn,     // Crq::dequeue_bulk, before the handback CAS
-    kListEmptyObserved,    // Lcrq::dequeue[_bulk], ring reported EMPTY
-    kListAppend,           // Lcrq, fresh ring linked (append CAS succeeded)
-    kListHeadSwing,        // Lcrq, before the head-swing CAS
-    kApproxSizeWalk,       // Lcrq::sum_segments, next segment protected
+    kListEmptyObserved,    // LinkedSegments::dequeue[_bulk], segment reported EMPTY
+    kListAppend,           // LinkedSegments, fresh segment linked (append CAS succeeded)
+    kListHeadSwing,        // LinkedSegments, before the head-swing CAS
+    kApproxSizeWalk,       // LinkedSegments::sum_segments, next segment protected
     kHazardRetire,         // HazardThread::retire_impl, object handed over
     kHazardScan,           // HazardDomain::drain, reclamation pass starting
     kScqEnqAfterFaa,       // ScqRing::enqueue, ticket obtained

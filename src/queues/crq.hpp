@@ -139,8 +139,8 @@ class Crq {
     Crq& operator=(const Crq&) = delete;
 
     // Figure 3d.  Returns kClosed once the ring is closed (by this or any
-    // other enqueuer); never blocks.
-    EnqueueResult enqueue(value_t x) {
+    // other enqueuer); never blocks, and never reports kFull.
+    EnqueueResult try_enqueue(value_t x) {
         assert(is_enqueueable(x));
         unsigned tries = 0;
         for (;;) {
@@ -169,7 +169,7 @@ class Crq {
     // wasted (dequeuers poison past the hole), and the ring closes under
     // the same full/starvation policy as the single-op path, so LCRQ can
     // spill the remainder into a fresh ring.
-    std::size_t enqueue_bulk(std::span<const value_t> items) {
+    BulkPut try_enqueue_bulk(std::span<const value_t> items) {
         std::size_t done = 0;
         unsigned tries = 0;
         while (done < items.size()) {
@@ -181,7 +181,7 @@ class Crq {
             const std::uint64_t traw = Faa::fetch_add(*tail_, want);
             stats::count(stats::Event::kBulkFaa);
             stats::count(stats::Event::kBulkTickets, want);
-            if ((traw & detail::kMsb) != 0) return done;
+            if ((traw & detail::kMsb) != 0) return {done, EnqueueResult::kClosed};
             LCRQ_INJECT_POINT(kBulkEnqAfterFaa);
 
             std::uint64_t wasted = 0;
@@ -203,11 +203,11 @@ class Crq {
                     static_cast<std::int64_t>(size_) ||
                 ++tries >= starvation_limit_) {
                 close();
-                return done;
+                return {done, EnqueueResult::kClosed};
             }
             stats::count(stats::Event::kRingRetry);
         }
-        return done;
+        return {done, EnqueueResult::kOk};
     }
 
     // Figure 3b, plus the §4.1.1 bounded wait for a matching in-flight
@@ -341,7 +341,8 @@ class Crq {
         return n < size_ ? n : size_;
     }
 
-    // Intrusive link and cluster tag used by Lcrq; unused standalone.
+    // List-layer hooks (linked_segments.hpp); unused standalone.
+    static constexpr const char* kListName = "lcrq";
     std::atomic<Crq*> next{nullptr};
     std::atomic<int> cluster{0};
 

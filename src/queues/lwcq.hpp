@@ -1,291 +1,30 @@
 // LwCQ — linked list of wCQs (cf. Nikolaev & Ravindran, SPAA'22 §5).
 //
-// The unbounded queue over the wCQ segment backend, shaped exactly like
-// LSCQ over SCQ: a Michael–Scott list whose nodes are whole bounded
-// queues, hazard-pointer reclamation, and the bounded segment pool from
-// PR 5 recycling drained rings (which also recycles their helping
-// records — Wcq::reset clears them — so the memory bound survives
-// arbitrary segment turnover, the "bounded memory" half of wCQ's title).
+// The unbounded queue over the wCQ segment backend, built by the same list
+// layer as LCRQ and LSCQ (linked_segments.hpp): hazard-pointer reclamation
+// and the bounded segment pool recycling drained rings (which also
+// recycles their helping records — Wcq::reset clears them — so the memory
+// bound survives arbitrary segment turnover, the "bounded memory" half of
+// wCQ's title).
 //
 // Progress note: each segment's operations are wait-free (the helping
 // layer in wcq.hpp), while the list-layer segment switches remain
 // lock-free CAS races — the same layering as the paper's unbounded
 // construction.  A request published on a segment that then drains
 // resolves as EMPTY/CLOSED via helpers, never blocks the list.
+//
+// No bulk operations: a wCQ help record describes one ticket, so a batch
+// claim has no slow path a helper could finish.
 #pragma once
 
-#include <atomic>
-#include <cassert>
-#include <cstddef>
-#include <memory>
-#include <optional>
-#include <string>
-
-#include "arch/cacheline.hpp"
 #include "arch/faa_policy.hpp"
-#include "arch/inject.hpp"
-#include "arch/thread_id.hpp"
-#include "hazard/hazard_pointers.hpp"
-#include "queues/queue_common.hpp"
-#include "queues/segment_pool.hpp"
+#include "queues/hierarchy.hpp"
+#include "queues/linked_segments.hpp"
 #include "queues/wcq.hpp"
 
 namespace lcrq {
 
-template <class Faa = HardwareFaa, bool Protected = true, bool Pooled = true>
-class Lwcq {
-  public:
-    static constexpr const char* kName = "lwcq";
-    using WcqT = Wcq<Faa>;
-
-    explicit Lwcq(const QueueOptions& opt = {})
-        : opt_(opt), pool_(Pooled ? opt.segment_pool_cap : 0) {
-        auto* q = alloc_segment();
-        first_ = q;
-        head_->store(q, std::memory_order_relaxed);
-        tail_->store(q, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    ~Lwcq() {
-        // Single-threaded at destruction; see ~Lcrq for the walk rationale.
-        WcqT* q = Protected ? head_->load(std::memory_order_relaxed) : first_;
-        while (q != nullptr) {
-            WcqT* next = q->next.load(std::memory_order_relaxed);
-            delete q;
-            q = next;
-        }
-    }
-
-    Lwcq(const Lwcq&) = delete;
-    Lwcq& operator=(const Lwcq&) = delete;
-
-    void enqueue(value_t x) {
-        [[maybe_unused]] const bool ok = try_enqueue(x);
-        assert(ok && "enqueue on a closed queue; use try_enqueue for shutdown");
-    }
-
-    // Enqueue unless the queue has been close()d (same shutdown contract as
-    // Lscq::try_enqueue; the up-front check makes close() a barrier).
-    bool try_enqueue(value_t x) {
-        if (closed_.load(std::memory_order_acquire)) return false;
-        for (;;) {
-            WcqT* wcq = acquire(*tail_);
-            if (WcqT* next = wcq->next.load(std::memory_order_acquire)) {
-                // Tail lags behind an appended segment: help swing it.
-                counted_cas_ptr(*tail_, wcq, next);
-                continue;
-            }
-            const ScqPutResult r = wcq->try_enqueue(x);
-            if (r == ScqPutResult::kOk) {
-                release();
-                return true;
-            }
-            // Segment full or closed: close it and divert every enqueuer
-            // to a fresh segment seeded with the item (cf. Lscq).
-            if (r == ScqPutResult::kFull) wcq->close();
-            auto* fresh = alloc_segment(x);
-            WcqT* expected = nullptr;
-            stats::count(stats::Event::kCas);
-            if (wcq->next.compare_exchange_strong(expected, fresh,
-                                                  std::memory_order_seq_cst)) {
-                LCRQ_INJECT_POINT(kListAppend);
-                counted_cas_ptr(*tail_, wcq, fresh);
-                stats::count(stats::Event::kCrqAppend);
-                release();
-                return true;
-            }
-            stats::count(stats::Event::kCasFailure);
-            discard_segment(fresh);  // another appender won; retry there
-        }
-    }
-
-    // Graceful shutdown, as in Lscq::close: sticky flag, then close the
-    // tail segment so no fresh segment can carry late enqueues.
-    void close() {
-        closed_.store(true, std::memory_order_seq_cst);
-        for (;;) {
-            WcqT* wcq = acquire(*tail_);
-            if (WcqT* next = wcq->next.load(std::memory_order_acquire)) {
-                counted_cas_ptr(*tail_, wcq, next);
-                continue;
-            }
-            wcq->close();
-            release();
-            return;
-        }
-    }
-
-    bool closed() const noexcept { return closed_.load(std::memory_order_acquire); }
-
-    std::optional<value_t> dequeue() {
-        for (;;) {
-            WcqT* wcq = acquire(*head_);
-            if (auto v = wcq->dequeue()) {
-                release();
-                return v;
-            }
-            LCRQ_INJECT_POINT(kListEmptyObserved);
-            if (wcq->next.load(std::memory_order_acquire) == nullptr) {
-                release();
-                return std::nullopt;
-            }
-            // Successor present: this segment takes no more enqueues, but
-            // one may have completed between our EMPTY and the check above;
-            // without the second attempt items are lost (the corrected-LCRQ
-            // Fig. 5 retry).
-            if (auto v = wcq->dequeue()) {
-                release();
-                return v;
-            }
-            WcqT* next = wcq->next.load(std::memory_order_acquire);
-            LCRQ_INJECT_POINT(kListHeadSwing);
-            if (counted_cas_ptr(*head_, wcq, next)) {
-                release();
-                if constexpr (Protected) {
-                    retire_segment(wcq);
-                }
-                // Unprotected: the drained segment stays linked from
-                // first_ and is freed by the destructor.
-            }
-        }
-    }
-
-    std::size_t segment_count() {
-        return static_cast<std::size_t>(
-            sum_segments([](WcqT&) { return std::uint64_t{1}; }));
-    }
-
-    std::uint64_t approx_size() {
-        return sum_segments([](WcqT& q) { return q.approx_size(); });
-    }
-    HazardDomain& hazard_domain() noexcept { return domain_; }
-    SegmentPool<WcqT>& segment_pool() noexcept { return pool_; }
-    static std::string variant_name() {
-        return std::string("lwcq") +
-               (std::string(Faa::name()) == "cas-loop" ? "-cas" : "") +
-               (Protected ? "" : "-noreclaim") + (Pooled ? "" : "-nopool");
-    }
-
-  private:
-    WcqConfig wcq_config() const noexcept {
-        return WcqConfig{opt_.wcq_patience, opt_.wcq_helping};
-    }
-
-    // Recycled-or-fresh segment; see Lcrq::alloc_ring.
-    WcqT* alloc_segment(std::optional<value_t> first = std::nullopt) {
-        if constexpr (Pooled) {
-            if (WcqT* q = pool_.try_pop()) {
-                q->reset(opt_.ring_order, first, wcq_config());
-                stats::count(stats::Event::kSegmentReuse);
-                return q;
-            }
-        }
-        stats::count(stats::Event::kSegmentAlloc);
-        return check_alloc(
-            new (std::nothrow) WcqT(opt_.ring_order, first, wcq_config()));
-    }
-
-    // Loser appender's unpublished segment; see Lcrq::discard_ring.
-    void discard_segment(WcqT* fresh) {
-        if constexpr (Pooled) {
-            pool_.push(fresh);
-        } else {
-            delete fresh;
-        }
-    }
-
-    // Drained segment, possibly still held by concurrent operations; see
-    // Lcrq::retire_ring for why the pooled path drains eagerly.
-    void retire_segment(WcqT* wcq) {
-        if constexpr (Pooled) {
-            HazardThread& hp = my_hazard();
-            hp.retire_impl(wcq, &retire_to_pool, &pool_);
-            hp.drain_now();
-        } else {
-            my_hazard().retire(wcq);
-        }
-    }
-
-    static void retire_to_pool(void* p, void* ctx) {
-        static_cast<SegmentPool<WcqT>*>(ctx)->push(static_cast<WcqT*>(p));
-    }
-
-    WcqT* acquire(const std::atomic<WcqT*>& src) {
-        if constexpr (Protected) {
-            return my_hazard().protect(src, 0);
-        } else {
-            return src.load(std::memory_order_acquire);
-        }
-    }
-    void release() {
-        if constexpr (Protected) my_hazard().clear(0);
-    }
-
-    // Safety argument identical to Lcrq::sum_segments: anchor + spare-slot
-    // publish + head revalidation, restart when head moved.
-    template <typename Fn>
-    std::uint64_t sum_segments(Fn&& fn) {
-        if constexpr (!Protected) {
-            std::uint64_t n = 0;
-            for (WcqT* q = head_->load(std::memory_order_acquire); q != nullptr;
-                 q = q->next.load(std::memory_order_acquire)) {
-                n += fn(*q);
-            }
-            return n;
-        } else {
-            HazardThread& hp = my_hazard();
-            for (;;) {
-                std::uint64_t n = 0;
-                WcqT* const anchor = hp.protect(*head_, 1);
-                WcqT* cur = anchor;
-                std::size_t slot = 2;
-                bool restart = false;
-                for (;;) {
-                    n += fn(*cur);
-                    if (cur->next.load(std::memory_order_acquire) == nullptr) break;
-                    WcqT* next = hp.protect(cur->next, slot);
-                    if (next == nullptr) break;
-                    LCRQ_INJECT_POINT(kApproxSizeWalk);
-                    if (head_->load(std::memory_order_seq_cst) != anchor) {
-                        restart = true;
-                        break;
-                    }
-                    cur = next;
-                    slot = (slot == 2) ? 3 : 2;
-                }
-                hp.clear(1);
-                hp.clear(2);
-                hp.clear(3);
-                if (!restart) return n;
-            }
-        }
-    }
-
-    HazardThread& my_hazard() {
-        const std::size_t id = thread_index();
-        auto& slot = hazard_threads_[id];
-        if (slot == nullptr) {
-            slot = std::make_unique<HazardThread>(domain_);
-        }
-        return *slot;
-    }
-
-    QueueOptions opt_;
-    // Before domain_ so the pool outlives every hazard drain that can run
-    // the retire-to-pool deleter (see Lcrq's member-order note).
-    SegmentPool<WcqT> pool_;
-    HazardDomain domain_;
-    WcqT* first_ = nullptr;  // construction-time segment; anchors ~Lwcq when unprotected
-    std::atomic<bool> closed_{false};
-    CacheAligned<std::atomic<WcqT*>, kDestructivePairSize> head_{nullptr};
-    CacheAligned<std::atomic<WcqT*>, kDestructivePairSize> tail_{nullptr};
-    std::unique_ptr<HazardThread> hazard_threads_[kMaxThreads];
-};
-
-using LwcqQueue = Lwcq<HardwareFaa>;
-using LwcqNoReclaimQueue = Lwcq<HardwareFaa, false>;
-// Malloc-per-close ablation (cf. LscqNoPoolQueue).
-using LwcqNoPoolQueue = Lwcq<HardwareFaa, true, false>;
+using LwcqQueue = LinkedSegments<Wcq<HardwareFaa>>;
+using LwcqNoReclaimQueue = LinkedSegments<Wcq<HardwareFaa>, NoHierarchy, false>;
 
 }  // namespace lcrq

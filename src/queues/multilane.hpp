@@ -172,7 +172,7 @@ class Multilane {
         }
     }
 
-    // Bulk contract (cf. Lcrq::dequeue_bulk): 0 means the queue was
+    // Bulk contract (cf. LinkedSegments::dequeue_bulk): 0 means the queue was
     // observed (here: certified) empty.  A short non-zero return means the
     // final scan round observed every lane individually empty — under the
     // relaxed contract that is the strongest claim a partial batch needs,

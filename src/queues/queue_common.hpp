@@ -38,10 +38,22 @@ constexpr bool is_enqueueable(value_t v) noexcept { return v <= kMaxValue; }
 // the dTLB entries it saves.
 inline constexpr unsigned kHugeMinRingOrder = 14;
 
-// Result of an enqueue into a *tantrum* segment (CRQ, SCQ): the ring may
-// refuse and return kClosed, after which every enqueue on it returns
-// kClosed and the list layer (LCRQ/LSCQ) appends a fresh segment.
-enum class EnqueueResult { kOk, kClosed };
+// Result of an enqueue into a bounded segment (CRQ, SCQ, wCQ and their
+// rings).  kFull: every SCQ/wCQ slot index is in flight (bounded-queue
+// backpressure; CRQ never reports it).  kClosed: the segment was closed —
+// a CRQ tantrum, or close() by the list layer or the caller — and every
+// later enqueue on it returns kClosed.  The list layer
+// (linked_segments.hpp) appends a fresh segment on either.
+enum class EnqueueResult { kOk, kFull, kClosed };
+// SCQ's earlier name for the same enum, still spelled so in perfbench/.
+using ScqPutResult = EnqueueResult;
+
+// Outcome of a segment's batched enqueue: how many items from the front of
+// the batch landed, and why it stopped (kOk only when all of them did).
+struct BulkPut {
+    std::size_t done;
+    EnqueueResult status;
+};
 
 // The duck-typed interface all queues implement.
 template <typename Q>
@@ -159,8 +171,8 @@ struct QueueOptions {
     unsigned combiner_bound = 1024;
     // Capacity (log2) of the bounded baseline rings.
     unsigned bounded_order = 16;
-    // Max ring segments the list queues (LCRQ/LSCQ) keep cached for reuse;
-    // overflow falls back to the allocator.  0 disables pooling.
+    // Max ring segments the list queues (LCRQ/LSCQ/LwCQ) keep cached for
+    // reuse; overflow falls back to the allocator.  0 disables pooling.
     std::size_t segment_pool_cap = 16;
     // Opt-in (the registry's -huge knob): back ring slabs of at least
     // kHugeMinRingOrder with MADV_HUGEPAGE mappings so a big ring's node

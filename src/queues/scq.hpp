@@ -26,8 +26,9 @@
 // from fq (capacity n) and LSCQ closes a full segment instead of spinning.
 //
 // Tantrum behaviour: ScqRing never closes itself (a closed fq would brick
-// the standalone queue); close() is explicit, and LSCQ (lscq.hpp) closes a
-// segment's aq when fq reports full, exactly where CRQ would tantrum.
+// the standalone queue); close() is explicit, and the list layer
+// (linked_segments.hpp) closes a segment's aq when fq reports full,
+// exactly where CRQ would tantrum.
 #pragma once
 
 #include <algorithm>
@@ -451,11 +452,6 @@ class ScqRing {
     CacheAligned<std::atomic<std::int64_t>, kDestructivePairSize> threshold_{0};
 };
 
-// Outcome of Scq::try_enqueue: kFull means every slot index is in flight
-// (bounded-queue backpressure); kClosed means the allocated queue was
-// closed (only LSCQ does this) and the slot went back to the free list.
-enum class ScqPutResult { kOk, kFull, kClosed };
-
 // Per-round scratch size for the value-queue bulk paths.
 inline constexpr std::size_t kScqBulkChunk = 64;
 
@@ -488,12 +484,17 @@ class Scq {
         std::atomic_thread_fence(std::memory_order_seq_cst);
     }
 
+    // The list layer's constructor: ring_order and huge_segments apply.
+    Scq(const QueueOptions& opt, std::optional<value_t> first)
+        : Scq(opt.ring_order, first, opt.huge_segments) {}
+
     ~Scq() { mem::slab_free(data_slab_); }
 
     // In-place reinitialization for segment recycling (cf. Crq::reset).
     // Caller owns the segment exclusively and the order must match.
-    void reset(unsigned order, std::optional<value_t> first = std::nullopt) {
-        assert((std::uint64_t{1} << order) == capacity_);
+    void reset([[maybe_unused]] const QueueOptions& opt,
+               std::optional<value_t> first = std::nullopt) {
+        assert((std::uint64_t{1} << opt.ring_order) == capacity_);
         aq_.reset(0, first.has_value() ? 1 : 0);
         fq_.reset(first.has_value() ? 1 : 0, capacity_);
         if (first.has_value()) {
@@ -508,17 +509,17 @@ class Scq {
     Scq(const Scq&) = delete;
     Scq& operator=(const Scq&) = delete;
 
-    ScqPutResult try_enqueue(value_t x) {
+    EnqueueResult try_enqueue(value_t x) {
         assert(is_enqueueable(x));
         const auto idx = fq_.dequeue();
-        if (!idx.has_value()) return ScqPutResult::kFull;
+        if (!idx.has_value()) return EnqueueResult::kFull;
         data_[*idx] = x;
         if (aq_.enqueue(*idx) == EnqueueResult::kClosed) {
             // The slot (and its item) never became visible; recycle it.
             fq_.enqueue(*idx);
-            return ScqPutResult::kClosed;
+            return EnqueueResult::kClosed;
         }
-        return ScqPutResult::kOk;
+        return EnqueueResult::kOk;
     }
 
     std::optional<value_t> dequeue() {
@@ -528,11 +529,6 @@ class Scq {
         fq_.enqueue(*idx);
         return v;
     }
-
-    struct BulkPut {
-        std::size_t done;
-        ScqPutResult status;
-    };
 
     // Batched enqueue: each chunk is one fq claim round plus one aq claim
     // round, so a k-item batch costs ~2 F&As instead of 2k.  Stops at kFull
@@ -545,7 +541,7 @@ class Scq {
             const std::size_t want = std::min<std::size_t>(
                 {items.size() - done, capacity_, kScqBulkChunk});
             const std::size_t got = fq_.dequeue_bulk(idxs, want);
-            if (got == 0) return {done, ScqPutResult::kFull};
+            if (got == 0) return {done, EnqueueResult::kFull};
             for (std::size_t i = 0; i < got; ++i) {
                 assert(is_enqueueable(items[done + i]));
                 data_[idxs[i]] = items[done + i];
@@ -554,10 +550,10 @@ class Scq {
             done += put;
             if (put < got) {
                 fq_.enqueue_bulk({idxs + put, got - put});
-                return {done, ScqPutResult::kClosed};
+                return {done, EnqueueResult::kClosed};
             }
         }
-        return {done, ScqPutResult::kOk};
+        return {done, EnqueueResult::kOk};
     }
 
     // Batched dequeue (Crq::dequeue_bulk contract: short only on an empty
@@ -598,7 +594,8 @@ class Scq {
         return data_slab_.huge_backed && aq_.huge_backed() && fq_.huge_backed();
     }
 
-    // Intrusive link and cluster tag used by Lscq; unused standalone.
+    // List-layer hooks (linked_segments.hpp); unused standalone.
+    static constexpr const char* kListName = "lscq";
     std::atomic<Scq*> next{nullptr};
     std::atomic<int> cluster{0};
 
@@ -629,7 +626,7 @@ class BasicScqQueue {
     }
 
     bool try_enqueue(value_t x) {
-        return q_.try_enqueue(x) == ScqPutResult::kOk;
+        return q_.try_enqueue(x) == EnqueueResult::kOk;
     }
 
     std::optional<value_t> dequeue() { return q_.dequeue(); }

@@ -1,6 +1,6 @@
-// Bounded free list of ring segments for the list queues (LCRQ/LSCQ).
+// Bounded free list of ring segments for the list queues (LCRQ/LSCQ/LwCQ).
 //
-// Every ring close in LCRQ/LSCQ hits the allocator: the winning appender
+// Every ring close in a list queue hits the allocator: the winning appender
 // news a fresh segment and every losing appender deletes its speculative
 // one, so close-heavy regimes (small rings, the CAS ablation,
 // oversubscription) pay malloc/free on the hot path the paper never
@@ -13,7 +13,7 @@
 //    to appending — the segment was never published, so no other thread
 //    can hold a reference;
 //  * drained segments come back through the hazard-pointer path with a
-//    retire-to-pool deleter (lcrq.hpp/lscq.hpp): the hazard scan proves no
+//    retire-to-pool deleter (linked_segments.hpp): the hazard scan proves no
 //    slot still protects the pointer before the deleter runs, which is
 //    exactly the property that keeps the list head/tail CASes ABA-safe
 //    across recycling (a stale holder has the segment protected, so it
@@ -99,8 +99,11 @@ class SegmentPool {
     // Take one parked segment, or nullptr when the pool is empty.  Prefers
     // the caller's own cluster shard (see the placement note above).
     // The caller owns the returned segment exclusively and must reset() it
-    // before publishing (its ring still holds the drained state).
+    // before publishing (its ring still holds the drained state).  A
+    // capacity-0 pool (the no-pool ablation) never holds anything, so it
+    // answers without touching the shards (push likewise just deletes).
     Seg* try_pop() {
+        if (capacity_ == 0) return nullptr;
         const std::size_t home = shard_of(topo::current_cluster());
         for (std::size_t i = 0; i < kShards; ++i) {
             const std::size_t shard = (home + i) % kShards;
@@ -128,7 +131,7 @@ class SegmentPool {
     // capacity and the segment was deleted instead.  The caller must hold
     // `s` exclusively (unpublished, or past a hazard scan).
     bool push(Seg* s) {
-        if (size() >= capacity_) {
+        if (capacity_ == 0 || size() >= capacity_) {
             delete s;
             return false;
         }

@@ -89,7 +89,7 @@
 #include "arch/inject.hpp"
 #include "arch/thread_id.hpp"
 #include "queues/queue_common.hpp"
-#include "queues/scq.hpp"  // detail::kScqMsb, ScqPutResult
+#include "queues/scq.hpp"  // detail::kScqMsb
 
 namespace lcrq {
 
@@ -1023,13 +1023,16 @@ class Wcq {
         std::atomic_thread_fence(std::memory_order_seq_cst);
     }
 
+    // The list layer's constructor: ring_order and the helping knobs apply.
+    Wcq(const QueueOptions& opt, std::optional<value_t> first)
+        : Wcq(opt.ring_order, first, config_of(opt)) {}
+
     ~Wcq() { aligned_array_free(data_); }
 
-    void reset(unsigned order, std::optional<value_t> first = std::nullopt,
-               WcqConfig cfg = {}) {
-        assert((std::uint64_t{1} << order) == capacity_);
-        aq_.reset(0, first.has_value() ? 1 : 0, cfg);
-        fq_.reset(first.has_value() ? 1 : 0, capacity_, cfg);
+    void reset(const QueueOptions& opt, std::optional<value_t> first = std::nullopt) {
+        assert((std::uint64_t{1} << opt.ring_order) == capacity_);
+        aq_.reset(0, first.has_value() ? 1 : 0, config_of(opt));
+        fq_.reset(first.has_value() ? 1 : 0, capacity_, config_of(opt));
         if (first.has_value()) {
             assert(is_enqueueable(*first));
             data_[0] = *first;
@@ -1042,16 +1045,16 @@ class Wcq {
     Wcq(const Wcq&) = delete;
     Wcq& operator=(const Wcq&) = delete;
 
-    ScqPutResult try_enqueue(value_t x) {
+    EnqueueResult try_enqueue(value_t x) {
         assert(is_enqueueable(x));
         const auto idx = fq_.dequeue();
-        if (!idx.has_value()) return ScqPutResult::kFull;
+        if (!idx.has_value()) return EnqueueResult::kFull;
         data_[*idx] = x;
         if (aq_.enqueue(*idx) == EnqueueResult::kClosed) {
             fq_.enqueue(*idx);
-            return ScqPutResult::kClosed;
+            return EnqueueResult::kClosed;
         }
-        return ScqPutResult::kOk;
+        return EnqueueResult::kOk;
     }
 
     std::optional<value_t> dequeue() {
@@ -1071,11 +1074,16 @@ class Wcq {
     Ring& allocated_ring() noexcept { return aq_; }
     Ring& free_ring() noexcept { return fq_; }
 
-    // Intrusive link and cluster tag used by Lwcq; unused standalone.
+    // List-layer hooks (linked_segments.hpp); unused standalone.
+    static constexpr const char* kListName = "lwcq";
     std::atomic<Wcq*> next{nullptr};
     std::atomic<int> cluster{0};
 
   private:
+    static WcqConfig config_of(const QueueOptions& opt) noexcept {
+        return WcqConfig{opt.wcq_patience, opt.wcq_helping};
+    }
+
     const std::uint64_t capacity_;
     Ring aq_;
     Ring fq_;
@@ -1100,7 +1108,7 @@ class BasicWcqQueue {
     }
 
     bool try_enqueue(value_t x) {
-        return q_.try_enqueue(x) == ScqPutResult::kOk;
+        return q_.try_enqueue(x) == EnqueueResult::kOk;
     }
 
     std::optional<value_t> dequeue() { return q_.dequeue(); }

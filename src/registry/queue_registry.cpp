@@ -85,6 +85,18 @@ Entry entry(const char* name, const char* description, bool nonblocking,
                  }};
 }
 
+// The -nopool ablations: the pooled list queue built with a zero-capacity
+// segment pool, so every segment close pays malloc/free.
+template <typename Q>
+Entry nopool_entry(const char* name, const char* description) {
+    Entry e = entry<Q>(name, description, true, false, false);
+    e.make = [](std::string n, QueueOptions opt) {
+        opt.segment_pool_cap = 0;
+        return std::make_unique<Adapter<Q>>(std::move(n), opt);
+    };
+    return e;
+}
+
 const std::vector<Entry>& entries() {
     static const std::vector<Entry> all = {
         entry<LcrqQueue>("lcrq", "LCRQ: F&A-based nonblocking ring-list queue (this paper)",
@@ -104,10 +116,9 @@ const std::vector<Entry>& entries() {
                                   "LCRQ without hazard protection (footnote-6 ablation; "
                                   "reclaims at destruction)",
                                   true, false, false, /*deferred_reclamation=*/true),
-        entry<LcrqNoPoolQueue>("lcrq-nopool",
-                               "LCRQ without the segment pool (malloc per ring close; "
-                               "ablation)",
-                               true, false, false),
+        nopool_entry<LcrqQueue>("lcrq-nopool",
+                                "LCRQ without the segment pool (malloc per ring close; "
+                                "ablation)"),
         entry<LscqQueue>("lscq",
                          "LSCQ: SCQ ring-list queue, single-word CAS + threshold "
                          "(DISC'19; second segment backend)",
@@ -117,10 +128,9 @@ const std::vector<Entry>& entries() {
                           "LSCQ with hierarchical cluster handoff (CAS2-free; accepts "
                           "-h<timeout_us>)",
                           true, true, false, false, kSetMultiProcessor),
-        entry<LscqNoPoolQueue>("lscq-nopool",
-                               "LSCQ without the segment pool (malloc per segment close; "
-                               "ablation)",
-                               true, false, false),
+        nopool_entry<LscqQueue>("lscq-nopool",
+                                "LSCQ without the segment pool (malloc per segment "
+                                "close; ablation)"),
         entry<LwcqQueue>("lwcq",
                          "LwCQ: wCQ ring-list queue — SCQ plus helping records, "
                          "wait-free per segment with bounded memory (SPAA'22)",
@@ -131,10 +141,9 @@ const std::vector<Entry>& entries() {
                                   "destruction; ablation)",
                                   true, false, false,
                                   /*deferred_reclamation=*/true),
-        entry<LwcqNoPoolQueue>("lwcq-nopool",
-                               "LwCQ without the segment pool (malloc per segment close; "
-                               "ablation)",
-                               true, false, false),
+        nopool_entry<LwcqQueue>("lwcq-nopool",
+                                "LwCQ without the segment pool (malloc per segment "
+                                "close; ablation)"),
         entry<MultilaneLcrq>("lcrq-ml",
                              "Multilane LCRQ: coordination-free per-thread lanes, "
                              "balancing dequeue (per-producer FIFO; accepts -ml<N>)",

@@ -31,6 +31,21 @@ inline std::uint64_t rdtsc() noexcept {
 #endif
 }
 
+// rdtsc() ordered against the surrounding code: the leading lfence keeps
+// the read from executing before earlier loads complete, the trailing one
+// keeps later instructions from starting before it.  For stamps that must
+// bracket an operation (verify/history.hpp); timed loops keep rdtsc().
+inline std::uint64_t rdtsc_fenced() noexcept {
+#if defined(__x86_64__)
+    _mm_lfence();
+    const std::uint64_t t = __rdtsc();
+    _mm_lfence();
+    return t;
+#else
+    return now_ns();
+#endif
+}
+
 // TSC ticks per nanosecond, measured once at startup (~10 ms).
 double tsc_per_ns();
 

@@ -12,6 +12,9 @@
 // Timestamps are raw TSC ticks: globally meaningful on invariant-TSC x86,
 // and two orders of magnitude cheaper than clock_gettime, which matters
 // because timestamping must not serialize the very races being tested.
+// They are fenced (rdtsc_fenced): a bare rdtsc may execute before the
+// operation's last loads complete, and a response stamped too early can
+// fall below the invoke stamp of the operation it observed.
 //
 // The recording is spec-agnostic: the same History feeds the total-FIFO
 // checkers and the per-producer-FIFO ones (check_queue_*_per_lane, for
@@ -56,17 +59,17 @@ class ThreadLog {
     // Wrap a queue operation, timestamping around it.
     template <typename Q>
     void enqueue(Q& q, value_t v) {
-        const std::uint64_t t0 = rdtsc();
+        const std::uint64_t t0 = rdtsc_fenced();
         q.enqueue(v);
-        const std::uint64_t t1 = rdtsc();
+        const std::uint64_t t1 = rdtsc_fenced();
         ops_.push_back({Operation::Kind::kEnqueue, thread_, v, t0, t1});
     }
 
     template <typename Q>
     bool dequeue(Q& q) {
-        const std::uint64_t t0 = rdtsc();
+        const std::uint64_t t0 = rdtsc_fenced();
         const auto v = q.dequeue();
-        const std::uint64_t t1 = rdtsc();
+        const std::uint64_t t1 = rdtsc_fenced();
         ops_.push_back({Operation::Kind::kDequeue, thread_,
                         v.has_value() ? *v : kEmpty, t0, t1});
         return v.has_value();
@@ -80,7 +83,7 @@ class ThreadLog {
     // void-returning implementations, which complete the whole batch).
     template <typename Q>
     std::size_t enqueue_bulk(Q& q, std::span<const value_t> items) {
-        const std::uint64_t t0 = rdtsc();
+        const std::uint64_t t0 = rdtsc_fenced();
         std::size_t n;
         if constexpr (std::is_void_v<decltype(q.enqueue_bulk(items))>) {
             q.enqueue_bulk(items);
@@ -88,7 +91,7 @@ class ThreadLog {
         } else {
             n = q.enqueue_bulk(items);
         }
-        const std::uint64_t t1 = rdtsc();
+        const std::uint64_t t1 = rdtsc_fenced();
         for (std::size_t i = 0; i < n; ++i) {
             ops_.push_back({Operation::Kind::kEnqueue, thread_, items[i], t0, t1});
         }
@@ -99,9 +102,9 @@ class ThreadLog {
     // single EMPTY dequeue (the op did observe the queue empty).
     template <typename Q>
     std::size_t dequeue_bulk(Q& q, value_t* out, std::size_t max) {
-        const std::uint64_t t0 = rdtsc();
+        const std::uint64_t t0 = rdtsc_fenced();
         const std::size_t n = q.dequeue_bulk(out, max);
-        const std::uint64_t t1 = rdtsc();
+        const std::uint64_t t1 = rdtsc_fenced();
         if (n == 0) {
             ops_.push_back({Operation::Kind::kDequeue, thread_, kEmpty, t0, t1});
             return 0;

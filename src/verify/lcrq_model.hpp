@@ -1,7 +1,7 @@
 // Small-step model of the LCRQ list layer over the CRQ model
 // (crq_model.hpp), for schedule exploration.
 //
-// Mirrors queues/lcrq.hpp: enqueue works in the tail segment and appends a
+// Mirrors queues/linked_segments.hpp: enqueue works in the tail segment and appends a
 // fresh seeded segment on CLOSED; dequeue works in the head segment, and —
 // in the *corrected* December-2013 algorithm — retries the segment once
 // more after seeing a successor before swinging head.  The model carries a

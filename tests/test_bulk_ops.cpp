@@ -81,7 +81,7 @@ TEST(CrqBulk, OneFaaClaimsTheWholeBatch) {
     Crq<> q(no_close());
     const auto items = tags(0, 16);
     stats::reset_all();
-    ASSERT_EQ(q.enqueue_bulk(items), 16u);
+    ASSERT_EQ(q.try_enqueue_bulk(items).done, 16u);
     auto snap = stats::global_snapshot();
     EXPECT_EQ(snap[stats::Event::kBulkFaa], 1u);
     EXPECT_EQ(snap[stats::Event::kBulkTickets], 16u);
@@ -103,7 +103,7 @@ TEST(CrqBulk, BatchLargerThanRingClaimsInRingSizedRounds) {
     // Interleave so the ring never fills: 4 in, 4 out, repeatedly.
     for (unsigned round = 0; round < 8; ++round) {
         const auto items = tags(0, 4, round * 4);
-        ASSERT_EQ(q.enqueue_bulk(items), 4u);
+        ASSERT_EQ(q.try_enqueue_bulk(items).done, 4u);
         ASSERT_EQ(q.dequeue_bulk(out, 4), 4u);
         for (int i = 0; i < 4; ++i)
             EXPECT_EQ(out[i], items[static_cast<std::size_t>(i)]);
@@ -114,7 +114,7 @@ TEST(CrqBulk, ClosedRingRefusesTheWholeBatch) {
     Crq<> q(no_close());
     q.close();
     const auto items = tags(0, 8);
-    EXPECT_EQ(q.enqueue_bulk(items), 0u);
+    EXPECT_EQ(q.try_enqueue_bulk(items).done, 0u);
     EXPECT_TRUE(q.closed());
 }
 
@@ -134,7 +134,7 @@ TEST(CrqBulk, EmptyDequeueReturnsUnspentTickets) {
     EXPECT_EQ(q.tail_index(), q.head_index());
 
     const auto items = tags(0, 3);
-    ASSERT_EQ(q.enqueue_bulk(items), 3u);
+    ASSERT_EQ(q.try_enqueue_bulk(items).done, 3u);
     ASSERT_EQ(q.dequeue_bulk(out, 8), 3u);
     for (int i = 0; i < 3; ++i) EXPECT_EQ(out[i], items[static_cast<std::size_t>(i)]);
 }
@@ -142,7 +142,7 @@ TEST(CrqBulk, EmptyDequeueReturnsUnspentTickets) {
 TEST(CrqBulk, ShortDequeueImpliesEmptyObservation) {
     Crq<> q(no_close());
     const auto items = tags(0, 5);
-    ASSERT_EQ(q.enqueue_bulk(items), 5u);
+    ASSERT_EQ(q.try_enqueue_bulk(items).done, 5u);
     value_t out[16];
     // Asking for more than is present must return exactly what is present
     // (the short return IS the empty observation) and nothing on a retry.
@@ -156,7 +156,7 @@ TEST(CrqBulk, FullRingClosesAndLosesNothing) {
     const auto items = tags(0, 10);
     // 4 fit; the next claim round finds every cell occupied, concludes the
     // ring is full, and closes it — the tantrum contract, batch-sized.
-    const std::size_t accepted = q.enqueue_bulk(items);
+    const std::size_t accepted = q.try_enqueue_bulk(items).done;
     EXPECT_EQ(accepted, 4u);
     EXPECT_TRUE(q.closed());
     value_t out[16];
@@ -169,9 +169,9 @@ TEST(CrqBulk, StolenTicketLeavesHoleBatchSkips) {
     Crq<> q(no_close());
     // A "dead" enqueuer claims a ticket and never uses it: the batch behind
     // it still lands, and dequeuers poison past the hole.
-    ASSERT_EQ(q.enqueue_bulk(tags(0, 2)), 2u);
+    ASSERT_EQ(q.try_enqueue_bulk(tags(0, 2)).done, 2u);
     q.debug_take_enqueue_ticket();
-    ASSERT_EQ(q.enqueue_bulk(tags(0, 3, 2)), 3u);
+    ASSERT_EQ(q.try_enqueue_bulk(tags(0, 3, 2)).done, 3u);
     value_t out[8];
     const std::size_t got = q.dequeue_bulk(out, 8);
     ASSERT_EQ(got, 5u);
@@ -195,8 +195,9 @@ TEST(CrqBulk, ConcurrentBulkExchangeLosesNothing) {
             const auto mine = tags(static_cast<unsigned>(id), kPer);
             std::size_t done = 0;
             while (done < mine.size()) {
-                done += q.enqueue_bulk(
-                    std::span<const value_t>(mine).subspan(done, kBatch));
+                done += q.try_enqueue_bulk(
+                             std::span<const value_t>(mine).subspan(done, kBatch))
+                            .done;
             }
         } else {
             auto& mine = received[static_cast<std::size_t>(id - kProducers)];
@@ -440,7 +441,8 @@ TEST(BulkLinearizability, LcrqMixedSingleAndBulkHistoryPassesFastCheck) {
 }
 
 TEST(BulkLinearizability, CrqMixedSingleAndBulkHistoryPassesFastCheck) {
-    Crq<> q(no_close());
+    Crq<> ring(no_close());
+    test::RingAsQueue<Crq<>> q{ring};
     constexpr int kThreads = 4;
     constexpr std::uint64_t kRounds = 400;
     std::vector<verify::ThreadLog> logs;

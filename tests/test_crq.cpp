@@ -20,7 +20,7 @@ QueueOptions small_ring(unsigned order) {
 TEST(Crq, FifoSingleThread) {
     Crq<> q(small_ring(4));
     for (value_t v = 1; v <= 10; ++v) {
-        ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
+        ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     }
     for (value_t v = 1; v <= 10; ++v) {
         auto r = q.dequeue();
@@ -35,14 +35,14 @@ TEST(Crq, EmptyOnFreshQueue) {
     EXPECT_FALSE(q.dequeue().has_value());
     EXPECT_FALSE(q.dequeue().has_value());
     // fixState restored head <= tail, so enqueues still work.
-    EXPECT_EQ(q.enqueue(42), EnqueueResult::kOk);
+    EXPECT_EQ(q.try_enqueue(42), EnqueueResult::kOk);
     EXPECT_EQ(q.dequeue().value_or(0), 42u);
 }
 
 TEST(Crq, WrapsAroundManyLaps) {
     Crq<> q(small_ring(2));  // R = 4
     for (int lap = 0; lap < 100; ++lap) {
-        for (value_t v = 1; v <= 3; ++v) ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
+        for (value_t v = 1; v <= 3; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
         for (value_t v = 1; v <= 3; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
     }
     EXPECT_FALSE(q.dequeue().has_value());
@@ -54,14 +54,14 @@ TEST(Crq, ClosesWhenFull) {
     int stored = 0;
     EnqueueResult r = EnqueueResult::kOk;
     for (int i = 0; i < 16 && r == EnqueueResult::kOk; ++i) {
-        r = q.enqueue(static_cast<value_t>(i + 1));
+        r = q.try_enqueue(static_cast<value_t>(i + 1));
         if (r == EnqueueResult::kOk) ++stored;
     }
     EXPECT_EQ(r, EnqueueResult::kClosed);
     EXPECT_TRUE(q.closed());
     EXPECT_EQ(stored, 4);
     // Tantrum semantics: closed forever.
-    EXPECT_EQ(q.enqueue(99), EnqueueResult::kClosed);
+    EXPECT_EQ(q.try_enqueue(99), EnqueueResult::kClosed);
     // Items stored before the close drain in FIFO order.
     for (value_t v = 1; v <= 4; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
     EXPECT_FALSE(q.dequeue().has_value());
@@ -69,11 +69,11 @@ TEST(Crq, ClosesWhenFull) {
 
 TEST(Crq, ExplicitCloseIsIdempotent) {
     Crq<> q(small_ring(4));
-    ASSERT_EQ(q.enqueue(1), EnqueueResult::kOk);
+    ASSERT_EQ(q.try_enqueue(1), EnqueueResult::kOk);
     q.close();
     q.close();
     EXPECT_TRUE(q.closed());
-    EXPECT_EQ(q.enqueue(2), EnqueueResult::kClosed);
+    EXPECT_EQ(q.try_enqueue(2), EnqueueResult::kClosed);
     EXPECT_EQ(q.dequeue().value_or(0), 1u);
     EXPECT_FALSE(q.dequeue().has_value());
 }
@@ -82,7 +82,7 @@ TEST(Crq, SeededConstructorContainsItem) {
     Crq<> q(small_ring(4), value_t{77});
     EXPECT_EQ(q.dequeue().value_or(0), 77u);
     EXPECT_FALSE(q.dequeue().has_value());
-    EXPECT_EQ(q.enqueue(5), EnqueueResult::kOk);
+    EXPECT_EQ(q.try_enqueue(5), EnqueueResult::kOk);
     EXPECT_EQ(q.dequeue().value_or(0), 5u);
 }
 
@@ -92,7 +92,7 @@ TEST(Crq, FixStateRestoresHeadTail) {
     for (int i = 0; i < 10; ++i) EXPECT_FALSE(q.dequeue().has_value());
     EXPECT_LE(q.head_index(), q.tail_index());
     // The ring is still fully usable.
-    for (value_t v = 1; v <= 16; ++v) ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
+    for (value_t v = 1; v <= 16; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     for (value_t v = 1; v <= 16; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
 }
 
@@ -100,19 +100,19 @@ TEST(Crq, SpinWaitDisabledStillCorrect) {
     QueueOptions opt = small_ring(3);
     opt.spin_wait_iters = 0;
     Crq<> q(opt);
-    for (value_t v = 1; v <= 5; ++v) ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
+    for (value_t v = 1; v <= 5; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     for (value_t v = 1; v <= 5; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
 }
 
 TEST(Crq, CasLoopFaaVariant) {
     Crq<CasLoopFaa> q(small_ring(4));
-    for (value_t v = 1; v <= 12; ++v) ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
+    for (value_t v = 1; v <= 12; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     for (value_t v = 1; v <= 12; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
 }
 
 TEST(Crq, CompactNodesVariant) {
     Crq<HardwareFaa, false> q(small_ring(4));
-    for (value_t v = 1; v <= 12; ++v) ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
+    for (value_t v = 1; v <= 12; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     for (value_t v = 1; v <= 12; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
 }
 
@@ -139,7 +139,7 @@ TEST(Crq, ConcurrentExchangeTantrumAware) {
             auto& mine = sent[static_cast<std::size_t>(id)];
             for (std::uint64_t i = 0; i < kPer; ++i) {
                 const value_t v = test::tag(static_cast<unsigned>(id), i);
-                if (q.enqueue(v) == EnqueueResult::kOk) {
+                if (q.try_enqueue(v) == EnqueueResult::kOk) {
                     mine.push_back(v);
                     succeeded.fetch_add(1, std::memory_order_acq_rel);
                 } else {
@@ -184,8 +184,8 @@ TEST(Crq, ConcurrentEnqueueTinyRingCloses) {
     std::atomic<int> stored{0};
     test::run_threads(4, [&](int id) {
         for (int i = 0; i < 50; ++i) {
-            if (q.enqueue(test::tag(static_cast<unsigned>(id),
-                                    static_cast<std::uint64_t>(i))) ==
+            if (q.try_enqueue(test::tag(static_cast<unsigned>(id),
+                                        static_cast<std::uint64_t>(i))) ==
                 EnqueueResult::kOk) {
                 stored.fetch_add(1);
             }
@@ -211,8 +211,8 @@ TEST(Crq, ConcurrentTinyRingTransitions) {
         test::run_threads(4, [&](int id) {
             if (id < 2) {
                 for (int i = 0; i < 200; ++i) {
-                    if (q.enqueue(test::tag(static_cast<unsigned>(id),
-                                            static_cast<std::uint64_t>(i))) ==
+                    if (q.try_enqueue(test::tag(static_cast<unsigned>(id),
+                                                static_cast<std::uint64_t>(i))) ==
                         EnqueueResult::kOk) {
                         enqueued.fetch_add(1);
                     }
@@ -240,7 +240,7 @@ TEST(Crq, IndicesAreMonotonic) {
     Crq<> q(small_ring(4));
     const auto h0 = q.head_index();
     const auto t0 = q.tail_index();
-    ASSERT_EQ(q.enqueue(1), EnqueueResult::kOk);
+    ASSERT_EQ(q.try_enqueue(1), EnqueueResult::kOk);
     EXPECT_GT(q.tail_index(), t0);
     ASSERT_TRUE(q.dequeue().has_value());
     EXPECT_GT(q.head_index(), h0);
@@ -254,7 +254,7 @@ TEST(Crq, RingSizeReported) {
 TEST(Crq, ApproxSizeTracksQuiescentCount) {
     Crq<> q(small_ring(4));
     EXPECT_EQ(q.approx_size(), 0u);
-    for (value_t v = 1; v <= 10; ++v) ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
+    for (value_t v = 1; v <= 10; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     EXPECT_EQ(q.approx_size(), 10u);
     for (value_t v = 1; v <= 4; ++v) ASSERT_TRUE(q.dequeue().has_value());
     EXPECT_EQ(q.approx_size(), 6u);

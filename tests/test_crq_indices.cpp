@@ -22,7 +22,7 @@ class CrqHighIndex : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(CrqHighIndex, FifoAcrossEpoch) {
     Crq<> q(ring(3));  // R = 8
     q.debug_jump_to_index(GetParam());
-    for (value_t v = 1; v <= 6; ++v) ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
+    for (value_t v = 1; v <= 6; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     EXPECT_EQ(q.approx_size(), 6u);
     for (value_t v = 1; v <= 6; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
     EXPECT_FALSE(q.dequeue().has_value());
@@ -33,7 +33,7 @@ TEST_P(CrqHighIndex, WrapsLapsAtEpoch) {
     Crq<> q(ring(2));  // R = 4
     q.debug_jump_to_index(GetParam());
     for (int lap = 0; lap < 50; ++lap) {
-        for (value_t v = 1; v <= 3; ++v) ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
+        for (value_t v = 1; v <= 3; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
         for (value_t v = 1; v <= 3; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
     }
 }
@@ -41,10 +41,10 @@ TEST_P(CrqHighIndex, WrapsLapsAtEpoch) {
 TEST_P(CrqHighIndex, ClosedBitSurvivesEpoch) {
     Crq<> q(ring(2));
     q.debug_jump_to_index(GetParam());
-    ASSERT_EQ(q.enqueue(1), EnqueueResult::kOk);
+    ASSERT_EQ(q.try_enqueue(1), EnqueueResult::kOk);
     q.close();
     EXPECT_TRUE(q.closed());
-    EXPECT_EQ(q.enqueue(2), EnqueueResult::kClosed);
+    EXPECT_EQ(q.try_enqueue(2), EnqueueResult::kClosed);
     EXPECT_EQ(q.dequeue().value_or(0), 1u);
     EXPECT_FALSE(q.dequeue().has_value());
     // tail_index strips the closed bit.
@@ -56,7 +56,7 @@ TEST_P(CrqHighIndex, EmptyOvershootAtEpoch) {
     q.debug_jump_to_index(GetParam());
     for (int i = 0; i < 5; ++i) EXPECT_FALSE(q.dequeue().has_value());
     EXPECT_LE(q.head_index(), q.tail_index());  // fixState repaired
-    ASSERT_EQ(q.enqueue(42), EnqueueResult::kOk);
+    ASSERT_EQ(q.try_enqueue(42), EnqueueResult::kOk);
     EXPECT_EQ(q.dequeue().value_or(0), 42u);
 }
 
@@ -68,7 +68,8 @@ TEST_P(CrqHighIndex, ConcurrentExchangeAtEpoch) {
     opt.starvation_limit = 1'000'000;
     Crq<> q(opt);
     q.debug_jump_to_index(GetParam());
-    auto received = test::mpmc_exchange(q, 2, 2, 800);
+    test::RingAsQueue<Crq<>> rq{q};
+    auto received = test::mpmc_exchange(rq, 2, 2, 800);
     ASSERT_FALSE(q.closed());
     test::expect_exchange_valid(received, 2, 800);
 }

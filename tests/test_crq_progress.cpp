@@ -23,11 +23,11 @@ QueueOptions ring(unsigned order, unsigned starvation = 16) {
 
 TEST(CrqProgress, DeadEnqueuerDoesNotBlockDequeuers) {
     Crq<> q(ring(3));  // R = 8
-    ASSERT_EQ(q.enqueue(1), EnqueueResult::kOk);
-    ASSERT_EQ(q.enqueue(2), EnqueueResult::kOk);
+    ASSERT_EQ(q.try_enqueue(1), EnqueueResult::kOk);
+    ASSERT_EQ(q.try_enqueue(2), EnqueueResult::kOk);
     const std::uint64_t hole = q.debug_take_enqueue_ticket();  // enqueuer dies
-    ASSERT_EQ(q.enqueue(3), EnqueueResult::kOk);
-    ASSERT_EQ(q.enqueue(4), EnqueueResult::kOk);
+    ASSERT_EQ(q.try_enqueue(3), EnqueueResult::kOk);
+    ASSERT_EQ(q.try_enqueue(4), EnqueueResult::kOk);
     EXPECT_EQ(hole, 2u);
 
     // All four real items drain in FIFO order; the dequeuer that draws the
@@ -39,7 +39,7 @@ TEST(CrqProgress, DeadEnqueuerDoesNotBlockDequeuers) {
     }
     EXPECT_FALSE(q.dequeue().has_value());
     // And the queue keeps working afterwards.
-    ASSERT_EQ(q.enqueue(9), EnqueueResult::kOk);
+    ASSERT_EQ(q.try_enqueue(9), EnqueueResult::kOk);
     EXPECT_EQ(q.dequeue().value_or(0), 9u);
 }
 
@@ -47,7 +47,7 @@ TEST(CrqProgress, ManyDeadEnqueuersStillDrain) {
     Crq<> q(ring(4));  // R = 16
     value_t next = 1;
     for (int i = 0; i < 5; ++i) {
-        ASSERT_EQ(q.enqueue(next++), EnqueueResult::kOk);
+        ASSERT_EQ(q.try_enqueue(next++), EnqueueResult::kOk);
         (void)q.debug_take_enqueue_ticket();
     }
     for (value_t v = 1; v < next; ++v) {
@@ -58,7 +58,7 @@ TEST(CrqProgress, ManyDeadEnqueuersStillDrain) {
 
 TEST(CrqProgress, DeadDequeuerStrandsOnlyItsItem) {
     Crq<> q(ring(2));  // R = 4
-    for (value_t v = 1; v <= 4; ++v) ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
+    for (value_t v = 1; v <= 4; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     const std::uint64_t h = q.debug_take_dequeue_ticket();  // dequeuer dies on item 1
     EXPECT_EQ(h, 0u);
 
@@ -77,13 +77,13 @@ TEST(CrqProgress, DeadDequeuerDoesNotStopOperation) {
     // close (tantrum semantics allow it), but never hang or lose items.
     stats::reset_all();
     Crq<> q(ring(2, /*starvation=*/8));
-    for (value_t v = 1; v <= 4; ++v) ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
+    for (value_t v = 1; v <= 4; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     (void)q.debug_take_dequeue_ticket();  // strand item 1
     for (value_t v = 2; v <= 4; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
 
     int cycles = 0;
     for (int i = 0; i < 1'000; ++i) {
-        if (q.enqueue(100 + static_cast<value_t>(i)) != EnqueueResult::kOk) break;
+        if (q.try_enqueue(100 + static_cast<value_t>(i)) != EnqueueResult::kOk) break;
         ASSERT_TRUE(q.dequeue().has_value()) << "item vanished at cycle " << i;
         ++cycles;
     }

@@ -60,8 +60,8 @@ TEST_F(InjectCrq, UnsafeTransitionWindowIsForcedDeterministically) {
     ctl().hold_until(1, Point::kDeqAfterFaa, 1, 0, Point::kDeqAfterFaa, 3);
     ctl().arm();
 
-    q.enqueue(1);  // cell 0
-    q.enqueue(2);  // cell 1
+    q.try_enqueue(1);  // cell 0
+    q.try_enqueue(2);  // cell 1
 
     std::optional<value_t> parked;
     std::optional<value_t> overtaker1;
@@ -120,8 +120,8 @@ TEST_F(InjectCrq, BulkTicketHandbackLosesRaceAndSpendsTickets) {
     ctl().hold_until(0, Point::kBulkTicketReturn, 1, 1, Point::kDeqAfterFaa, 1);
     ctl().arm();
 
-    q.enqueue(1);
-    q.enqueue(2);
+    q.try_enqueue(1);
+    q.try_enqueue(2);
 
     value_t out[4] = {};
     std::size_t got = 0;
@@ -147,7 +147,7 @@ TEST_F(InjectCrq, BulkTicketHandbackLosesRaceAndSpendsTickets) {
     // Ticket 3 could not be handed back (head was already 5) and was spent
     // as an empty transition; no ticket leaked to strand a later item.
     EXPECT_EQ(q.head_index(), 5u);
-    q.enqueue(3);
+    q.try_enqueue(3);
     const auto v = q.dequeue();
     ASSERT_TRUE(v.has_value()) << "a leaked ticket stranded the item";
     EXPECT_EQ(*v, 3u);
@@ -160,8 +160,8 @@ TEST_F(InjectCrq, BulkTicketHandbackSucceedsUncontended) {
     ctl().arm();            // counting only; no rules
     ctl().bind_thread(0);
 
-    q.enqueue(1);
-    q.enqueue(2);
+    q.try_enqueue(1);
+    q.try_enqueue(2);
     value_t out[6] = {};
     const std::size_t got = q.dequeue_bulk(out, 6);
     ASSERT_EQ(got, 2u);
@@ -185,14 +185,14 @@ TEST_F(InjectCrq, KilledEnqueuerLeavesHoleSurvivorsPoisonPast) {
         ctl().bind_thread(id);
         if (id == 1) {
             try {
-                q.enqueue(99);  // dies holding ticket 0
+                q.try_enqueue(99);  // dies holding ticket 0
             } catch (const ThreadKilled&) {
                 victim_killed = true;
             }
         } else {
             await([&] { return ctl().kills_fired() >= 1; });
-            ASSERT_EQ(q.enqueue(1), EnqueueResult::kOk);
-            ASSERT_EQ(q.enqueue(2), EnqueueResult::kOk);
+            ASSERT_EQ(q.try_enqueue(1), EnqueueResult::kOk);
+            ASSERT_EQ(q.try_enqueue(2), EnqueueResult::kOk);
             for (int i = 0; i < 3; ++i) {
                 if (auto v = q.dequeue()) survivor_got.push_back(*v);
             }
@@ -231,7 +231,7 @@ TEST_F(InjectCrq, RandomPerturbationSweepKeepsAccounting) {
             ctl().bind_thread(id);
             if (id < kProducers) {
                 for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-                    if (q.enqueue(tag(static_cast<unsigned>(id), i)) !=
+                    if (q.try_enqueue(tag(static_cast<unsigned>(id), i)) !=
                         EnqueueResult::kOk) {
                         break;  // tantrum: accounted below
                     }
@@ -292,7 +292,7 @@ TEST_F(InjectCrq, RandomPerturbationSweepBulkPaths) {
                     for (std::size_t j = 0; j < kBatch; ++j) {
                         batch[j] = tag(static_cast<unsigned>(id), i + j);
                     }
-                    const std::size_t n = q.enqueue_bulk(batch);
+                    const std::size_t n = q.try_enqueue_bulk(batch).done;
                     enq_ok.fetch_add(n, std::memory_order_acq_rel);
                     if (n < kBatch) break;  // closed mid-batch
                 }

@@ -1,9 +1,10 @@
 // Schedule injection for segment recycling: the pool must never hand a
 // segment back into circulation while any thread still protects it, and a
 // dequeuer parked across a recycling burst must not be able to ABA the
-// list head.  LSCQ-only on purpose — the SCQ family is CAS2-free, so this
-// binary runs under TSan (the LCRQ-side twin lives in test_injection_lcrq,
-// covered by ASan).
+// list head.  Typed over LSCQ and LwCQ — the one list layer
+// (linked_segments.hpp) over both CAS2-free backends, so this binary runs
+// under TSan (the LCRQ-side twin lives in test_injection_lcrq, covered by
+// ASan).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,11 +12,13 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "arch/counters.hpp"
 #include "queues/lscq.hpp"
+#include "queues/lwcq.hpp"
 #include "queues/segment_pool.hpp"
 #include "test_support.hpp"
 #include "topology/topology.hpp"
@@ -33,10 +36,21 @@ using test::tag;
 
 Controller& ctl() { return Controller::instance(); }
 
+template <typename Q>
 struct InjectPool : ::testing::Test {
     void SetUp() override { ctl().reset(); }
     void TearDown() override { ctl().reset(); }
 };
+
+struct QueueName {
+    template <typename Q>
+    static std::string GetName(int) {
+        return Q::kName;
+    }
+};
+
+using PoolQueues = ::testing::Types<LscqQueue, LwcqQueue>;
+TYPED_TEST_SUITE(InjectPool, PoolQueues, QueueName);
 
 QueueOptions tiny_segments(std::size_t pool_cap) {
     QueueOptions opt;
@@ -54,7 +68,8 @@ void await(Cond cond) {
 // the list head, with a successor holding exactly one item.  5 enqueues
 // fill A (4), close it, and append B seeded with item 4; 4 dequeues drain
 // A without swinging head.
-void stage_drained_head(LscqQueue& q) {
+template <typename Q>
+void stage_drained_head(Q& q) {
     for (value_t v = 0; v < 5; ++v) q.enqueue(v);
     for (value_t v = 0; v < 4; ++v) {
         ASSERT_EQ(q.dequeue().value_or(~0ull), v);
@@ -69,9 +84,9 @@ void stage_drained_head(LscqQueue& q) {
 // parked, A must be retired-but-withheld — on a hazard record, not in the
 // pool, never re-issued — and only after B completes and the domain scans
 // may A reach the pool.
-TEST_F(InjectPool, PinnedSegmentIsWithheldFromPoolUntilProtectorReleases) {
+TYPED_TEST(InjectPool, PinnedSegmentIsWithheldFromPoolUntilProtectorReleases) {
     const auto before = stats::global_snapshot();
-    LscqQueue q(tiny_segments(/*pool_cap=*/4));
+    TypeParam q(tiny_segments(/*pool_cap=*/4));
     stage_drained_head(q);
 
     ctl().set_hold_deadline(std::chrono::seconds{10});
@@ -146,9 +161,9 @@ TEST_F(InjectPool, PinnedSegmentIsWithheldFromPoolUntilProtectorReleases) {
 // its CAS must simply fail and retry on the live list; with a pool that
 // ignored hazards, A could be re-issued, re-appended, and B's stale
 // next-pointer would sever the queue.
-TEST_F(InjectPool, ParkedHeadSwingCannotAbaAcrossRecycling) {
+TYPED_TEST(InjectPool, ParkedHeadSwingCannotAbaAcrossRecycling) {
     const auto before = stats::global_snapshot();
-    LscqQueue q(tiny_segments(/*pool_cap=*/1));
+    TypeParam q(tiny_segments(/*pool_cap=*/1));
     stage_drained_head(q);
 
     ctl().set_hold_deadline(std::chrono::seconds{10});
@@ -206,6 +221,7 @@ TEST_F(InjectPool, ParkedHeadSwingCannotAbaAcrossRecycling) {
 // single-cluster shape and spread across a virtual topology whose ids
 // exceed the pool's shard count — the pool's filing, counting, and
 // home-first popping must be schedule-independent under either shape.
+template <typename Q>
 void recycling_sweep(const std::function<int(int)>& cluster_of) {
     constexpr int kProducers = 2;
     constexpr int kConsumers = 2;
@@ -216,7 +232,7 @@ void recycling_sweep(const std::function<int(int)>& cluster_of) {
         ctl().reset();
         ctl().arm_random(seed, /*delay_per_256=*/64);
         const auto before = stats::global_snapshot();
-        LscqQueue q(tiny_segments(/*pool_cap=*/2));
+        Q q(tiny_segments(/*pool_cap=*/2));
 
         std::vector<verify::ThreadLog> logs;
         for (int t = 0; t < kProducers + kConsumers; ++t) logs.emplace_back(t);
@@ -253,11 +269,11 @@ void recycling_sweep(const std::function<int(int)>& cluster_of) {
     }
 }
 
-TEST_F(InjectPool, RandomPerturbationSweepRecyclingStaysLinearizable) {
-    recycling_sweep([](int) { return 0; });
+TYPED_TEST(InjectPool, RandomPerturbationSweepRecyclingStaysLinearizable) {
+    recycling_sweep<TypeParam>([](int) { return 0; });
 }
 
-TEST_F(InjectPool, RandomPerturbationSweepAcrossVirtualClusters) {
+TYPED_TEST(InjectPool, RandomPerturbationSweepAcrossVirtualClusters) {
     // Spread the four workers over a virtual topology whose cluster ids
     // straddle the pool's shard count (0, 5, 10, 15 with kShards = 8):
     // segments file under wrapped shards and recycled pops cross shards,
@@ -266,7 +282,7 @@ TEST_F(InjectPool, RandomPerturbationSweepAcrossVirtualClusters) {
     ASSERT_GE(virt.num_clusters, 4);
     static_assert(SegmentPool<int>::kShards == 8,
                   "cluster spread below assumes 8 shards");
-    recycling_sweep([](int id) { return id * 5; });
+    recycling_sweep<TypeParam>([](int id) { return id * 5; });
     topo::set_current_cluster(0);
 }
 

@@ -198,11 +198,11 @@ TEST_F(InjectScq, KilledEnqueuerLeaksOneSlotQueueDegradesGracefully) {
             }
         } else {
             await([&] { return ctl().kills_fired() >= 1; });
-            ASSERT_EQ(q.try_enqueue(1), ScqPutResult::kOk);
-            ASSERT_EQ(q.try_enqueue(2), ScqPutResult::kOk);
-            ASSERT_EQ(q.try_enqueue(3), ScqPutResult::kOk);
+            ASSERT_EQ(q.try_enqueue(1), EnqueueResult::kOk);
+            ASSERT_EQ(q.try_enqueue(2), EnqueueResult::kOk);
+            ASSERT_EQ(q.try_enqueue(3), EnqueueResult::kOk);
             // The victim's slot is gone for good: capacity is now 3.
-            EXPECT_EQ(q.try_enqueue(4), ScqPutResult::kFull);
+            EXPECT_EQ(q.try_enqueue(4), EnqueueResult::kFull);
         }
     });
 

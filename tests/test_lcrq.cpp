@@ -130,12 +130,6 @@ TEST(LcrqCompact, ConcurrentExchange) {
     test::expect_exchange_valid(received, 2, 1500);
 }
 
-TEST(Lcrq, VariantNames) {
-    EXPECT_EQ(LcrqQueue::variant_name(), "lcrq");
-    EXPECT_EQ(LcrqCasQueue::variant_name(), "lcrq-cas");
-    EXPECT_EQ(LcrqHQueue::variant_name(), "lcrq-h");
-}
-
 TEST(Lcrq, ManyShortLivedQueues) {
     // Exercise construction/destruction with undrained items (destructor
     // must free the live segment chain).
@@ -229,7 +223,6 @@ TEST(LcrqNoReclaim, FifoAndLeakUntilDestruction) {
     // Drained rings are intentionally NOT reclaimed: the live list shrank
     // (head swung) but the destructor frees the whole chain (ASan-checked).
     EXPECT_LE(q.segment_count(), 2u);
-    EXPECT_EQ(q.variant_name(), "lcrq-noreclaim");
 }
 
 TEST(LcrqNoReclaim, ConcurrentExchange) {

@@ -160,8 +160,8 @@ TEST(RawBackendDifferential, ScqAndCrqAgreeWithDeque) {
     for (int step = 0; step < 6'000; ++step) {
         if (rng.bounded(100) < 55 && model.size() < 1'000) {
             const value_t v = next_value++;
-            ASSERT_EQ(scq.try_enqueue(v), ScqPutResult::kOk) << "step " << step;
-            ASSERT_EQ(crq.enqueue(v), EnqueueResult::kOk) << "step " << step;
+            ASSERT_EQ(scq.try_enqueue(v), EnqueueResult::kOk) << "step " << step;
+            ASSERT_EQ(crq.try_enqueue(v), EnqueueResult::kOk) << "step " << step;
             model.push_back(v);
         } else {
             const auto s = scq.dequeue();

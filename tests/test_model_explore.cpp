@@ -38,7 +38,7 @@ TEST(CrqModel, MatchesRealCrqSequentially) {
                 CrqModelOp op = make_model_op(CrqModelOp::Kind::kEnqueue, next, limit);
                 while (op.step(model_state) == CrqModelOp::Status::kRunning) {
                 }
-                const auto real_result = real.enqueue(next);
+                const auto real_result = real.try_enqueue(next);
                 const bool model_ok = op.result() != CrqModelOp::kClosedResult;
                 ASSERT_EQ(model_ok, real_result == EnqueueResult::kOk)
                     << "round " << round << " op " << i;

@@ -175,13 +175,13 @@ TEST(ScqValueQueue, RoundTripAndBackpressure) {
     Scq<> q(2);  // capacity 4
     EXPECT_EQ(q.capacity(), 4u);
     for (value_t v = 10; v < 14; ++v) {
-        ASSERT_EQ(q.try_enqueue(v), ScqPutResult::kOk);
+        ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     }
     // Every slot index is in flight: bounded backpressure, not a tantrum.
-    EXPECT_EQ(q.try_enqueue(99), ScqPutResult::kFull);
+    EXPECT_EQ(q.try_enqueue(99), EnqueueResult::kFull);
     EXPECT_EQ(q.dequeue().value_or(0), 10u);
     // The freed slot makes room again.
-    EXPECT_EQ(q.try_enqueue(14), ScqPutResult::kOk);
+    EXPECT_EQ(q.try_enqueue(14), EnqueueResult::kOk);
     for (value_t v = 11; v < 15; ++v) {
         ASSERT_EQ(q.dequeue().value_or(0), v);
     }
@@ -195,20 +195,20 @@ TEST(ScqValueQueue, SeededConstructionMatchesLscqAppend) {
     EXPECT_FALSE(q.dequeue().has_value());
     // The seeded slot returned to the free list: full capacity available.
     for (value_t v = 1; v <= 4; ++v) {
-        ASSERT_EQ(q.try_enqueue(v), ScqPutResult::kOk);
+        ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     }
-    EXPECT_EQ(q.try_enqueue(5), ScqPutResult::kFull);
+    EXPECT_EQ(q.try_enqueue(5), EnqueueResult::kFull);
 }
 
 TEST(ScqValueQueue, CloseRecyclesTheUnpublishedSlot) {
     Scq<> q(2);
-    ASSERT_EQ(q.try_enqueue(1), ScqPutResult::kOk);
+    ASSERT_EQ(q.try_enqueue(1), EnqueueResult::kOk);
     q.close();
     EXPECT_TRUE(q.closed());
     // The refused item's slot goes back to fq — repeated refusals must not
     // leak the free list dry.
     for (int i = 0; i < 20; ++i) {
-        ASSERT_EQ(q.try_enqueue(50), ScqPutResult::kClosed);
+        ASSERT_EQ(q.try_enqueue(50), EnqueueResult::kClosed);
     }
     EXPECT_EQ(q.dequeue().value_or(0), 1u);
     EXPECT_FALSE(q.dequeue().has_value());
@@ -221,7 +221,7 @@ TEST(ScqValueQueue, BulkRoundTripCostsTwoFaasPerSide) {
     stats::reset_all();
     const auto put = q.try_enqueue_bulk(in);
     ASSERT_EQ(put.done, in.size());
-    EXPECT_EQ(put.status, ScqPutResult::kOk);
+    EXPECT_EQ(put.status, EnqueueResult::kOk);
     auto snap = stats::global_snapshot();
     // One fq claim round + one aq claim round.
     EXPECT_EQ(snap[stats::Event::kBulkFaa], 2u);
@@ -238,7 +238,7 @@ TEST(ScqValueQueue, BulkLargerThanCapacityStopsAtFull) {
     std::vector<value_t> in = {1, 2, 3, 4, 5, 6};
     const auto put = q.try_enqueue_bulk(in);
     EXPECT_EQ(put.done, 4u);
-    EXPECT_EQ(put.status, ScqPutResult::kFull);
+    EXPECT_EQ(put.status, EnqueueResult::kFull);
     value_t out[8];
     ASSERT_EQ(q.dequeue_bulk(out, 8), 4u);
     for (value_t v = 1; v <= 4; ++v) EXPECT_EQ(out[v - 1], v);
@@ -339,12 +339,6 @@ TEST(LscqTest, MpmcExchangeAllVariants) {
         LscqNoReclaimQueue q(opt);
         test::expect_exchange_valid(test::mpmc_exchange(q, 3, 3, 3'000), 3, 3'000);
     }
-}
-
-TEST(LscqTest, VariantNamesDistinguishPolicies) {
-    EXPECT_EQ(LscqQueue::variant_name(), "lscq");
-    EXPECT_EQ(LscqCasQueue::variant_name(), "lscq-cas");
-    EXPECT_EQ(LscqNoReclaimQueue::variant_name(), "lscq-noreclaim");
 }
 
 TEST(LscqTest, ApproxSizeTracksOccupancyAcrossSegments) {

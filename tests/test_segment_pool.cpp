@@ -329,7 +329,7 @@ TEST(SegmentPool, FilesBySegmentHomeClusterWhenExposed) {
 TEST(ScqReset, DrainedClosedSegmentRecyclesToSeededState) {
     Scq<HardwareFaa> q(2);
     for (value_t v = 10; v < 14; ++v) {
-        EXPECT_EQ(q.try_enqueue(v), ScqPutResult::kOk);
+        EXPECT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     }
     for (value_t v = 10; v < 14; ++v) {
         EXPECT_EQ(q.dequeue().value_or(0), v);
@@ -338,15 +338,16 @@ TEST(ScqReset, DrainedClosedSegmentRecyclesToSeededState) {
     EXPECT_TRUE(q.closed());
     q.next.store(reinterpret_cast<Scq<HardwareFaa>*>(0x1), std::memory_order_relaxed);
 
-    q.reset(2, value_t{42});  // as LSCQ appends: "initialized to contain x"
+    // As the list appends: "initialized to contain x".
+    q.reset(QueueOptions{.ring_order = 2}, value_t{42});
     EXPECT_FALSE(q.closed());
     EXPECT_EQ(q.next.load(), nullptr);
     EXPECT_EQ(q.dequeue().value_or(0), 42u);
     EXPECT_FALSE(q.dequeue().has_value());
     for (value_t v = 0; v < 4; ++v) {
-        EXPECT_EQ(q.try_enqueue(v), ScqPutResult::kOk);
+        EXPECT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     }
-    EXPECT_EQ(q.try_enqueue(99), ScqPutResult::kFull) << "capacity must survive reset";
+    EXPECT_EQ(q.try_enqueue(99), EnqueueResult::kFull) << "capacity must survive reset";
 }
 
 // --- end-to-end recycling through LSCQ --------------------------------------
@@ -380,7 +381,7 @@ TEST(LscqSegmentPool, CloseHeavyChurnReusesSegments) {
 
 TEST(LscqSegmentPool, NoPoolVariantNeverReuses) {
     const auto before = stats::global_snapshot();
-    LscqNoPoolQueue q(tiny_lscq());
+    LscqQueue q(tiny_lscq(/*pool_cap=*/0));
     value_t next_in = 0, next_out = 0;
     for (int round = 0; round < 50; ++round) {
         for (int i = 0; i < 6; ++i) q.enqueue(next_in++);
@@ -390,6 +391,7 @@ TEST(LscqSegmentPool, NoPoolVariantNeverReuses) {
     }
     const auto d = stats::global_snapshot() - before;
     EXPECT_EQ(d[stats::Event::kSegmentReuse], 0u);
+    EXPECT_EQ(d[stats::Event::kSegmentPopLocal] + d[stats::Event::kSegmentPopRemote], 0u);
     EXPECT_GT(d[stats::Event::kSegmentAlloc], 25u);
 }
 
@@ -416,11 +418,6 @@ TEST(LscqSegmentPool, MpmcChurnWithRecyclingKeepsFifo) {
     EXPECT_GT(after[stats::Event::kSegmentReuse], 0u);
 }
 
-TEST(LscqSegmentPool, VariantNames) {
-    EXPECT_EQ(LscqQueue::variant_name(), "lscq");
-    EXPECT_EQ(LscqNoPoolQueue::variant_name(), "lscq-nopool");
-}
-
 // --- NUMA-local substrate ---------------------------------------------------
 
 TEST(ScqHomeCluster, RecordsAllocatingCluster) {
@@ -430,7 +427,7 @@ TEST(ScqHomeCluster, RecordsAllocatingCluster) {
     topo::set_current_cluster(5);
     Scq<HardwareFaa> q(2);
     EXPECT_EQ(q.home_cluster(), 5);
-    q.reset(2, value_t{9});
+    q.reset(QueueOptions{.ring_order = 2}, value_t{9});
     EXPECT_EQ(q.home_cluster(), 5);
     EXPECT_EQ(q.dequeue().value_or(0), 9u);
     topo::set_current_cluster(0);
@@ -483,7 +480,7 @@ TEST(HugeSegments, ForcedFallbackRingStaysPlainAndCorrect) {
     Scq<HardwareFaa> q(kHugeMinRingOrder, std::nullopt, /*huge=*/true);
     EXPECT_FALSE(q.huge_backed());
     for (value_t v = 0; v < 100; ++v) {
-        EXPECT_EQ(q.try_enqueue(v), ScqPutResult::kOk);
+        EXPECT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     }
     for (value_t v = 0; v < 100; ++v) {
         EXPECT_EQ(q.dequeue().value_or(~0ull), v);
@@ -496,7 +493,7 @@ TEST(HugeSegments, SmallRingsNeverAskForHugepages) {
     // than the dTLB entries it saves: the opt-in is ignored.
     Scq<HardwareFaa> q(2, std::nullopt, /*huge=*/true);
     EXPECT_FALSE(q.huge_backed());
-    EXPECT_EQ(q.try_enqueue(7), ScqPutResult::kOk);
+    EXPECT_EQ(q.try_enqueue(7), EnqueueResult::kOk);
     EXPECT_EQ(q.dequeue().value_or(0), 7u);
 }
 
@@ -511,7 +508,7 @@ TEST(HugeSegments, OptInLargeRingWorksWithOrWithoutThp) {
         EXPECT_GE(d[stats::Event::kSegmentHuge], 1u);
     }
     for (value_t v = 0; v < 64; ++v) {
-        EXPECT_EQ(q.try_enqueue(v), ScqPutResult::kOk);
+        EXPECT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     }
     for (value_t v = 0; v < 64; ++v) {
         EXPECT_EQ(q.dequeue().value_or(~0ull), v);

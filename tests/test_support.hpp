@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -51,6 +52,23 @@ inline void run_threads(int threads, const std::function<void(int)>& body) {
     go.store(true, std::memory_order_release);
     for (auto& t : ts) t.join();
 }
+
+// A bare ring (Crq) in the shape the queue harnesses drive (mpmc_exchange,
+// verify::ThreadLog): enqueue forwards to try_enqueue and enqueue_bulk
+// reports how many items landed.  Only for rings configured never to close.
+template <typename Ring>
+struct RingAsQueue {
+    Ring& ring;
+
+    EnqueueResult enqueue(value_t v) { return ring.try_enqueue(v); }
+    std::size_t enqueue_bulk(std::span<const value_t> items) {
+        return ring.try_enqueue_bulk(items).done;
+    }
+    std::optional<value_t> dequeue() { return ring.dequeue(); }
+    std::size_t dequeue_bulk(value_t* out, std::size_t max) {
+        return ring.dequeue_bulk(out, max);
+    }
+};
 
 // An MPMC exchange: `producers` threads enqueue `per_producer` tagged
 // values each; `consumers` threads dequeue until everything was received.

@@ -29,7 +29,6 @@ static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
 static_assert(ConcurrentQueue<WcqQueue>);
 static_assert(ConcurrentQueue<LwcqQueue>);
 static_assert(ConcurrentQueue<LwcqNoReclaimQueue>);
-static_assert(ConcurrentQueue<LwcqNoPoolQueue>);
 
 TEST(WcqEntry, AtomicEntryIsLockFreeAtRuntime) {
     WcqRing<>::Entry e{0};
@@ -231,11 +230,11 @@ TEST(WcqValueQueue, RoundTripAndBackpressure) {
     Wcq<> q(2);  // capacity 4
     EXPECT_EQ(q.capacity(), 4u);
     for (value_t v = 10; v < 14; ++v) {
-        ASSERT_EQ(q.try_enqueue(v), ScqPutResult::kOk);
+        ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     }
-    EXPECT_EQ(q.try_enqueue(99), ScqPutResult::kFull);
+    EXPECT_EQ(q.try_enqueue(99), EnqueueResult::kFull);
     EXPECT_EQ(q.dequeue().value_or(0), 10u);
-    EXPECT_EQ(q.try_enqueue(14), ScqPutResult::kOk);
+    EXPECT_EQ(q.try_enqueue(14), EnqueueResult::kOk);
     for (value_t v = 11; v < 15; ++v) {
         ASSERT_EQ(q.dequeue().value_or(0), v);
     }
@@ -244,11 +243,11 @@ TEST(WcqValueQueue, RoundTripAndBackpressure) {
 
 TEST(WcqValueQueue, CloseRecyclesTheUnpublishedSlot) {
     Wcq<> q(2);
-    ASSERT_EQ(q.try_enqueue(1), ScqPutResult::kOk);
+    ASSERT_EQ(q.try_enqueue(1), EnqueueResult::kOk);
     q.close();
     EXPECT_TRUE(q.closed());
     for (int i = 0; i < 20; ++i) {
-        ASSERT_EQ(q.try_enqueue(50), ScqPutResult::kClosed);
+        ASSERT_EQ(q.try_enqueue(50), EnqueueResult::kClosed);
     }
     EXPECT_EQ(q.dequeue().value_or(0), 1u);
     EXPECT_FALSE(q.dequeue().has_value());
@@ -362,7 +361,9 @@ TEST(LwcqTest, MpmcExchangeAllVariants) {
         test::expect_exchange_valid(test::mpmc_exchange(q, 3, 3, 3'000), 3, 3'000);
     }
     {
-        LwcqNoPoolQueue q(opt);
+        QueueOptions no_pool = opt;
+        no_pool.segment_pool_cap = 0;
+        LwcqQueue q(no_pool);
         test::expect_exchange_valid(test::mpmc_exchange(q, 3, 3, 3'000), 3, 3'000);
     }
 }
@@ -376,12 +377,6 @@ TEST(LwcqTest, MpmcExchangeZeroPatienceTinySegments) {
     opt.wcq_patience = 0;
     LwcqQueue q(opt);
     test::expect_exchange_valid(test::mpmc_exchange(q, 3, 3, 3'000), 3, 3'000);
-}
-
-TEST(LwcqTest, VariantNamesDistinguishPolicies) {
-    EXPECT_EQ(LwcqQueue::variant_name(), "lwcq");
-    EXPECT_EQ(LwcqNoReclaimQueue::variant_name(), "lwcq-noreclaim");
-    EXPECT_EQ(LwcqNoPoolQueue::variant_name(), "lwcq-nopool");
 }
 
 TEST(LwcqTest, ApproxSizeTracksOccupancyAcrossSegments) {
