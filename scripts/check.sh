@@ -46,6 +46,9 @@ if command -v python3 >/dev/null 2>&1; then
     --json bench_artifacts/BENCH_dispatch_server.json
   python3 scripts/bench_compare.py --self-check
   python3 scripts/ring_autotune.py --self-check
+  # The repo benchmark builds src/ on its own (perfbench/): build it and
+  # check it still tells a clean run from a planted fault.
+  python3 perfbench/run.py --self-test
   python3 scripts/ring_autotune.py bench_artifacts/BENCH_ring_autotune.json
   for f in bench_artifacts/BENCH_*.json; do
     python3 scripts/bench_compare.py "$f" "$f"

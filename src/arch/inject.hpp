@@ -40,7 +40,7 @@ enum class Point : std::uint8_t {
     kDeqBeforeCas2,        // Crq::try_take, before the dequeue transition
     kDeqBeforeEmptyCas2,   // Crq::try_take, before the empty transition
     kDeqBeforeUnsafeCas2,  // Crq::try_take, before the unsafe transition
-    kRingCloseCas,         // Crq::close, CLOSED bit now set
+    kRingCloseCas,         // Crq::close / ScqTicketCore::close, CLOSED bit now set
     kBulkEnqAfterFaa,      // Crq::try_enqueue_bulk, ticket range claimed
     kBulkDeqAfterFaa,      // Crq::dequeue_bulk, ticket range claimed
     kBulkTicketReturn,     // Crq::dequeue_bulk, before the handback CAS
@@ -50,13 +50,14 @@ enum class Point : std::uint8_t {
     kApproxSizeWalk,       // LinkedSegments::sum_segments, next segment protected
     kHazardRetire,         // HazardThread::retire_impl, object handed over
     kHazardScan,           // HazardDomain::drain, reclamation pass starting
-    kScqEnqAfterFaa,       // ScqRing::enqueue, ticket obtained
-    kScqAfterCycleLoad,    // ScqRing enqueue/dequeue, entry loaded, not yet acted on
-    kScqBeforeEntryCas,    // ScqRing, entry validated, single-word CAS pending
-    kScqEnqPublished,      // ScqRing::enqueue, entry CAS succeeded (index visible)
-    kScqDeqAfterFaa,       // ScqRing::dequeue, ticket obtained
-    kScqThresholdDecrement,// ScqRing::dequeue, about to decrement the threshold
-    kScqCatchup,           // ScqRing::catchup, tail repair loop entered
+    kScqEnqAfterFaa,       // ScqRing/WcqRing::enqueue, ticket obtained
+    kScqAfterCycleLoad,    // SCQ-family put_at/take_at, entry loaded, not yet acted on
+    kScqBeforeEntryCas,    // SCQ-family ring, entry validated, single-word CAS pending
+    kScqEnqPublished,      // SCQ-family put_at, entry CAS succeeded (index visible)
+    kScqDeqAfterFaa,       // ScqRing/WcqRing::dequeue, ticket obtained
+    kScqThresholdDecrement,// ScqTicketCore::burned_ticket_empty (and ScqRing::
+                           //   dequeue_bulk), about to decrement the threshold
+    kScqCatchup,           // ScqTicketCore::catchup, tail repair loop entered
     kLaneEnqPending,       // Multilane::enqueue, presence announced, lane
                            //   insert not yet performed
     kLaneScan,             // Multilane dequeue scan, presence snapshot taken,

@@ -29,9 +29,9 @@
 // QueueOptions::segment_pool_cap = 0 is the ablation (every close pays
 // malloc/free).
 //
-// The segment contract (ListSegment below) is met by Crq, Scq and Wcq in
-// their own headers; the bulk operations exist only over segments that
-// have batch paths (BulkListSegment).
+// The segment contract (ListSegment below) is met by Crq (crq.hpp) and by
+// the SCQ family's one value queue, Scq/Wcq (scq.hpp); the bulk operations
+// exist only over segments that have batch paths (BulkListSegment).
 #pragma once
 
 #include <atomic>

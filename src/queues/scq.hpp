@@ -9,10 +9,10 @@
 // ScqRing stores small integers (ring indices), not arbitrary values: an
 // entry packs (cycle, safe bit, index) into one word, so publishing is a
 // plain CAS and consuming is a single fetch-or that stamps the index field
-// to ⊥ without disturbing the cycle.  Scq builds the value queue the paper
-// describes from an *allocated-queue*/*free-queue* pair of rings over a
-// plain data array: enqueue takes a free slot index from fq, writes the
-// value, publishes the index through aq; dequeue reverses the trip.
+// to ⊥ without disturbing the cycle.  ScqValueQueue builds the value queue
+// the paper describes from an *allocated-queue*/*free-queue* pair of rings
+// over a plain data array: enqueue takes a free slot index from fq, writes
+// the value, publishes the index through aq; dequeue reverses the trip.
 //
 // The ring of 2n entries for capacity n, with ticket cycle t/2n, is what
 // lets an enqueuer distinguish "slot still holds last lap's index" from
@@ -29,11 +29,17 @@
 // the standalone queue); close() is explicit, and the list layer
 // (linked_segments.hpp) closes a segment's aq when fq reports full,
 // exactly where CRQ would tantrum.
+//
+// One family: wCQ (wcq.hpp) is this ring plus a helping slow path, so
+// WcqRing derives from the same ScqTicketCore, and ScqValueQueue and
+// BasicScqQueue are written once over either ring (Scq/Wcq, ScqQueue/
+// WcqQueue are their aliases).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -55,23 +61,59 @@ inline constexpr std::uint64_t kScqMsb = std::uint64_t{1} << 63;
 
 }  // namespace detail
 
-// Ring of 2^(order+1) single-word entries holding up to 2^order small
-// integers in FIFO order.  The index field is order+1 bits (⊥ = all ones),
-// the next bit is the safe bit, and the rest of the word is the cycle.
-template <class Faa = HardwareFaa>
-class ScqRing {
+// What every SCQ-family ring shares: a ring of 2^(order+1) single-word
+// entries holding up to 2^order small integers in FIFO order, its head,
+// tail and threshold words, and the rules for answering EMPTY.  An entry
+// is [ cycle | safe | note:kNoteBits | idx:order+1 ] with ⊥ = the all-ones
+// index; the note field is wCQ's helping reservation (0 bits for SCQ).
+template <unsigned kNoteBits>
+class ScqTicketCore {
   public:
     // The whole point: one lock-free 64-bit word per entry, no CAS2.
     using Entry = std::atomic<std::uint64_t>;
     static_assert(sizeof(Entry) == 8);
 
-    // Construct with capacity 2^order, pre-filled with the consecutive
-    // integers seed_begin..seed_end-1 (fq starts holding every free index;
-    // LSCQ appends segments already containing one published index).
-    explicit ScqRing(unsigned order, std::uint64_t seed_begin = 0,
-                     std::uint64_t seed_end = 0, bool huge = false)
-        : order_(order),
-          capacity_(std::uint64_t{1} << order),
+    ScqTicketCore(const ScqTicketCore&) = delete;
+    ScqTicketCore& operator=(const ScqTicketCore&) = delete;
+
+    // Close to further enqueues (sets tail's MSB; idempotent).
+    void close() LCRQ_INJECT_NOEXCEPT {
+        counted_test_and_set_bit(*tail_, 63);
+        LCRQ_INJECT_POINT(kRingCloseCas);
+        stats::count(stats::Event::kCrqClose);
+    }
+
+    bool closed() const noexcept {
+        return (tail_->load(std::memory_order_seq_cst) & detail::kScqMsb) != 0;
+    }
+
+    std::uint64_t head_index() const noexcept {
+        return head_->load(std::memory_order_seq_cst);
+    }
+    std::uint64_t tail_index() const noexcept {
+        return tail_->load(std::memory_order_seq_cst) & ~detail::kScqMsb;
+    }
+    std::int64_t threshold() const noexcept {
+        return threshold_->load(std::memory_order_seq_cst);
+    }
+    std::uint64_t capacity() const noexcept { return capacity_; }
+
+    std::uint64_t approx_size() const noexcept {
+        const std::uint64_t t = tail_index();
+        const std::uint64_t h = head_index();
+        const std::uint64_t n = t > h ? t - h : 0;
+        return n < capacity_ ? n : capacity_;
+    }
+
+    bool huge_backed() const noexcept { return slab_.huge_backed; }
+
+  protected:
+    // Capacity 2^order, pre-filled with the consecutive integers
+    // seed_begin..seed_end-1 (fq starts holding every free index; the list
+    // layer appends segments already containing one published index).
+    ScqTicketCore(unsigned order, std::uint64_t seed_begin,
+                  std::uint64_t seed_end, bool huge)
+        : capacity_(std::uint64_t{1} << order),
           size_(capacity_ * 2),
           mask_(size_ - 1),
           idx_bits_(order + 1),
@@ -79,27 +121,177 @@ class ScqRing {
           threshold_full_(static_cast<std::int64_t>(3 * capacity_ - 1)) {
         assert(order >= 1 && order < 32);
         // NUMA home is first-touch (init_ring writes every entry from the
-        // allocating thread); `huge` is pre-gated by the caller (Scq
-        // applies kHugeMinRingOrder).
+        // allocating thread); `huge` is pre-gated by the caller
+        // (ScqValueQueue applies kHugeMinRingOrder).
         slab_ = mem::slab_alloc(size_ * sizeof(Entry), kCacheLineSize,
                                 {huge, topo::current_cluster()});
         entries_ = static_cast<Entry*>(check_alloc(slab_.ptr));
         init_ring(seed_begin, seed_end);
     }
 
+    ~ScqTicketCore() { mem::slab_free(slab_); }
+
+    void init_ring(std::uint64_t seed_begin, std::uint64_t seed_end) {
+        const std::uint64_t seeds = seed_end - seed_begin;
+        assert(seeds <= capacity_);
+        for (std::uint64_t u = 0; u < size_; ++u) {
+            entries_[u].store(pack(0, true, bottom_), std::memory_order_relaxed);
+        }
+        // Seeded entries live on cycle 1 (ticket size_ + i), matching the
+        // head/tail start of one full lap so cycle 0 never carries items.
+        for (std::uint64_t i = 0; i < seeds; ++i) {
+            entries_[remap(i)].store(pack(1, true, seed_begin + i),
+                                     std::memory_order_relaxed);
+        }
+        head_->store(size_, std::memory_order_relaxed);
+        tail_->store(size_ + seeds, std::memory_order_relaxed);
+        threshold_->store(seeds != 0 ? threshold_full_ : -1,
+                          std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+    }
+
+    unsigned safe_shift() const noexcept { return idx_bits_ + kNoteBits; }
+    unsigned cycle_shift() const noexcept { return safe_shift() + 1; }
+
+    std::uint64_t cycle_of_ticket(std::uint64_t t) const noexcept {
+        return t >> idx_bits_;
+    }
+    std::uint64_t pack(std::uint64_t cycle, bool safe,
+                       std::uint64_t idx) const noexcept {
+        return (cycle << cycle_shift()) |
+               (safe ? (std::uint64_t{1} << safe_shift()) : 0) | idx;
+    }
+    std::uint64_t cycle_of(std::uint64_t e) const noexcept {
+        return e >> cycle_shift();
+    }
+    bool is_safe(std::uint64_t e) const noexcept {
+        return (e & (std::uint64_t{1} << safe_shift())) != 0;
+    }
+    std::uint64_t index_of(std::uint64_t e) const noexcept { return e & bottom_; }
+
+    // Spread consecutive ring slots across cache lines (DISC'19 §4.6):
+    // rotate the slot number left by 3 within its idx_bits-wide field, so
+    // neighbouring tickets land 8 entries (one cache line) apart.  Identity
+    // for tiny rings, where the whole ring fits in a line anyway.
+    std::uint64_t remap(std::uint64_t j) const noexcept {
+        if (idx_bits_ <= 3) return j;
+        return ((j << 3) | (j >> (idx_bits_ - 3))) & mask_;
+    }
+    std::uint64_t unremap(std::uint64_t u) const noexcept {
+        if (idx_bits_ <= 3) return u;
+        return ((u >> 3) | (u << (idx_bits_ - 3))) & mask_;
+    }
+    // The unique ticket a (cell, cycle) pair denotes — remap is bijective.
+    std::uint64_t ticket_of(std::uint64_t cell, std::uint64_t cycle) const noexcept {
+        return (cycle << idx_bits_) | unremap(cell);
+    }
+    Entry& entry_at(std::uint64_t t) noexcept {
+        return entries_[remap(t & mask_)];
+    }
+
+    // Re-arm the EMPTY bound after publishing an index: dequeuers may burn
+    // 3n-1 tickets before concluding empty, counted from this enqueue.
+    void rearm_threshold() {
+        if (threshold_->load(std::memory_order_seq_cst) != threshold_full_) {
+            threshold_->store(threshold_full_, std::memory_order_seq_cst);
+        }
+    }
+
+    // The dequeue fast path: EMPTY with one shared load once 3n-1
+    // consecutive dequeue tickets burned with no enqueue in between.
+    bool threshold_exhausted() const noexcept {
+        return threshold_->load(std::memory_order_seq_cst) < 0 &&
+               exhaustion_final();
+    }
+
+    // Dequeue ticket h burned (its entry held nothing for it).  True when
+    // the dequeue should answer EMPTY: tail has not passed h…
+    bool burned_ticket_empty(std::uint64_t h) {
+        const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
+        if ((traw & ~detail::kScqMsb) <= h + 1) {
+            catchup(traw, h + 1);
+            LCRQ_INJECT_POINT(kScqThresholdDecrement);
+            threshold_->fetch_sub(1, std::memory_order_seq_cst);
+            return true;
+        }
+        // …or the threshold is exhausted (the queue was empty at some point
+        // during this operation — DISC'19 §4.3) and that answer is final
+        // (see exhaustion_final).
+        LCRQ_INJECT_POINT(kScqThresholdDecrement);
+        return threshold_->fetch_sub(1, std::memory_order_seq_cst) <= 0 &&
+               exhaustion_final();
+    }
+
+    // A threshold-exhaustion EMPTY is authoritative only while the ring is
+    // open.  On a *closed* ring a pre-close enqueuer stalled between its
+    // tail F&A and its entry CAS can still publish later, and the threshold
+    // can burn out on holes (bulk enqueues waste tickets) before head ever
+    // reaches the stalled ticket — but the list layer retires a segment on
+    // EMPTY, so a late publish would strand the item in a dead segment.
+    // The closed tail is frozen, which makes head >= tail a stable
+    // emptiness check; draining head up to the frozen tail first
+    // invalidates every outstanding ticket (each burned entry is advanced
+    // or holds a stale index the publisher's CAS rejects), restoring
+    // exactly the guarantee CRQ's head >= tail EMPTY gives LCRQ.
+    bool exhaustion_final() const noexcept {
+        const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
+        if ((traw & detail::kScqMsb) == 0) return true;
+        return head_->load(std::memory_order_seq_cst) >=
+               (traw & ~detail::kScqMsb);
+    }
+
+    // Dequeuers overshooting an empty ring leave head > tail; pull tail
+    // forward so enqueuers do not burn an F&A round per wasted index.  The
+    // CRQ analogue is fix_state; like it, a closed tail is frozen (the CAS
+    // must not clobber the MSB).
+    void catchup(std::uint64_t traw, std::uint64_t h) LCRQ_INJECT_NOEXCEPT {
+        LCRQ_INJECT_POINT(kScqCatchup);
+        for (;;) {
+            if ((traw & detail::kScqMsb) != 0) return;
+            if (traw >= h) return;
+            if (counted_cas(*tail_, traw, h)) return;
+            h = head_->load(std::memory_order_seq_cst);
+            traw = tail_->load(std::memory_order_seq_cst);
+        }
+    }
+
+    const std::uint64_t capacity_;
+    const std::uint64_t size_;   // 2 * capacity_ entries
+    const std::uint64_t mask_;
+    const unsigned idx_bits_;    // order + 1
+    const std::uint64_t bottom_; // ⊥ == the all-ones index field
+    const std::int64_t threshold_full_;  // 3n - 1
+    mem::Slab slab_;
+    Entry* entries_;
+
+    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> head_{0};
+    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> tail_{0};
+    CacheAligned<std::atomic<std::int64_t>, kDestructivePairSize> threshold_{0};
+};
+
+// The SCQ ring: the ticket core with no note bits, plus one-shot consumes
+// (fetch-or) and batch claims.
+template <class Faa = HardwareFaa>
+class ScqRing : public ScqTicketCore<0> {
+  public:
+    // Registry names of the bounded and list queues over this ring.
+    static constexpr const char* kName = "scq";
+    static constexpr const char* kListName = "lscq";
+    // SCQ has no per-ring tuning (wCQ's is WcqConfig).
+    struct Config {};
+    static Config config_of(const QueueOptions&) noexcept { return {}; }
+
+    explicit ScqRing(unsigned order, std::uint64_t seed_begin = 0,
+                     std::uint64_t seed_end = 0, Config = {}, bool huge = false)
+        : ScqTicketCore(order, seed_begin, seed_end, huge) {}
+
     // Reinitialize a drained, quiescent ring in place (cf. Crq::reset):
     // equivalent to reconstructing with the same order.  Caller owns the
     // ring exclusively; publication happens via the list-append CAS.
-    void reset(std::uint64_t seed_begin = 0, std::uint64_t seed_end = 0) {
+    void reset(std::uint64_t seed_begin = 0, std::uint64_t seed_end = 0,
+               Config = {}) {
         init_ring(seed_begin, seed_end);
     }
-
-    ~ScqRing() { mem::slab_free(slab_); }
-
-    bool huge_backed() const noexcept { return slab_.huge_backed; }
-
-    ScqRing(const ScqRing&) = delete;
-    ScqRing& operator=(const ScqRing&) = delete;
 
     // Append idx (< capacity).  Loops until it lands or the ring is closed;
     // with the ≤ capacity outstanding-index invariant every F&A round that
@@ -146,36 +338,15 @@ class ScqRing {
         return done;
     }
 
-    // Remove and return the oldest index, or nullopt when empty.  The
-    // threshold fast path answers EMPTY with one shared load once 3n-1
-    // consecutive dequeue tickets burned with no enqueue in between.
+    // Remove and return the oldest index, or nullopt when empty.
     std::optional<std::uint64_t> dequeue() {
-        if (threshold_->load(std::memory_order_seq_cst) < 0 &&
-            exhaustion_final()) {
-            return std::nullopt;
-        }
+        if (threshold_exhausted()) return std::nullopt;
         for (;;) {
             const std::uint64_t h = Faa::fetch_add(*head_, 1);
             LCRQ_INJECT_POINT(kScqDeqAfterFaa);
             std::uint64_t idx;
             if (take_at(h, idx)) return idx;
-
-            // Ticket h burned.  EMPTY if tail has not passed us…
-            const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
-            if ((traw & ~detail::kScqMsb) <= h + 1) {
-                catchup(traw, h + 1);
-                LCRQ_INJECT_POINT(kScqThresholdDecrement);
-                threshold_->fetch_sub(1, std::memory_order_seq_cst);
-                return std::nullopt;
-            }
-            // …or once the threshold is exhausted (the queue was empty at
-            // some point during this operation — DISC'19 §4.3) and that
-            // answer is final (see exhaustion_final).
-            LCRQ_INJECT_POINT(kScqThresholdDecrement);
-            if (threshold_->fetch_sub(1, std::memory_order_seq_cst) <= 0 &&
-                exhaustion_final()) {
-                return std::nullopt;
-            }
+            if (burned_ticket_empty(h)) return std::nullopt;
             stats::count(stats::Event::kRingRetry);
         }
     }
@@ -189,10 +360,7 @@ class ScqRing {
     std::size_t dequeue_bulk(std::uint64_t* out, std::size_t max) {
         std::size_t n = 0;
         while (n < max) {
-            if (threshold_->load(std::memory_order_seq_cst) < 0 &&
-                exhaustion_final()) {
-                return n;
-            }
+            if (threshold_exhausted()) return n;
             const std::uint64_t want = std::min<std::uint64_t>(max - n, capacity_);
             const std::uint64_t hraw = Faa::fetch_add(*head_, want);
             stats::count(stats::Event::kBulkFaa);
@@ -250,35 +418,6 @@ class ScqRing {
         return n;
     }
 
-    // Close to further enqueues (sets tail's MSB; idempotent).
-    void close() LCRQ_INJECT_NOEXCEPT {
-        counted_test_and_set_bit(*tail_, 63);
-        LCRQ_INJECT_POINT(kRingCloseCas);
-        stats::count(stats::Event::kCrqClose);
-    }
-
-    bool closed() const noexcept {
-        return (tail_->load(std::memory_order_seq_cst) & detail::kScqMsb) != 0;
-    }
-
-    std::uint64_t head_index() const noexcept {
-        return head_->load(std::memory_order_seq_cst);
-    }
-    std::uint64_t tail_index() const noexcept {
-        return tail_->load(std::memory_order_seq_cst) & ~detail::kScqMsb;
-    }
-    std::int64_t threshold() const noexcept {
-        return threshold_->load(std::memory_order_seq_cst);
-    }
-    std::uint64_t capacity() const noexcept { return capacity_; }
-
-    std::uint64_t approx_size() const noexcept {
-        const std::uint64_t t = tail_index();
-        const std::uint64_t h = head_index();
-        const std::uint64_t n = t > h ? t - h : 0;
-        return n < capacity_ ? n : capacity_;
-    }
-
     // Test peer: a thread that performed its F&A and then was descheduled
     // forever (cf. Crq::debug_take_*_ticket).
     std::uint64_t debug_take_enqueue_ticket() {
@@ -287,57 +426,13 @@ class ScqRing {
     std::uint64_t debug_take_dequeue_ticket() { return Faa::fetch_add(*head_, 1); }
 
   private:
-    void init_ring(std::uint64_t seed_begin, std::uint64_t seed_end) {
-        const std::uint64_t seeds = seed_end - seed_begin;
-        assert(seeds <= capacity_);
-        for (std::uint64_t u = 0; u < size_; ++u) {
-            entries_[u].store(pack(0, true, bottom_), std::memory_order_relaxed);
-        }
-        // Seeded entries live on cycle 1 (ticket size_ + i), matching the
-        // head/tail start of one full lap so cycle 0 never carries items.
-        for (std::uint64_t i = 0; i < seeds; ++i) {
-            entries_[remap(i)].store(pack(1, true, seed_begin + i),
-                                     std::memory_order_relaxed);
-        }
-        head_->store(size_, std::memory_order_relaxed);
-        tail_->store(size_ + seeds, std::memory_order_relaxed);
-        threshold_->store(seeds != 0 ? threshold_full_ : -1,
-                          std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    std::uint64_t cycle_of_ticket(std::uint64_t t) const noexcept {
-        return t >> idx_bits_;
-    }
-    std::uint64_t pack(std::uint64_t cycle, bool safe,
-                       std::uint64_t idx) const noexcept {
-        return (cycle << (idx_bits_ + 1)) |
-               (safe ? (std::uint64_t{1} << idx_bits_) : 0) | idx;
-    }
-    std::uint64_t cycle_of(std::uint64_t e) const noexcept {
-        return e >> (idx_bits_ + 1);
-    }
-    bool is_safe(std::uint64_t e) const noexcept {
-        return (e & (std::uint64_t{1} << idx_bits_)) != 0;
-    }
-    std::uint64_t index_of(std::uint64_t e) const noexcept { return e & bottom_; }
-
-    // Spread consecutive ring slots across cache lines (DISC'19 §4.6):
-    // rotate the slot number left by 3 within its idx_bits-wide field, so
-    // neighbouring tickets land 8 entries (one cache line) apart.  Identity
-    // for tiny rings, where the whole ring fits in a line anyway.
-    std::uint64_t remap(std::uint64_t j) const noexcept {
-        if (idx_bits_ <= 3) return j;
-        return ((j << 3) | (j >> (idx_bits_ - 3))) & mask_;
-    }
-
     // One enqueue attempt with ticket t: publish idx if the entry is on an
     // older cycle, holds no index, and is safe or rescuable (head ≤ t).
     // False on an unusable entry; a lost CAS re-reads and re-decides, since
     // a dequeuer may merely have flipped our safe bit or advanced a cycle
     // that is still below ours.
     bool put_at(std::uint64_t t, std::uint64_t idx) {
-        Entry& entry = entries_[remap(t & mask_)];
+        Entry& entry = entry_at(t);
         std::uint64_t e = entry.load(std::memory_order_seq_cst);
         for (;;) {
             LCRQ_INJECT_POINT(kScqAfterCycleLoad);
@@ -349,11 +444,7 @@ class ScqRing {
             LCRQ_INJECT_POINT(kScqBeforeEntryCas);
             if (counted_cas(entry, e, pack(cycle_of_ticket(t), true, idx))) {
                 LCRQ_INJECT_POINT(kScqEnqPublished);
-                // Re-arm the EMPTY bound: dequeuers may burn 3n-1 tickets
-                // before concluding empty, counted from this enqueue.
-                if (threshold_->load(std::memory_order_seq_cst) != threshold_full_) {
-                    threshold_->store(threshold_full_, std::memory_order_seq_cst);
-                }
+                rearm_threshold();
                 return true;
             }
             e = entry.load(std::memory_order_seq_cst);
@@ -364,7 +455,7 @@ class ScqRing {
     // the ticket is spent (entry overtaken, marked unsafe, or advanced to
     // our cycle by our empty transition).
     bool take_at(std::uint64_t h, std::uint64_t& out) {
-        Entry& entry = entries_[remap(h & mask_)];
+        Entry& entry = entry_at(h);
         const std::uint64_t hc = cycle_of_ticket(h);
         std::uint64_t e = entry.load(std::memory_order_seq_cst);
         for (;;) {
@@ -403,76 +494,44 @@ class ScqRing {
             e = entry.load(std::memory_order_seq_cst);
         }
     }
-
-    // A threshold-exhaustion EMPTY is authoritative only while the ring is
-    // open.  On a *closed* ring a pre-close enqueuer stalled between its
-    // tail F&A and its entry CAS can still publish later, and the threshold
-    // can burn out on holes (bulk enqueues waste tickets) before head ever
-    // reaches the stalled ticket — but LSCQ retires a segment on EMPTY, so
-    // a late publish would strand the item in a dead segment.  The closed
-    // tail is frozen, which makes head >= tail a stable emptiness check;
-    // draining head up to the frozen tail first invalidates every
-    // outstanding ticket (each burned entry is advanced or holds a stale
-    // index the publisher's CAS rejects), restoring exactly the guarantee
-    // CRQ's head >= tail EMPTY gives LCRQ.
-    bool exhaustion_final() const noexcept {
-        const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
-        if ((traw & detail::kScqMsb) == 0) return true;
-        return head_->load(std::memory_order_seq_cst) >=
-               (traw & ~detail::kScqMsb);
-    }
-
-    // Dequeuers overshooting an empty ring leave head > tail; pull tail
-    // forward so enqueuers do not burn an F&A round per wasted index.  The
-    // CRQ analogue is fix_state; like it, a closed tail is frozen (the CAS
-    // must not clobber the MSB).
-    void catchup(std::uint64_t traw, std::uint64_t h) LCRQ_INJECT_NOEXCEPT {
-        LCRQ_INJECT_POINT(kScqCatchup);
-        for (;;) {
-            if ((traw & detail::kScqMsb) != 0) return;
-            if (traw >= h) return;
-            if (counted_cas(*tail_, traw, h)) return;
-            h = head_->load(std::memory_order_seq_cst);
-            traw = tail_->load(std::memory_order_seq_cst);
-        }
-    }
-
-    const unsigned order_;
-    const std::uint64_t capacity_;
-    const std::uint64_t size_;   // 2 * capacity_ entries
-    const std::uint64_t mask_;
-    const unsigned idx_bits_;    // order_ + 1
-    const std::uint64_t bottom_; // ⊥ == the all-ones index field
-    const std::int64_t threshold_full_;  // 3n - 1
-    mem::Slab slab_;
-    Entry* entries_;
-
-    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> head_{0};
-    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> tail_{0};
-    CacheAligned<std::atomic<std::int64_t>, kDestructivePairSize> threshold_{0};
 };
 
 // Per-round scratch size for the value-queue bulk paths.
 inline constexpr std::size_t kScqBulkChunk = 64;
 
-// The SCQ value queue: an allocated-queue/free-queue pair of rings over a
-// plain data array.  The array needs no atomics: the publishing entry CAS
-// in aq (or fq) is the release, and the consuming load is the acquire, for
-// each slot's handoff between writer and reader.
-template <class Faa = HardwareFaa>
-class Scq {
-  public:
-    using Ring = ScqRing<Faa>;
+// Rings with batch claims.  WcqRing has none: a wCQ help record describes
+// one ticket, so a batch claim has no slow path a helper could finish.
+template <class Ring>
+concept ScqBatchRing =
+    requires(Ring r, std::span<const std::uint64_t> in, std::uint64_t* out,
+             std::size_t max) {
+        { r.enqueue_bulk(in) } -> std::same_as<std::size_t>;
+        { r.dequeue_bulk(out, max) } -> std::same_as<std::size_t>;
+    };
 
-    // Capacity 2^order values, optionally seeded with one item (LSCQ
-    // appends segments "initialized to contain x", like LCRQ does CRQs).
-    explicit Scq(unsigned order, std::optional<value_t> first = std::nullopt,
-                 bool huge = false)
+// The SCQ-family value queue: an allocated-queue/free-queue pair of rings
+// over a plain data array.  The array needs no atomics: the publishing
+// entry CAS in aq (or fq) is the release, and the consuming load is the
+// acquire, for each slot's handoff between writer and reader.  Over
+// WcqRing both rings carry the helping layer, so slot acquisition (fq) and
+// publication (aq) both survive a descheduled peer.
+template <class R>
+class ScqValueQueue {
+  public:
+    using Ring = R;
+    using Config = typename Ring::Config;
+
+    // Capacity 2^order values, optionally seeded with one item (the list
+    // layer appends segments "initialized to contain x", like LCRQ does
+    // CRQs).  `huge` asks for hugepage slabs at kHugeMinRingOrder and up.
+    explicit ScqValueQueue(unsigned order,
+                           std::optional<value_t> first = std::nullopt,
+                           Config cfg = {}, bool huge = false)
         : capacity_(std::uint64_t{1} << order),
           huge_(huge && order >= kHugeMinRingOrder),
           home_cluster_(topo::current_cluster()),
-          aq_(order, 0, first.has_value() ? 1 : 0, huge_),
-          fq_(order, first.has_value() ? 1 : 0, capacity_, huge_) {
+          aq_(order, 0, first.has_value() ? 1 : 0, cfg, huge_),
+          fq_(order, first.has_value() ? 1 : 0, capacity_, cfg, huge_) {
         data_slab_ = mem::slab_alloc(capacity_ * sizeof(value_t),
                                      kCacheLineSize, {huge_, home_cluster_});
         data_ = static_cast<value_t*>(check_alloc(data_slab_.ptr));
@@ -484,19 +543,21 @@ class Scq {
         std::atomic_thread_fence(std::memory_order_seq_cst);
     }
 
-    // The list layer's constructor: ring_order and huge_segments apply.
-    Scq(const QueueOptions& opt, std::optional<value_t> first)
-        : Scq(opt.ring_order, first, opt.huge_segments) {}
+    // The list layer's constructor: ring_order, huge_segments and the
+    // ring's own knobs apply.
+    ScqValueQueue(const QueueOptions& opt, std::optional<value_t> first)
+        : ScqValueQueue(opt.ring_order, first, Ring::config_of(opt),
+                        opt.huge_segments) {}
 
-    ~Scq() { mem::slab_free(data_slab_); }
+    ~ScqValueQueue() { mem::slab_free(data_slab_); }
 
     // In-place reinitialization for segment recycling (cf. Crq::reset).
     // Caller owns the segment exclusively and the order must match.
-    void reset([[maybe_unused]] const QueueOptions& opt,
+    void reset(const QueueOptions& opt,
                std::optional<value_t> first = std::nullopt) {
         assert((std::uint64_t{1} << opt.ring_order) == capacity_);
-        aq_.reset(0, first.has_value() ? 1 : 0);
-        fq_.reset(first.has_value() ? 1 : 0, capacity_);
+        aq_.reset(0, first.has_value() ? 1 : 0, Ring::config_of(opt));
+        fq_.reset(first.has_value() ? 1 : 0, capacity_, Ring::config_of(opt));
         if (first.has_value()) {
             assert(is_enqueueable(*first));
             data_[0] = *first;
@@ -506,8 +567,8 @@ class Scq {
         std::atomic_thread_fence(std::memory_order_seq_cst);
     }
 
-    Scq(const Scq&) = delete;
-    Scq& operator=(const Scq&) = delete;
+    ScqValueQueue(const ScqValueQueue&) = delete;
+    ScqValueQueue& operator=(const ScqValueQueue&) = delete;
 
     EnqueueResult try_enqueue(value_t x) {
         assert(is_enqueueable(x));
@@ -534,7 +595,9 @@ class Scq {
     // round, so a k-item batch costs ~2 F&As instead of 2k.  Stops at kFull
     // (no free slot right now) or kClosed (aq closed mid-batch; unpublished
     // slots recycled), reporting how many items from the front landed.
-    BulkPut try_enqueue_bulk(std::span<const value_t> items) {
+    BulkPut try_enqueue_bulk(std::span<const value_t> items)
+        requires ScqBatchRing<Ring>
+    {
         std::size_t done = 0;
         std::uint64_t idxs[kScqBulkChunk];
         while (done < items.size()) {
@@ -558,7 +621,9 @@ class Scq {
 
     // Batched dequeue (Crq::dequeue_bulk contract: short only on an empty
     // observation, 0 means EMPTY).
-    std::size_t dequeue_bulk(value_t* out, std::size_t max) {
+    std::size_t dequeue_bulk(value_t* out, std::size_t max)
+        requires ScqBatchRing<Ring>
+    {
         std::size_t n = 0;
         std::uint64_t idxs[kScqBulkChunk];
         while (n < max) {
@@ -595,8 +660,8 @@ class Scq {
     }
 
     // List-layer hooks (linked_segments.hpp); unused standalone.
-    static constexpr const char* kListName = "lscq";
-    std::atomic<Scq*> next{nullptr};
+    static constexpr const char* kListName = Ring::kListName;
+    std::atomic<ScqValueQueue*> next{nullptr};
     std::atomic<int> cluster{0};
 
   private:
@@ -609,16 +674,20 @@ class Scq {
     value_t* data_;
 };
 
-// Standalone bounded MPMC queue over one Scq, capacity 2^bounded_order
-// (the bounded-baseline knob, like BoundedMpmcQueue).  enqueue() applies
-// backpressure by spinning on kFull; the ring is never closed.
 template <class Faa = HardwareFaa>
+using Scq = ScqValueQueue<ScqRing<Faa>>;
+
+// Standalone bounded MPMC queue over one ScqValueQueue, capacity
+// 2^bounded_order (the bounded-baseline knob, like BoundedMpmcQueue).
+// enqueue() applies backpressure by spinning on kFull; the ring is never
+// closed.  Registry names come from the ring: "scq" and "wcq".
+template <class Ring>
 class BasicScqQueue {
   public:
-    static constexpr const char* kName = "scq";
+    static constexpr const char* kName = Ring::kName;
 
     explicit BasicScqQueue(const QueueOptions& opt = {})
-        : q_(opt.bounded_order) {}
+        : q_(bounded(opt), std::nullopt) {}
 
     void enqueue(value_t x) {
         SpinWait waiter;
@@ -631,7 +700,9 @@ class BasicScqQueue {
 
     std::optional<value_t> dequeue() { return q_.dequeue(); }
 
-    void enqueue_bulk(std::span<const value_t> items) {
+    void enqueue_bulk(std::span<const value_t> items)
+        requires ScqBatchRing<Ring>
+    {
         std::size_t done = 0;
         SpinWait waiter;
         while (done < items.size()) {
@@ -640,7 +711,9 @@ class BasicScqQueue {
         }
     }
 
-    std::size_t dequeue_bulk(value_t* out, std::size_t max) {
+    std::size_t dequeue_bulk(value_t* out, std::size_t max)
+        requires ScqBatchRing<Ring>
+    {
         return q_.dequeue_bulk(out, max);
     }
 
@@ -651,12 +724,18 @@ class BasicScqQueue {
 
     std::uint64_t capacity() const noexcept { return q_.capacity(); }
     std::uint64_t approx_size() const noexcept { return q_.approx_size(); }
-    Scq<Faa>& base() noexcept { return q_; }
+    ScqValueQueue<Ring>& base() noexcept { return q_; }
 
   private:
-    Scq<Faa> q_;
+    // The segment's list-layer constructor, sized by the bounded knob.
+    static QueueOptions bounded(QueueOptions opt) noexcept {
+        opt.ring_order = opt.bounded_order;
+        return opt;
+    }
+
+    ScqValueQueue<Ring> q_;
 };
 
-using ScqQueue = BasicScqQueue<HardwareFaa>;
+using ScqQueue = BasicScqQueue<ScqRing<HardwareFaa>>;
 
 }  // namespace lcrq

@@ -2,12 +2,14 @@
 // "wCQ: A Fast Wait-Free Queue with Bounded Memory Usage", SPAA'22 /
 // arXiv 2201.02179; see PAPERS.md).
 //
-// WcqRing keeps ScqRing's protocol verbatim on the fast path — F&A ticket,
-// cycle/safe entry CAS, threshold-bounded EMPTY — and adds the wCQ idea on
-// top: when a thread runs out of patience (or is descheduled forever), its
-// operation is published as a *helping record* that any other thread can
-// finish.  Every shared-memory step stays a single-word CAS/F&A; there is
-// no CAS2 anywhere, matching the SCQ portability story.
+// WcqRing is built on ScqRing's ticket core (scq.hpp: geometry, head/tail/
+// threshold, the EMPTY rules), so the fast path is SCQ's code, not a copy
+// of it — F&A ticket, cycle/safe entry CAS, threshold-bounded EMPTY — and
+// adds the wCQ idea on top: when a thread runs out of patience (or is
+// descheduled forever), its operation is published as a *helping record*
+// that any other thread can finish.  Every shared-memory step stays a
+// single-word CAS/F&A; there is no CAS2 anywhere, matching the SCQ
+// portability story.
 //
 // Helping protocol (the part beyond SCQ):
 //   * 64 cache-aligned records per ring; a slow-path thread claims the
@@ -89,7 +91,7 @@
 #include "arch/inject.hpp"
 #include "arch/thread_id.hpp"
 #include "queues/queue_common.hpp"
-#include "queues/scq.hpp"  // detail::kScqMsb
+#include "queues/scq.hpp"
 
 namespace lcrq {
 
@@ -108,32 +110,27 @@ struct WcqConfig {
 
 inline constexpr std::size_t kWcqSlots = 64;
 
-template <class Faa = HardwareFaa>
-class WcqRing {
-  public:
-    using Entry = std::atomic<std::uint64_t>;
-    static_assert(sizeof(Entry) == 8);
+// Width of the note field a wCQ entry carries between its index and its
+// safe bit: note flag, note kind, 16-bit request tag, 6-bit record slot.
+inline constexpr unsigned kWcqNoteBits = 24;
 
-    explicit WcqRing(unsigned order, std::uint64_t seed_begin = 0,
-                     std::uint64_t seed_end = 0, WcqConfig cfg = {})
-        : cfg_(cfg),
-          order_(order),
-          capacity_(std::uint64_t{1} << order),
-          size_(capacity_ * 2),
-          mask_(size_ - 1),
-          idx_bits_(order + 1),
-          bottom_(size_ - 1),
-          threshold_full_(static_cast<std::int64_t>(3 * capacity_ - 1)) {
-        assert(order >= 1 && order <= 20 &&
-               "wcq entries carry 24 bits of helping metadata");
-        entries_ = check_alloc(aligned_array_alloc<Entry>(size_));
-        init_ring(seed_begin, seed_end);
+template <class Faa = HardwareFaa>
+class WcqRing : public ScqTicketCore<kWcqNoteBits> {
+  public:
+    // Registry names of the bounded and list queues over this ring.
+    static constexpr const char* kName = "wcq";
+    static constexpr const char* kListName = "lwcq";
+    using Config = WcqConfig;
+    static WcqConfig config_of(const QueueOptions& opt) noexcept {
+        return WcqConfig{opt.wcq_patience, opt.wcq_helping};
     }
 
-    ~WcqRing() { aligned_array_free(entries_); }
-
-    WcqRing(const WcqRing&) = delete;
-    WcqRing& operator=(const WcqRing&) = delete;
+    explicit WcqRing(unsigned order, std::uint64_t seed_begin = 0,
+                     std::uint64_t seed_end = 0, WcqConfig cfg = {},
+                     bool huge = false)
+        : ScqTicketCore(order, seed_begin, seed_end, huge), cfg_(cfg) {
+        assert(order <= 20 && "wcq entries carry 24 bits of helping metadata");
+    }
 
     // In-place reinit for segment recycling (cf. ScqRing::reset).  Also
     // clears the helping records: a recycled ring must not resurrect a
@@ -172,29 +169,14 @@ class WcqRing {
 
     std::optional<std::uint64_t> dequeue() {
         help_if_needed();
-        if (threshold_->load(std::memory_order_seq_cst) < 0 &&
-            exhaustion_final()) {
-            return std::nullopt;
-        }
+        if (threshold_exhausted()) return std::nullopt;
         unsigned rounds = 0;
         for (;;) {
             const std::uint64_t h = Faa::fetch_add(*head_, 1);
             LCRQ_INJECT_POINT(kScqDeqAfterFaa);
             std::uint64_t idx;
             if (take_at(h, idx)) return idx;
-
-            const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
-            if ((traw & ~detail::kScqMsb) <= h + 1) {
-                catchup(traw, h + 1);
-                LCRQ_INJECT_POINT(kScqThresholdDecrement);
-                threshold_->fetch_sub(1, std::memory_order_seq_cst);
-                return std::nullopt;
-            }
-            LCRQ_INJECT_POINT(kScqThresholdDecrement);
-            if (threshold_->fetch_sub(1, std::memory_order_seq_cst) <= 0 &&
-                exhaustion_final()) {
-                return std::nullopt;
-            }
+            if (burned_ticket_empty(h)) return std::nullopt;
             stats::count(stats::Event::kRingRetry);
             if (++rounds > cfg_.patience) {
                 std::optional<std::uint64_t> out;
@@ -215,34 +197,6 @@ class WcqRing {
     // record collision.
     bool debug_dequeue_slow(std::optional<std::uint64_t>& out) {
         return dequeue_slow(out);
-    }
-
-    void close() LCRQ_INJECT_NOEXCEPT {
-        counted_test_and_set_bit(*tail_, 63);
-        LCRQ_INJECT_POINT(kRingCloseCas);
-        stats::count(stats::Event::kCrqClose);
-    }
-
-    bool closed() const noexcept {
-        return (tail_->load(std::memory_order_seq_cst) & detail::kScqMsb) != 0;
-    }
-
-    std::uint64_t head_index() const noexcept {
-        return head_->load(std::memory_order_seq_cst);
-    }
-    std::uint64_t tail_index() const noexcept {
-        return tail_->load(std::memory_order_seq_cst) & ~detail::kScqMsb;
-    }
-    std::int64_t threshold() const noexcept {
-        return threshold_->load(std::memory_order_seq_cst);
-    }
-    std::uint64_t capacity() const noexcept { return capacity_; }
-
-    std::uint64_t approx_size() const noexcept {
-        const std::uint64_t t = tail_index();
-        const std::uint64_t h = head_index();
-        const std::uint64_t n = t > h ? t - h : 0;
-        return n < capacity_ ? n : capacity_;
     }
 
     // Pending published requests (tests assert helping drains this).  May
@@ -340,20 +294,14 @@ class WcqRing {
         return w & kPayloadMask;
     }
 
-    // Entry bit positions (from LSB): idx, slot, tag, nkind, note, safe,
-    // cycle.
+    // Note-field bit positions (from LSB): idx, slot, tag, nkind, note;
+    // the ticket core puts safe and cycle above them.
     unsigned slot_shift() const noexcept { return idx_bits_; }
     unsigned tag_shift() const noexcept { return idx_bits_ + kSlotBits; }
     unsigned nkind_shift() const noexcept { return idx_bits_ + kSlotBits + kTagBits; }
     unsigned note_shift() const noexcept { return nkind_shift() + 1; }
-    unsigned safe_shift() const noexcept { return note_shift() + 1; }
-    unsigned cycle_shift() const noexcept { return safe_shift() + 1; }
+    static_assert(kSlotBits + kTagBits + 2 == kWcqNoteBits);
 
-    std::uint64_t pack(std::uint64_t cycle, bool safe,
-                       std::uint64_t idx) const noexcept {
-        return (cycle << cycle_shift()) |
-               (safe ? (std::uint64_t{1} << safe_shift()) : 0) | idx;
-    }
     std::uint64_t pack_note(std::uint64_t cycle, bool safe, ReqKind kind,
                             std::uint64_t tag, std::uint64_t slot,
                             std::uint64_t idx) const noexcept {
@@ -362,12 +310,6 @@ class WcqRing {
                (std::uint64_t{1} << note_shift()) |
                (static_cast<std::uint64_t>(kind) << nkind_shift()) |
                (tag << tag_shift()) | (slot << slot_shift()) | idx;
-    }
-    std::uint64_t cycle_of(std::uint64_t e) const noexcept {
-        return e >> cycle_shift();
-    }
-    bool is_safe(std::uint64_t e) const noexcept {
-        return (e & (std::uint64_t{1} << safe_shift())) != 0;
     }
     bool is_note(std::uint64_t e) const noexcept {
         return (e & (std::uint64_t{1} << note_shift())) != 0;
@@ -381,51 +323,8 @@ class WcqRing {
     std::uint64_t note_slot(std::uint64_t e) const noexcept {
         return (e >> slot_shift()) & (kWcqSlots - 1);
     }
-    std::uint64_t index_of(std::uint64_t e) const noexcept { return e & bottom_; }
 
-    std::uint64_t cycle_of_ticket(std::uint64_t t) const noexcept {
-        return t >> idx_bits_;
-    }
-    std::uint64_t remap(std::uint64_t j) const noexcept {
-        if (idx_bits_ <= 3) return j;
-        return ((j << 3) | (j >> (idx_bits_ - 3))) & mask_;
-    }
-    std::uint64_t unremap(std::uint64_t u) const noexcept {
-        if (idx_bits_ <= 3) return u;
-        return ((u >> 3) | (u << (idx_bits_ - 3))) & mask_;
-    }
-    // The unique ticket a (cell, cycle) pair denotes — remap is bijective.
-    std::uint64_t ticket_of(std::uint64_t cell, std::uint64_t cycle) const noexcept {
-        return (cycle << idx_bits_) | unremap(cell);
-    }
-    Entry& entry_at(std::uint64_t t) noexcept {
-        return entries_[remap(t & mask_)];
-    }
-
-    void init_ring(std::uint64_t seed_begin, std::uint64_t seed_end) {
-        const std::uint64_t seeds = seed_end - seed_begin;
-        assert(seeds <= capacity_);
-        for (std::uint64_t u = 0; u < size_; ++u) {
-            entries_[u].store(pack(0, true, bottom_), std::memory_order_relaxed);
-        }
-        for (std::uint64_t i = 0; i < seeds; ++i) {
-            entries_[remap(i)].store(pack(1, true, seed_begin + i),
-                                     std::memory_order_relaxed);
-        }
-        head_->store(size_, std::memory_order_relaxed);
-        tail_->store(size_ + seeds, std::memory_order_relaxed);
-        threshold_->store(seeds != 0 ? threshold_full_ : -1,
-                          std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    void rearm_threshold() {
-        if (threshold_->load(std::memory_order_seq_cst) != threshold_full_) {
-            threshold_->store(threshold_full_, std::memory_order_seq_cst);
-        }
-    }
-
-    // --- fast path (ScqRing verbatim, plus note awareness) ----------------
+    // --- fast path (ScqRing's, plus note awareness) -----------------------
 
     bool put_at(std::uint64_t t, std::uint64_t idx) {
         Entry& entry = entry_at(t);
@@ -503,24 +402,6 @@ class WcqRing {
                 return false;
             }
             e = entry.load(std::memory_order_seq_cst);
-        }
-    }
-
-    bool exhaustion_final() const noexcept {
-        const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
-        if ((traw & detail::kScqMsb) == 0) return true;
-        return head_->load(std::memory_order_seq_cst) >=
-               (traw & ~detail::kScqMsb);
-    }
-
-    void catchup(std::uint64_t traw, std::uint64_t h) LCRQ_INJECT_NOEXCEPT {
-        LCRQ_INJECT_POINT(kScqCatchup);
-        for (;;) {
-            if ((traw & detail::kScqMsb) != 0) return;
-            if (traw >= h) return;
-            if (counted_cas(*tail_, traw, h)) return;
-            h = head_->load(std::memory_order_seq_cst);
-            traw = tail_->load(std::memory_order_seq_cst);
         }
     }
 
@@ -615,7 +496,7 @@ class WcqRing {
                               std::memory_order_seq_cst);
     }
 
-    void wait_done(std::size_t s, std::uint64_t g) {
+    void wait_done(std::size_t s, [[maybe_unused]] std::uint64_t g) {
         SpinWait waiter;
         for (;;) {
             help_slot(s);
@@ -986,145 +867,15 @@ class WcqRing {
     }
 
     WcqConfig cfg_;
-    const unsigned order_;
-    const std::uint64_t capacity_;
-    const std::uint64_t size_;
-    const std::uint64_t mask_;
-    const unsigned idx_bits_;
-    const std::uint64_t bottom_;
-    const std::int64_t threshold_full_;
-    Entry* entries_;
-
-    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> head_{0};
-    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> tail_{0};
-    CacheAligned<std::atomic<std::int64_t>, kDestructivePairSize> threshold_{0};
     std::atomic<std::uint64_t> slow_count_{0};
     HelpRecord records_[kWcqSlots];
 };
 
-// The wCQ value queue: aq/fq pair of WcqRings over a plain data array,
-// exactly Scq's shape.  Both rings carry the helping layer, so slot
-// acquisition (fq) and publication (aq) both survive a descheduled peer.
+// The wCQ value queue and its bounded registry queue ("wcq"): scq.hpp's
+// templates over WcqRing.  They carry no bulk operations (ScqBatchRing).
 template <class Faa = HardwareFaa>
-class Wcq {
-  public:
-    using Ring = WcqRing<Faa>;
+using Wcq = ScqValueQueue<WcqRing<Faa>>;
 
-    explicit Wcq(unsigned order, std::optional<value_t> first = std::nullopt,
-                 WcqConfig cfg = {})
-        : capacity_(std::uint64_t{1} << order),
-          aq_(order, 0, first.has_value() ? 1 : 0, cfg),
-          fq_(order, first.has_value() ? 1 : 0, capacity_, cfg) {
-        data_ = check_alloc(aligned_array_alloc<value_t>(capacity_));
-        if (first.has_value()) {
-            assert(is_enqueueable(*first));
-            data_[0] = *first;
-        }
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    // The list layer's constructor: ring_order and the helping knobs apply.
-    Wcq(const QueueOptions& opt, std::optional<value_t> first)
-        : Wcq(opt.ring_order, first, config_of(opt)) {}
-
-    ~Wcq() { aligned_array_free(data_); }
-
-    void reset(const QueueOptions& opt, std::optional<value_t> first = std::nullopt) {
-        assert((std::uint64_t{1} << opt.ring_order) == capacity_);
-        aq_.reset(0, first.has_value() ? 1 : 0, config_of(opt));
-        fq_.reset(first.has_value() ? 1 : 0, capacity_, config_of(opt));
-        if (first.has_value()) {
-            assert(is_enqueueable(*first));
-            data_[0] = *first;
-        }
-        next.store(nullptr, std::memory_order_relaxed);
-        cluster.store(0, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    Wcq(const Wcq&) = delete;
-    Wcq& operator=(const Wcq&) = delete;
-
-    EnqueueResult try_enqueue(value_t x) {
-        assert(is_enqueueable(x));
-        const auto idx = fq_.dequeue();
-        if (!idx.has_value()) return EnqueueResult::kFull;
-        data_[*idx] = x;
-        if (aq_.enqueue(*idx) == EnqueueResult::kClosed) {
-            fq_.enqueue(*idx);
-            return EnqueueResult::kClosed;
-        }
-        return EnqueueResult::kOk;
-    }
-
-    std::optional<value_t> dequeue() {
-        const auto idx = aq_.dequeue();
-        if (!idx.has_value()) return std::nullopt;
-        const value_t v = data_[*idx];
-        fq_.enqueue(*idx);
-        return v;
-    }
-
-    void close() LCRQ_INJECT_NOEXCEPT { aq_.close(); }
-    bool closed() const noexcept { return aq_.closed(); }
-
-    std::uint64_t capacity() const noexcept { return capacity_; }
-    std::uint64_t approx_size() const noexcept { return aq_.approx_size(); }
-
-    Ring& allocated_ring() noexcept { return aq_; }
-    Ring& free_ring() noexcept { return fq_; }
-
-    // List-layer hooks (linked_segments.hpp); unused standalone.
-    static constexpr const char* kListName = "lwcq";
-    std::atomic<Wcq*> next{nullptr};
-    std::atomic<int> cluster{0};
-
-  private:
-    static WcqConfig config_of(const QueueOptions& opt) noexcept {
-        return WcqConfig{opt.wcq_patience, opt.wcq_helping};
-    }
-
-    const std::uint64_t capacity_;
-    Ring aq_;
-    Ring fq_;
-    value_t* data_;
-};
-
-// Standalone bounded MPMC queue over one Wcq (registry name "wcq"),
-// capacity 2^bounded_order; enqueue() applies backpressure on kFull, the
-// ring is never closed (cf. BasicScqQueue).
-template <class Faa = HardwareFaa>
-class BasicWcqQueue {
-  public:
-    static constexpr const char* kName = "wcq";
-
-    explicit BasicWcqQueue(const QueueOptions& opt = {})
-        : q_(opt.bounded_order, std::nullopt,
-             WcqConfig{opt.wcq_patience, opt.wcq_helping}) {}
-
-    void enqueue(value_t x) {
-        SpinWait waiter;
-        while (!try_enqueue(x)) waiter.spin();
-    }
-
-    bool try_enqueue(value_t x) {
-        return q_.try_enqueue(x) == EnqueueResult::kOk;
-    }
-
-    std::optional<value_t> dequeue() { return q_.dequeue(); }
-
-    // Never closed by the wrapper itself; probed by the blocking facade
-    // to tell a full refusal from a base().close() (cf. BasicScqQueue).
-    bool closed() const noexcept { return q_.closed(); }
-
-    std::uint64_t capacity() const noexcept { return q_.capacity(); }
-    std::uint64_t approx_size() const noexcept { return q_.approx_size(); }
-    Wcq<Faa>& base() noexcept { return q_; }
-
-  private:
-    Wcq<Faa> q_;
-};
-
-using WcqQueue = BasicWcqQueue<HardwareFaa>;
+using WcqQueue = BasicScqQueue<WcqRing<HardwareFaa>>;
 
 }  // namespace lcrq

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <functional>
 #include <map>
+#include <string_view>
 
 #include "queues/bounded_mpmc_queue.hpp"
 #include "queues/cc_queue.hpp"
@@ -198,55 +199,37 @@ const std::vector<Entry>& entries() {
     return all;
 }
 
-// "lcrq-ml8" → {"lcrq-ml", 8}.  Only catalog names ending in "-ml" take the
-// knob; anything without a positive all-digit suffix after "-ml" is not a
-// knob spelling (so plain "lcrq-ml" and unknown names fall through).
-struct MlKnob {
+// The digit knobs: "lcrq-ml8" → {"lcrq-ml", 8 lanes}, "lcrq-h250" →
+// {"lcrq-h", 250 µs}.  A knob spelling is `suffix` followed by a non-empty
+// all-digit value of at most `cap`; anything else is not one (so plain
+// "lcrq-ml" and unknown names fall through).  0 lanes is not a queue, but
+// a 0 µs timeout is a meaningful ablation ("claim a foreign segment
+// immediately"), hence `zero_ok`.
+struct DigitKnob {
     std::string base;
-    std::size_t lanes;
+    std::uint64_t value;
 };
 
-std::optional<MlKnob> split_ml_knob(const std::string& name) {
-    const std::size_t pos = name.rfind("-ml");
+std::optional<DigitKnob> split_digit_knob(const std::string& name,
+                                          std::string_view suffix,
+                                          std::uint64_t cap, bool zero_ok) {
+    const std::size_t pos = name.rfind(suffix);
     if (pos == std::string::npos) return std::nullopt;
-    const std::string digits = name.substr(pos + 3);
-    if (digits.empty()) return std::nullopt;
-    std::size_t lanes = 0;
-    for (char c : digits) {
-        if (c < '0' || c > '9') return std::nullopt;
-        lanes = lanes * 10 + static_cast<std::size_t>(c - '0');
-        if (lanes > kMaxLanes) return std::nullopt;
+    const std::size_t digits = pos + suffix.size();
+    if (digits == name.size()) return std::nullopt;
+    std::uint64_t value = 0;
+    for (std::size_t i = digits; i < name.size(); ++i) {
+        if (name[i] < '0' || name[i] > '9') return std::nullopt;
+        value = value * 10 + static_cast<std::uint64_t>(name[i] - '0');
+        if (value > cap) return std::nullopt;
     }
-    if (lanes == 0) return std::nullopt;
-    return MlKnob{name.substr(0, pos + 3), lanes};
+    if (value == 0 && !zero_ok) return std::nullopt;
+    return DigitKnob{name.substr(0, digits), value};
 }
 
-// "lcrq-h250" → {"lcrq-h", 250 µs}.  Same grammar as the -ml knob, with
-// one deliberate difference: 0 is a valid timeout ("claim a foreign
-// segment immediately" — a meaningful ablation), whereas 0 lanes is not a
-// queue.  The digit cap keeps the µs→ns conversion far from overflow.
-struct HKnob {
-    std::string base;
-    std::uint64_t timeout_us;
-};
-
-std::optional<HKnob> split_h_knob(const std::string& name) {
-    const std::size_t pos = name.rfind("-h");
-    if (pos == std::string::npos) return std::nullopt;
-    const std::string digits = name.substr(pos + 2);
-    if (digits.empty()) return std::nullopt;
-    std::uint64_t us = 0;
-    for (char c : digits) {
-        if (c < '0' || c > '9') return std::nullopt;
-        us = us * 10 + static_cast<std::uint64_t>(c - '0');
-        if (us > 10'000'000) return std::nullopt;  // > 10 s: not a timeout
-    }
-    return HKnob{name.substr(0, pos + 2), us};
-}
-
-// "lcrq-huge" → "lcrq".  Unlike -ml/-h this knob is boolean: it takes no
-// digits, must be the final suffix, and composes with the other knobs
-// ("lcrq-ml8-huge", "lscq-h250-huge") — strip it, set
+// "lcrq-huge" → "lcrq".  Unlike the digit knobs this one is boolean: it
+// takes no digits, must be the final suffix, and composes with the other
+// knobs ("lcrq-ml8-huge", "lscq-h250-huge") — strip it, set
 // QueueOptions::huge_segments, and resolve the remainder as usual.  Safe
 // next to the -h<digits> grammar because "uge" is not a digit string.
 std::optional<std::string> split_huge_knob(const std::string& name) {
@@ -269,15 +252,16 @@ const Entry* find_entry(const std::string& name) {
 // callers before this runs.)
 const Entry* resolve_entry(const std::string& name, QueueOptions& opt) {
     if (const Entry* e = find_entry(name)) return e;
-    if (const auto knob = split_ml_knob(name)) {
+    if (const auto knob = split_digit_knob(name, "-ml", kMaxLanes, false)) {
         if (const Entry* e = find_entry(knob->base)) {
-            opt.lanes = knob->lanes;
+            opt.lanes = knob->value;
             return e;
         }
     }
-    if (const auto knob = split_h_knob(name)) {
+    // The cap (10 s) keeps the µs→ns conversion far from overflow.
+    if (const auto knob = split_digit_knob(name, "-h", 10'000'000, true)) {
         if (const Entry* e = find_entry(knob->base)) {
-            opt.cluster_timeout_ns = knob->timeout_us * 1'000;
+            opt.cluster_timeout_ns = knob->value * 1'000;
             return e;
         }
     }

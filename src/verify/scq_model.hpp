@@ -1,7 +1,8 @@
 // A small-step executable model of the SCQ ring protocol (verify
 // substrate; companion of crq_model.hpp).
 //
-// Mirrors `queues/scq.hpp`'s ScqRing with *every shared-memory access as
+// Mirrors `queues/scq.hpp`'s ScqRing — its own put_at/take_at over the
+// ScqTicketCore that WcqRing shares — with *every shared-memory access as
 // one atomic step*, so the explorer (explore.hpp) can enumerate the
 // interleavings the cycle/safe/threshold protocol exists for: an enqueuer
 // stalled between its F&A and its entry CAS while dequeuers lap the ring,
@@ -189,7 +190,8 @@ class ScqModelOp {
         }
     }
 
-    // --- dequeue: mirrors ScqRing::dequeue / take_at / catchup ------------
+    // --- dequeue: mirrors ScqRing::dequeue / take_at and ScqTicketCore's
+    //     threshold_exhausted / burned_ticket_empty / catchup
     //  pc 10: read threshold (EMPTY fast path)
     //  pc 11: F&A(head) -> h
     //  pc 12: load entry; branch on cycle vs cycle(h)

@@ -1,7 +1,8 @@
 // A small-step executable model of the wCQ helping protocol (verify
 // substrate; companion of scq_model.hpp).
 //
-// Mirrors `queues/wcq.hpp`'s WcqRing: the SCQ fast path (F&A ticket,
+// Mirrors `queues/wcq.hpp`'s WcqRing: the SCQ fast path it shares with
+// ScqRing through ScqTicketCore (`queues/scq.hpp`; F&A ticket,
 // cycle/safe entry CAS, threshold-bounded EMPTY) extended with the wCQ
 // slow path — request publication, note reservation, the single-word
 // commit CAS on the request's arg word, idempotent cleanup — with every
@@ -294,7 +295,8 @@ class WcqModelOp {
         }
     }
 
-    // --- fast dequeue: mirrors WcqRing::dequeue / take_at / catchup -------
+    // --- fast dequeue: mirrors WcqRing::dequeue / take_at and ScqTicketCore's
+    //     threshold_exhausted / burned_ticket_empty / catchup
     Status step_deq(WcqModelState& s) {
         switch (pc_) {
             case 10:

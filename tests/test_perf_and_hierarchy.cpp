@@ -30,7 +30,7 @@ TEST(PerfCounters, StartStopIsSafeWithoutSupport) {
     PerfCounters pc;
     pc.start();
     volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 100'000; ++i) sink += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 100'000; ++i) sink = sink + static_cast<std::uint64_t>(i);
     const HwCounts counts = pc.stop();
     if (pc.any_available()) {
         const auto instr = counts.get(HwEvent::kInstructions);

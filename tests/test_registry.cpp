@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "arch/counters.hpp"
 #include "registry/queue_registry.hpp"
+#include "topology/mem_policy.hpp"
 
 namespace lcrq {
 namespace {
@@ -285,6 +287,27 @@ TEST(Registry, HugeKnobResolvesAndComposes) {
     const QueueInfo* info = find_queue_info("lcrq-huge");
     ASSERT_NE(info, nullptr);
     EXPECT_EQ(info->name, "lcrq");
+
+    // Every segment-backed queue honours the knob at the hugepage floor:
+    // its segment slabs count as hugepage-backed whenever THP is there,
+    // and never under the LCRQ_FORCE_NO_THP fallback.
+    QueueOptions big;
+    big.ring_order = kHugeMinRingOrder;
+    big.bounded_order = kHugeMinRingOrder;
+    for (const std::string name :
+         {"lcrq-huge", "lscq-huge", "lwcq-huge", "scq-huge", "wcq-huge"}) {
+        const auto before = stats::global_snapshot();
+        auto q = make_queue(name, big);
+        ASSERT_NE(q, nullptr) << name;
+        const auto huge = (stats::global_snapshot() - before)[stats::Event::kSegmentHuge];
+        if (mem::thp_available()) {
+            EXPECT_GT(huge, 0u) << name;
+        } else {
+            EXPECT_EQ(huge, 0u) << name;
+        }
+        q->enqueue(5);
+        EXPECT_EQ(q->dequeue().value_or(0), 5u) << name;
+    }
     const QueueInfo* composed = find_queue_info("lscq-ml4-huge");
     ASSERT_NE(composed, nullptr);
     EXPECT_EQ(composed->name, "lscq-ml");

@@ -3,6 +3,10 @@
 // for, ring FIFO/wrap/threshold behaviour, the aq/fq slot-recycling
 // discipline, closed-segment semantics, and MPMC exchanges on both the
 // bounded queue and the unbounded list (with hazard reclamation).
+//
+// The ring and value-queue behaviour SCQ and wCQ share (wCQ is SCQ's
+// ticket core plus helping, and both value queues are one template) runs
+// as typed suites over both; wCQ's helping path lives in test_wcq.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +17,7 @@
 #include "arch/counters.hpp"
 #include "queues/lscq.hpp"
 #include "queues/scq.hpp"
+#include "queues/wcq.hpp"
 #include "test_support.hpp"
 
 namespace lcrq {
@@ -34,10 +39,29 @@ TEST(ScqEntry, AtomicEntryIsLockFreeAtRuntime) {
                                      "lock-free single-word entry";
 }
 
-// --- raw ring ------------------------------------------------------------
+// Typed-suite names: the family member, "scq" or "wcq".
+struct RingName {
+    template <typename R>
+    static std::string GetName(int) {
+        return R::kName;
+    }
+};
+struct SegmentName {
+    template <typename Q>
+    static std::string GetName(int) {
+        return Q::Ring::kName;
+    }
+};
 
-TEST(ScqRing, FifoAcrossManyLaps) {
-    ScqRing<> r(2);  // capacity 4, ring of 8 entries
+// --- raw ring: the shared ticket core -------------------------------------
+
+template <typename R>
+struct ScqFamilyRing : ::testing::Test {};
+using FamilyRings = ::testing::Types<ScqRing<>, WcqRing<>>;
+TYPED_TEST_SUITE(ScqFamilyRing, FamilyRings, RingName);
+
+TYPED_TEST(ScqFamilyRing, FifoAcrossManyLaps) {
+    TypeParam r(2);  // capacity 4, ring of 8 entries
     for (std::uint64_t lap = 0; lap < 16; ++lap) {
         for (std::uint64_t i = 0; i < 4; ++i) {
             ASSERT_EQ(r.enqueue(i), EnqueueResult::kOk);
@@ -49,8 +73,8 @@ TEST(ScqRing, FifoAcrossManyLaps) {
     }
 }
 
-TEST(ScqRing, EmptyRingAnswersEmptyViaThresholdFastPath) {
-    ScqRing<> r(2);
+TYPED_TEST(ScqFamilyRing, EmptyRingAnswersEmptyViaThresholdFastPath) {
+    TypeParam r(2);
     // A fresh unseeded ring starts with threshold -1: the first dequeue
     // answers EMPTY from one load, without burning a head ticket.
     EXPECT_LT(r.threshold(), 0);
@@ -59,8 +83,8 @@ TEST(ScqRing, EmptyRingAnswersEmptyViaThresholdFastPath) {
     EXPECT_EQ(r.head_index(), h) << "fast-path EMPTY must not take a ticket";
 }
 
-TEST(ScqRing, EnqueueRearmsThresholdTo3nMinus1) {
-    ScqRing<> r(2);  // n = 4
+TYPED_TEST(ScqFamilyRing, EnqueueRearmsThresholdTo3nMinus1) {
+    TypeParam r(2);  // n = 4
     ASSERT_EQ(r.enqueue(0), EnqueueResult::kOk);
     EXPECT_EQ(r.threshold(), 3 * 4 - 1);
     // Draining decrements it only on failed tickets; the consume itself
@@ -71,8 +95,8 @@ TEST(ScqRing, EnqueueRearmsThresholdTo3nMinus1) {
     EXPECT_LT(r.threshold(), 3 * 4 - 1);
 }
 
-TEST(ScqRing, SeededConstructionHoldsTheRange) {
-    ScqRing<> r(3, 2, 7);  // seeds 2..6
+TYPED_TEST(ScqFamilyRing, SeededConstructionHoldsTheRange) {
+    TypeParam r(3, 2, 7);  // seeds 2..6
     EXPECT_EQ(r.tail_index() - r.head_index(), 5u);
     for (std::uint64_t i = 2; i < 7; ++i) {
         ASSERT_EQ(r.dequeue().value_or(99), i);
@@ -80,8 +104,8 @@ TEST(ScqRing, SeededConstructionHoldsTheRange) {
     EXPECT_FALSE(r.dequeue().has_value());
 }
 
-TEST(ScqRing, CloseRefusesEnqueuesButDrains) {
-    ScqRing<> r(2);
+TYPED_TEST(ScqFamilyRing, CloseRefusesEnqueuesButDrains) {
+    TypeParam r(2);
     ASSERT_EQ(r.enqueue(1), EnqueueResult::kOk);
     ASSERT_EQ(r.enqueue(2), EnqueueResult::kOk);
     r.close();
@@ -94,8 +118,8 @@ TEST(ScqRing, CloseRefusesEnqueuesButDrains) {
     EXPECT_TRUE(r.closed());
 }
 
-TEST(ScqRing, StolenEnqueueTicketLeavesHoleDequeuersPass) {
-    ScqRing<> r(3);
+TYPED_TEST(ScqFamilyRing, StolenEnqueueTicketLeavesHoleDequeuersPass) {
+    TypeParam r(3);
     ASSERT_EQ(r.enqueue(1), EnqueueResult::kOk);
     r.debug_take_enqueue_ticket();  // claimed, never published
     ASSERT_EQ(r.enqueue(2), EnqueueResult::kOk);
@@ -104,6 +128,32 @@ TEST(ScqRing, StolenEnqueueTicketLeavesHoleDequeuersPass) {
     EXPECT_EQ(r.dequeue().value_or(0), 2u);
     EXPECT_FALSE(r.dequeue().has_value());
 }
+
+TYPED_TEST(ScqFamilyRing, ConcurrentIndexCirculation) {
+    // Indices 0..n-1 circulate through the ring under contention — the fq
+    // duty cycle.  Conservation: each index in flight exactly once.
+    TypeParam r(4, 0, 16);  // seeded full: 16 indices
+    std::atomic<std::uint64_t> moves{0};
+    test::run_threads(4, [&](int) {
+        while (moves.load(std::memory_order_relaxed) < 40'000) {
+            if (auto idx = r.dequeue()) {
+                ASSERT_LT(*idx, 16u);
+                ASSERT_EQ(r.enqueue(*idx), EnqueueResult::kOk);
+                moves.fetch_add(1, std::memory_order_relaxed);
+            }
+        }
+    });
+    std::vector<bool> seen(16, false);
+    std::uint64_t count = 0;
+    while (auto idx = r.dequeue()) {
+        ASSERT_FALSE(seen[*idx]) << "index " << *idx << " duplicated";
+        seen[*idx] = true;
+        ++count;
+    }
+    EXPECT_EQ(count, 16u);
+}
+
+// --- raw ring: SCQ's batch claims -----------------------------------------
 
 TEST(ScqRing, BulkClaimsCostOneFaaPerRound) {
     ScqRing<> r(5);  // capacity 32
@@ -145,34 +195,15 @@ TEST(ScqRing, EmptyBulkDequeueReturnsUnspentTickets) {
     for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(out[i], i);
 }
 
-TEST(ScqRing, ConcurrentIndexCirculation) {
-    // Indices 0..n-1 circulate through the ring under contention — the fq
-    // duty cycle.  Conservation: each index in flight exactly once.
-    ScqRing<> r(4, 0, 16);  // seeded full: 16 indices
-    std::atomic<std::uint64_t> moves{0};
-    test::run_threads(4, [&](int) {
-        while (moves.load(std::memory_order_relaxed) < 40'000) {
-            if (auto idx = r.dequeue()) {
-                ASSERT_LT(*idx, 16u);
-                ASSERT_EQ(r.enqueue(*idx), EnqueueResult::kOk);
-                moves.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-    });
-    std::vector<bool> seen(16, false);
-    std::uint64_t count = 0;
-    while (auto idx = r.dequeue()) {
-        ASSERT_FALSE(seen[*idx]) << "index " << *idx << " duplicated";
-        seen[*idx] = true;
-        ++count;
-    }
-    EXPECT_EQ(count, 16u);
-}
+// --- the aq/fq value queue ------------------------------------------------
 
-// --- the aq/fq value queue ----------------------------------------------
+template <typename Q>
+struct ScqFamilyValueQueue : ::testing::Test {};
+using FamilySegments = ::testing::Types<Scq<>, Wcq<>>;
+TYPED_TEST_SUITE(ScqFamilyValueQueue, FamilySegments, SegmentName);
 
-TEST(ScqValueQueue, RoundTripAndBackpressure) {
-    Scq<> q(2);  // capacity 4
+TYPED_TEST(ScqFamilyValueQueue, RoundTripAndBackpressure) {
+    TypeParam q(2);  // capacity 4
     EXPECT_EQ(q.capacity(), 4u);
     for (value_t v = 10; v < 14; ++v) {
         ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
@@ -188,8 +219,8 @@ TEST(ScqValueQueue, RoundTripAndBackpressure) {
     EXPECT_FALSE(q.dequeue().has_value());
 }
 
-TEST(ScqValueQueue, SeededConstructionMatchesLscqAppend) {
-    Scq<> q(2, 42);
+TYPED_TEST(ScqFamilyValueQueue, SeededConstructionMatchesListAppend) {
+    TypeParam q(2, 42);
     EXPECT_EQ(q.approx_size(), 1u);
     EXPECT_EQ(q.dequeue().value_or(0), 42u);
     EXPECT_FALSE(q.dequeue().has_value());
@@ -200,8 +231,8 @@ TEST(ScqValueQueue, SeededConstructionMatchesLscqAppend) {
     EXPECT_EQ(q.try_enqueue(5), EnqueueResult::kFull);
 }
 
-TEST(ScqValueQueue, CloseRecyclesTheUnpublishedSlot) {
-    Scq<> q(2);
+TYPED_TEST(ScqFamilyValueQueue, CloseRecyclesTheUnpublishedSlot) {
+    TypeParam q(2);
     ASSERT_EQ(q.try_enqueue(1), EnqueueResult::kOk);
     q.close();
     EXPECT_TRUE(q.closed());
@@ -213,6 +244,8 @@ TEST(ScqValueQueue, CloseRecyclesTheUnpublishedSlot) {
     EXPECT_EQ(q.dequeue().value_or(0), 1u);
     EXPECT_FALSE(q.dequeue().has_value());
 }
+
+// --- the aq/fq value queue: SCQ's batch paths -------------------------------
 
 TEST(ScqValueQueue, BulkRoundTripCostsTwoFaasPerSide) {
     Scq<> q(6);  // capacity 64 = one chunk

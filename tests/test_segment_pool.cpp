@@ -1,6 +1,8 @@
 // Segment pool (segment_pool.hpp) and in-place ring reset: pool unit
-// behaviour (bounded capacity, ownership, concurrent push/pop), ScqRing /
-// Scq reset correctness, and end-to-end recycling through LSCQ.
+// behaviour (bounded capacity, ownership, concurrent push/pop), ring and
+// segment reset, home-cluster recording and hugepage slabs (typed over
+// the SCQ family's two segments, Scq and Wcq), and end-to-end recycling
+// through LSCQ.
 //
 // Deliberately TSan-eligible: everything here is dummy nodes or the
 // CAS2-free SCQ family (the LCRQ-side pool paths are covered in test_lcrq
@@ -17,6 +19,7 @@
 #include "arch/counters.hpp"
 #include "queues/lscq.hpp"
 #include "queues/scq.hpp"
+#include "queues/wcq.hpp"
 #include "queues/segment_pool.hpp"
 #include "test_support.hpp"
 #include "topology/mem_policy.hpp"
@@ -137,8 +140,22 @@ TEST(SegmentPool, ConcurrentChurnNeitherLosesNorDoubles) {
 
 // --- in-place reset ---------------------------------------------------------
 
-TEST(ScqRingReset, BehavesLikeFreshRing) {
-    ScqRing<HardwareFaa> ring(3);  // capacity 8
+// The SCQ family's segments (and, through Segment::Ring, their rings);
+// suites are named by family member, "scq" or "wcq".
+using FamilySegments = ::testing::Types<Scq<>, Wcq<>>;
+struct SegmentName {
+    template <typename Q>
+    static std::string GetName(int) {
+        return Q::Ring::kName;
+    }
+};
+
+template <typename Q>
+struct ScqFamilyRingReset : ::testing::Test {};
+TYPED_TEST_SUITE(ScqFamilyRingReset, FamilySegments, SegmentName);
+
+TYPED_TEST(ScqFamilyRingReset, BehavesLikeFreshRing) {
+    typename TypeParam::Ring ring(3);  // capacity 8
     for (std::uint64_t i = 0; i < 8; ++i) {
         EXPECT_EQ(ring.enqueue(i), EnqueueResult::kOk);
     }
@@ -160,8 +177,8 @@ TEST(ScqRingReset, BehavesLikeFreshRing) {
     EXPECT_FALSE(ring.dequeue().has_value());
 }
 
-TEST(ScqRingReset, SeededResetMatchesSeededConstruction) {
-    ScqRing<HardwareFaa> ring(2, 0, 4);  // fq shape: holds 0..3
+TYPED_TEST(ScqFamilyRingReset, SeededResetMatchesSeededConstruction) {
+    typename TypeParam::Ring ring(2, 0, 4);  // fq shape: holds 0..3
     for (std::uint64_t i = 0; i < 4; ++i) {
         EXPECT_EQ(ring.dequeue().value_or(99), i);
     }
@@ -326,8 +343,12 @@ TEST(SegmentPool, FilesBySegmentHomeClusterWhenExposed) {
     topo::set_current_cluster(0);
 }
 
-TEST(ScqReset, DrainedClosedSegmentRecyclesToSeededState) {
-    Scq<HardwareFaa> q(2);
+template <typename Q>
+struct ScqFamilyReset : ::testing::Test {};
+TYPED_TEST_SUITE(ScqFamilyReset, FamilySegments, SegmentName);
+
+TYPED_TEST(ScqFamilyReset, DrainedClosedSegmentRecyclesToSeededState) {
+    TypeParam q(2);
     for (value_t v = 10; v < 14; ++v) {
         EXPECT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     }
@@ -336,7 +357,7 @@ TEST(ScqReset, DrainedClosedSegmentRecyclesToSeededState) {
     }
     q.close();
     EXPECT_TRUE(q.closed());
-    q.next.store(reinterpret_cast<Scq<HardwareFaa>*>(0x1), std::memory_order_relaxed);
+    q.next.store(reinterpret_cast<TypeParam*>(0x1), std::memory_order_relaxed);
 
     // As the list appends: "initialized to contain x".
     q.reset(QueueOptions{.ring_order = 2}, value_t{42});
@@ -420,12 +441,16 @@ TEST(LscqSegmentPool, MpmcChurnWithRecyclingKeepsFifo) {
 
 // --- NUMA-local substrate ---------------------------------------------------
 
-TEST(ScqHomeCluster, RecordsAllocatingCluster) {
+template <typename Q>
+struct ScqFamilyHomeCluster : ::testing::Test {};
+TYPED_TEST_SUITE(ScqFamilyHomeCluster, FamilySegments, SegmentName);
+
+TYPED_TEST(ScqFamilyHomeCluster, RecordsAllocatingCluster) {
     // The allocating thread's cluster is the segment's home for the rest
     // of its life (reset never moves the memory); a virtual-topology
     // cluster id beyond the host's shape must be recorded verbatim.
     topo::set_current_cluster(5);
-    Scq<HardwareFaa> q(2);
+    TypeParam q(2);
     EXPECT_EQ(q.home_cluster(), 5);
     q.reset(QueueOptions{.ring_order = 2}, value_t{9});
     EXPECT_EQ(q.home_cluster(), 5);
@@ -475,9 +500,13 @@ TEST(HugeSegments, SlabAllocHonorsForceNoThp) {
     ::unsetenv("LCRQ_FORCE_NO_THP");
 }
 
-TEST(HugeSegments, ForcedFallbackRingStaysPlainAndCorrect) {
+template <typename Q>
+struct ScqFamilyHugeSegments : ::testing::Test {};
+TYPED_TEST_SUITE(ScqFamilyHugeSegments, FamilySegments, SegmentName);
+
+TYPED_TEST(ScqFamilyHugeSegments, ForcedFallbackRingStaysPlainAndCorrect) {
     ::setenv("LCRQ_FORCE_NO_THP", "1", 1);
-    Scq<HardwareFaa> q(kHugeMinRingOrder, std::nullopt, /*huge=*/true);
+    TypeParam q(kHugeMinRingOrder, std::nullopt, {}, /*huge=*/true);
     EXPECT_FALSE(q.huge_backed());
     for (value_t v = 0; v < 100; ++v) {
         EXPECT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
@@ -488,21 +517,21 @@ TEST(HugeSegments, ForcedFallbackRingStaysPlainAndCorrect) {
     ::unsetenv("LCRQ_FORCE_NO_THP");
 }
 
-TEST(HugeSegments, SmallRingsNeverAskForHugepages) {
+TYPED_TEST(ScqFamilyHugeSegments, SmallRingsNeverAskForHugepages) {
     // Below kHugeMinRingOrder the 2 MiB rounding would waste more memory
     // than the dTLB entries it saves: the opt-in is ignored.
-    Scq<HardwareFaa> q(2, std::nullopt, /*huge=*/true);
+    TypeParam q(2, std::nullopt, {}, /*huge=*/true);
     EXPECT_FALSE(q.huge_backed());
     EXPECT_EQ(q.try_enqueue(7), EnqueueResult::kOk);
     EXPECT_EQ(q.dequeue().value_or(0), 7u);
 }
 
-TEST(HugeSegments, OptInLargeRingWorksWithOrWithoutThp) {
+TYPED_TEST(ScqFamilyHugeSegments, OptInLargeRingWorksWithOrWithoutThp) {
     // Whether this host grants THP or not, the opt-in ring must behave
     // identically; when it is granted, the kSegmentHuge counter records
     // the mapping.
     const auto before = stats::global_snapshot();
-    Scq<HardwareFaa> q(kHugeMinRingOrder, std::nullopt, /*huge=*/true);
+    TypeParam q(kHugeMinRingOrder, std::nullopt, {}, /*huge=*/true);
     const auto d = stats::global_snapshot() - before;
     if (q.huge_backed()) {
         EXPECT_GE(d[stats::Event::kSegmentHuge], 1u);

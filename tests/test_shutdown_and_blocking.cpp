@@ -69,8 +69,8 @@ TEST(LcrqShutdown, ConcurrentCloseNothingLostOrLate) {
         std::atomic<bool> closed_seen{false};
         test::run_threads(4, [&](int id) {
             if (id == 0) {
-                for (volatile int spin = 0; spin < 2000; ++spin) {
-                }
+                volatile int spin = 0;
+                while (spin < 2000) spin = spin + 1;
                 q.close();
                 closed_seen.store(true, std::memory_order_release);
             } else {

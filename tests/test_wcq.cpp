@@ -1,8 +1,9 @@
-// wCQ ring and value-queue pair (queues/wcq.hpp) plus the LwCQ list
-// (queues/lwcq.hpp): fast-path parity with SCQ (cycle/safe/threshold),
-// the helping slow path (publication, peer completion, commit/revert),
-// the ablation knobs (patience, helping), and MPMC exchanges on the
-// bounded queue and the unbounded list with hazard reclamation.
+// wCQ ring (queues/wcq.hpp) plus the LwCQ list (queues/lwcq.hpp): the
+// helping slow path (publication, peer completion, commit/revert), the
+// ablation knobs (patience, helping), and MPMC exchanges on the bounded
+// queue and the unbounded list with hazard reclamation.  What wCQ shares
+// with SCQ — the ticket core's FIFO/threshold/close behaviour and the
+// aq/fq value queue — runs as typed suites in test_scq.cpp.
 //
 // Thread-kill coverage lives in test_injection_wcq.cpp; here every
 // thread survives, so the slow path is driven explicitly through the
@@ -33,94 +34,6 @@ static_assert(ConcurrentQueue<LwcqNoReclaimQueue>);
 TEST(WcqEntry, AtomicEntryIsLockFreeAtRuntime) {
     WcqRing<>::Entry e{0};
     EXPECT_TRUE(e.is_lock_free());
-}
-
-// --- fast path: ScqRing parity -------------------------------------------
-
-TEST(WcqRing, FifoAcrossManyLaps) {
-    WcqRing<> r(2);  // capacity 4, ring of 8 entries
-    for (std::uint64_t lap = 0; lap < 16; ++lap) {
-        for (std::uint64_t i = 0; i < 4; ++i) {
-            ASSERT_EQ(r.enqueue(i), EnqueueResult::kOk);
-        }
-        for (std::uint64_t i = 0; i < 4; ++i) {
-            ASSERT_EQ(r.dequeue().value_or(99), i) << "lap " << lap;
-        }
-        ASSERT_FALSE(r.dequeue().has_value());
-    }
-}
-
-TEST(WcqRing, EmptyRingAnswersEmptyViaThresholdFastPath) {
-    WcqRing<> r(2);
-    EXPECT_LT(r.threshold(), 0);
-    const std::uint64_t h = r.head_index();
-    EXPECT_FALSE(r.dequeue().has_value());
-    EXPECT_EQ(r.head_index(), h) << "fast-path EMPTY must not take a ticket";
-}
-
-TEST(WcqRing, EnqueueRearmsThresholdTo3nMinus1) {
-    WcqRing<> r(2);  // n = 4
-    ASSERT_EQ(r.enqueue(0), EnqueueResult::kOk);
-    EXPECT_EQ(r.threshold(), 3 * 4 - 1);
-    ASSERT_TRUE(r.dequeue().has_value());
-    EXPECT_EQ(r.threshold(), 3 * 4 - 1);
-    EXPECT_FALSE(r.dequeue().has_value());
-    EXPECT_LT(r.threshold(), 3 * 4 - 1);
-}
-
-TEST(WcqRing, SeededConstructionHoldsTheRange) {
-    WcqRing<> r(3, 2, 7);  // seeds 2..6
-    EXPECT_EQ(r.tail_index() - r.head_index(), 5u);
-    for (std::uint64_t i = 2; i < 7; ++i) {
-        ASSERT_EQ(r.dequeue().value_or(99), i);
-    }
-    EXPECT_FALSE(r.dequeue().has_value());
-}
-
-TEST(WcqRing, CloseRefusesEnqueuesButDrains) {
-    WcqRing<> r(2);
-    ASSERT_EQ(r.enqueue(1), EnqueueResult::kOk);
-    ASSERT_EQ(r.enqueue(2), EnqueueResult::kOk);
-    r.close();
-    EXPECT_TRUE(r.closed());
-    EXPECT_EQ(r.enqueue(3), EnqueueResult::kClosed);
-    EXPECT_EQ(r.dequeue().value_or(0), 1u);
-    EXPECT_EQ(r.dequeue().value_or(0), 2u);
-    EXPECT_FALSE(r.dequeue().has_value());
-    r.close();  // idempotent
-    EXPECT_TRUE(r.closed());
-}
-
-TEST(WcqRing, StolenEnqueueTicketLeavesHoleDequeuersPass) {
-    WcqRing<> r(3);
-    ASSERT_EQ(r.enqueue(1), EnqueueResult::kOk);
-    r.debug_take_enqueue_ticket();  // claimed, never published
-    ASSERT_EQ(r.enqueue(2), EnqueueResult::kOk);
-    EXPECT_EQ(r.dequeue().value_or(0), 1u);
-    EXPECT_EQ(r.dequeue().value_or(0), 2u);
-    EXPECT_FALSE(r.dequeue().has_value());
-}
-
-TEST(WcqRing, ConcurrentIndexCirculation) {
-    WcqRing<> r(4, 0, 16);  // seeded full: 16 indices circulate
-    std::atomic<std::uint64_t> moves{0};
-    test::run_threads(4, [&](int) {
-        while (moves.load(std::memory_order_relaxed) < 40'000) {
-            if (auto idx = r.dequeue()) {
-                ASSERT_LT(*idx, 16u);
-                ASSERT_EQ(r.enqueue(*idx), EnqueueResult::kOk);
-                moves.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-    });
-    std::vector<bool> seen(16, false);
-    std::uint64_t count = 0;
-    while (auto idx = r.dequeue()) {
-        ASSERT_FALSE(seen[*idx]) << "index " << *idx << " duplicated";
-        seen[*idx] = true;
-        ++count;
-    }
-    EXPECT_EQ(count, 16u);
 }
 
 // --- the helping slow path -----------------------------------------------
@@ -224,34 +137,7 @@ TEST(WcqRing, ConcurrentSlowPathCirculation) {
     EXPECT_EQ(count, 8u);
 }
 
-// --- the aq/fq value queue and the bounded registry queue ----------------
-
-TEST(WcqValueQueue, RoundTripAndBackpressure) {
-    Wcq<> q(2);  // capacity 4
-    EXPECT_EQ(q.capacity(), 4u);
-    for (value_t v = 10; v < 14; ++v) {
-        ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
-    }
-    EXPECT_EQ(q.try_enqueue(99), EnqueueResult::kFull);
-    EXPECT_EQ(q.dequeue().value_or(0), 10u);
-    EXPECT_EQ(q.try_enqueue(14), EnqueueResult::kOk);
-    for (value_t v = 11; v < 15; ++v) {
-        ASSERT_EQ(q.dequeue().value_or(0), v);
-    }
-    EXPECT_FALSE(q.dequeue().has_value());
-}
-
-TEST(WcqValueQueue, CloseRecyclesTheUnpublishedSlot) {
-    Wcq<> q(2);
-    ASSERT_EQ(q.try_enqueue(1), EnqueueResult::kOk);
-    q.close();
-    EXPECT_TRUE(q.closed());
-    for (int i = 0; i < 20; ++i) {
-        ASSERT_EQ(q.try_enqueue(50), EnqueueResult::kClosed);
-    }
-    EXPECT_EQ(q.dequeue().value_or(0), 1u);
-    EXPECT_FALSE(q.dequeue().has_value());
-}
+// --- the bounded registry queue --------------------------------------------
 
 TEST(WcqQueueTest, MpmcExchangeLosesNothing) {
     QueueOptions opt;
