@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local verification: plain build + tests, ASan tests, TSan tests on
 # the `tsan`-labelled binaries (tests/CMakeLists.txt says which qualify and
-# why: TSan cannot see through the CRQ's cmpxchg16b inline asm).
+# why: TSan cannot see through the CRQ's cmpxchg16b inline asm), the
+# injection builds, and UBSan.
 set -euo pipefail
 cmake -B build -G Ninja
 cmake --build build
@@ -25,6 +26,12 @@ ctest --test-dir build-inject --output-on-failure -L inject
 cmake -B build-tsan-inject -G Ninja -DLCRQ_INJECT=ON -DLCRQ_ENABLE_TSAN=ON -DLCRQ_ENABLE_BENCH=OFF -DLCRQ_ENABLE_EXAMPLES=OFF
 cmake --build build-tsan-inject
 ctest --test-dir build-tsan-inject --output-on-failure -L tsan -L inject
+
+# UndefinedBehaviorSanitizer with injection on: the whole suite, since
+# UBSan (unlike TSan) sees through cmpxchg16b; any report aborts.
+cmake -B build-ubsan -G Ninja -DLCRQ_ENABLE_UBSAN=ON -DLCRQ_INJECT=ON -DLCRQ_ENABLE_BENCH=OFF -DLCRQ_ENABLE_EXAMPLES=OFF
+cmake --build build-ubsan
+ctest --test-dir build-ubsan --output-on-failure
 
 # Hugepage fallback: force the THP-unavailable path (LCRQ_FORCE_NO_THP)
 # and re-run the suites that exercise -huge variants and the slab layer,

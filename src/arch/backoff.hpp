@@ -1,12 +1,13 @@
 // Waiting primitives.
 //
-// Every spin loop in this library — combiner waits in the CC/H/FC queues,
-// the CRQ dequeue's bounded wait for a matching enqueuer, the cluster
-// handoff of the hierarchical variants — goes through SpinWait, which
-// escalates `pause` -> `sched_yield`.  The escalation is what keeps the
-// blocking baselines live when threads outnumber hardware threads (the
-// regime of Figure 6b, and the only regime this 1-CPU host has): a waiter
-// that never yields can deny the combiner the CPU it is waiting on.
+// Every unbounded spin loop in this library — combiner waits in the
+// CC/H/FC queues, the cluster handoff of the hierarchical variants — goes
+// through SpinWait, which escalates `pause` -> `sched_yield`.  (The CRQ
+// dequeue's wait for a matching enqueuer is a capped cpu_relax() loop.)
+// The escalation is what keeps the blocking baselines live when threads
+// outnumber hardware threads (the regime of Figure 6b, and the only one a
+// 1-CPU host has): a waiter that never yields can deny the combiner the
+// CPU it is waiting on.
 #pragma once
 
 #include <cstdint>

@@ -453,11 +453,16 @@ class Crq {
                 // Empty cell (idx ≤ h).  If the matching enqueuer is
                 // already active (tail passed h), give it a moment before
                 // poisoning the node — saves both operations a round
-                // through the contended F&As (§4.1.1).
+                // through the contended F&As (§4.1.1).  Open rings only:
+                // on a closed ring the tickets past the close went to
+                // enqueuers that saw CLOSED and left, so nobody is en
+                // route and the wait would only delay the poison.  A
+                // bounded cpu_relax() loop; it never yields.
                 if (spins < spin_wait_iters_) {
                     const std::uint64_t traw =
                         tail_->load(std::memory_order_seq_cst);
-                    if ((traw & detail::kIdxMask) > h) {
+                    if ((traw & detail::kMsb) == 0 &&
+                        (traw & detail::kIdxMask) > h) {
                         ++spins;
                         stats::count(stats::Event::kSpinWait);
                         cpu_relax();

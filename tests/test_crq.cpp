@@ -49,8 +49,9 @@ TEST(Crq, WrapsAroundManyLaps) {
     EXPECT_FALSE(q.closed());
 }
 
-TEST(Crq, ClosesWhenFull) {
-    Crq<> q(small_ring(2));  // R = 4
+// Enqueue into an R = 4 ring until it closes, then once more: items 1..4
+// are stored, and tickets 4 (the closing one) and 5 (post-close) are dead.
+void overflow_r4(Crq<>& q) {
     int stored = 0;
     EnqueueResult r = EnqueueResult::kOk;
     for (int i = 0; i < 16 && r == EnqueueResult::kOk; ++i) {
@@ -62,9 +63,30 @@ TEST(Crq, ClosesWhenFull) {
     EXPECT_EQ(stored, 4);
     // Tantrum semantics: closed forever.
     EXPECT_EQ(q.try_enqueue(99), EnqueueResult::kClosed);
+}
+
+// The §4.1.1 spin-wait is for an enqueuer en route to the dequeuer's
+// ticket.  The dead tickets of a closed ring went to enqueuers that saw
+// CLOSED and left, so draining past them must not wait (an ungated wait
+// would spend spin_wait_iters = 64 on each: 128).
+TEST(Crq, ClosesWhenFull) {
+    Crq<> q(small_ring(2));  // R = 4
+    overflow_r4(q);
     // Items stored before the close drain in FIFO order.
+    const stats::Snapshot before = stats::global_snapshot();
     for (value_t v = 1; v <= 4; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
     EXPECT_FALSE(q.dequeue().has_value());
+    EXPECT_EQ(test::spin_waits_since(before), 0u);
+}
+
+TEST(Crq, ClosedRingBulkDrainDoesNotSpinWait) {
+    Crq<> q(small_ring(2));  // R = 4
+    overflow_r4(q);
+    const stats::Snapshot before = stats::global_snapshot();
+    value_t out[16] = {};
+    ASSERT_EQ(q.dequeue_bulk(out, 16), 4u);
+    for (value_t v = 1; v <= 4; ++v) EXPECT_EQ(out[v - 1], v);
+    EXPECT_EQ(test::spin_waits_since(before), 0u);
 }
 
 TEST(Crq, ExplicitCloseIsIdempotent) {

@@ -32,12 +32,16 @@ TEST(CrqProgress, DeadEnqueuerDoesNotBlockDequeuers) {
 
     // All four real items drain in FIFO order; the dequeuer that draws the
     // hole's index spin-waits briefly, poisons the cell, and moves on.
+    const stats::Snapshot before = stats::global_snapshot();
     for (value_t v = 1; v <= 4; ++v) {
         auto r = q.dequeue();
         ASSERT_TRUE(r.has_value()) << v;
         EXPECT_EQ(*r, v);
     }
     EXPECT_FALSE(q.dequeue().has_value());
+    // The ring is open, so the hole's ticket gets the full wait
+    // (spin_wait_iters = 4) and no other ticket waits at all.
+    EXPECT_EQ(test::spin_waits_since(before), 4u);
     // And the queue keeps working afterwards.
     ASSERT_EQ(q.try_enqueue(9), EnqueueResult::kOk);
     EXPECT_EQ(q.dequeue().value_or(0), 9u);

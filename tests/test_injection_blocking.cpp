@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -164,13 +165,22 @@ TEST_F(InjectBlocking, KilledBoundedProducerUnwindKeepsFacadeUsable) {
 
 // Seeded random sweep over the bounded-enqueue wait window: tiny capacity
 // so producers constantly ride the watermark, random delays at every
-// facade and LSCQ point, full exactly-once FIFO accounting.
+// facade and LSCQ point, full exactly-once FIFO accounting.  Consumers
+// start only once a producer has parked: with the facade full and nobody
+// dequeuing, a producer must exhaust its fast attempts and reach the
+// wait, so every seed covers the window by construction.
 TEST_F(InjectBlocking, RandomPerturbationSweepBoundedEnqueue) {
     constexpr int kProducers = 2;
     constexpr int kConsumers = 2;
     constexpr std::uint64_t kPerProducer = 200;
 
     std::uint64_t block_window_visits = 0;
+    const auto producer_parked = [] {
+        for (int p = 0; p < kProducers; ++p) {
+            if (ctl().visits(p, Point::kBlockWait) > 0) return true;
+        }
+        return false;
+    };
     for (const std::uint64_t seed : test::inject_seeds(0xb10c, 6)) {
         ctl().reset();
         ctl().arm_random(seed, /*delay_per_256=*/96);
@@ -188,6 +198,14 @@ TEST_F(InjectBlocking, RandomPerturbationSweepBoundedEnqueue) {
                               WaitStatus::kOk);
                 }
             } else {
+                // Bounded: a missed window fails the EXPECT_GT below, not
+                // the run.
+                const auto deadline =
+                    std::chrono::steady_clock::now() + std::chrono::seconds{10};
+                while (!producer_parked() &&
+                       std::chrono::steady_clock::now() < deadline) {
+                    std::this_thread::yield();
+                }
                 auto& mine = received[static_cast<std::size_t>(id - kProducers)];
                 while (consumed.load(std::memory_order_acquire) < total) {
                     const WaitResult r = q.wait_dequeue_for(1'000'000);

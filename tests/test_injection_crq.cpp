@@ -1,7 +1,8 @@
 // Schedule injection against the real Crq hot paths: deterministic window
 // forcing for the transitions real-thread tests only hit by luck (unsafe
 // transition, bulk ticket-handback contention, a ticket stolen by a killed
-// enqueuer), plus seed-replayable random sweeps.
+// enqueuer, the spin-wait's en-route window on an open and a closed ring),
+// plus seed-replayable random sweeps.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -206,6 +207,62 @@ TEST_F(InjectCrq, KilledEnqueuerLeavesHoleSurvivorsPoisonPast) {
     EXPECT_EQ(survivor_got[0], 1u);
     EXPECT_EQ(survivor_got[1], 2u);
     EXPECT_FALSE(q.dequeue().has_value());
+}
+
+// The window the §4.1.1 spin-wait is for: enq_0 holds ticket 0 but has not
+// touched its cell when deq_0 finds the cell empty.  The enqueuer is held
+// past its F&A until the dequeuer reaches the empty transition, so the
+// wait cannot end early and its length is exact.  Every schedule after
+// the release ends the same way: if the enqueuer read its cell before the
+// poison landed, a second hold keeps its CAS2 until the first dequeue is
+// over, and starvation limit 1 makes the failed ticket close the ring
+// instead of drawing a new one the dequeuer would wait on.  Returns the
+// spin-waits recorded.
+std::uint64_t spin_waits_in_window(bool close_while_held) {
+    QueueOptions opt = tiny_ring(3, /*starvation=*/1);  // R = 8
+    opt.spin_wait_iters = 8;
+    Crq<> q(opt);
+    ctl().set_hold_deadline(std::chrono::seconds{10});
+    ctl().hold_until(1, Point::kEnqAfterFaa, 1, 0, Point::kDeqBeforeEmptyCas2, 1);
+    ctl().hold_until(1, Point::kEnqBeforeCas2, 1, 0, Point::kDeqAfterFaa, 2);
+    ctl().arm();
+
+    const stats::Snapshot before = stats::global_snapshot();
+    EnqueueResult enq = EnqueueResult::kOk;
+    std::optional<value_t> first;
+    std::optional<value_t> second;
+    run_threads(2, [&](int id) {
+        ctl().bind_thread(id);
+        if (id == 1) {
+            enq = q.try_enqueue(7);  // ticket 0, held before its cell
+        } else {
+            await([&] { return ctl().visits(1, Point::kEnqAfterFaa) >= 1; });
+            if (close_while_held) q.close();
+            first = q.dequeue();   // ticket 0: [waits, then] poisons
+            second = q.dequeue();  // ticket 1: releases a held CAS2
+        }
+    });
+    const std::uint64_t spins = test::spin_waits_since(before);
+
+    EXPECT_EQ(ctl().hold_timeouts(), 0u) << "window was not constructed";
+    EXPECT_EQ(enq, EnqueueResult::kClosed);
+    EXPECT_FALSE(first.has_value());
+    EXPECT_FALSE(second.has_value());
+    EXPECT_FALSE(q.dequeue().has_value()) << "a refused item surfaced";
+    return spins;
+}
+
+// On an open ring the en-route enqueuer gets the full wait.
+TEST_F(InjectCrq, SpinWaitOnOpenRingWaitsForEnRouteEnqueuer) {
+    EXPECT_EQ(spin_waits_in_window(/*close_while_held=*/false), 8u);
+}
+
+// Closed while the enqueuer is held: the dequeuer poisons at once, even
+// though this enqueuer drew its ticket before the close.  The tickets past
+// a close are dead, and the gate does not tell them from the few
+// pre-close ones still in flight.
+TEST_F(InjectCrq, SpinWaitSkippedOnceRingCloses) {
+    EXPECT_EQ(spin_waits_in_window(/*close_while_held=*/true), 0u);
 }
 
 // Random perturbation sweep on the raw ring.  The CRQ is a tantrum queue:

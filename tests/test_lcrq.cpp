@@ -32,6 +32,22 @@ TEST(Lcrq, FifoAcrossManySegments) {
     EXPECT_FALSE(q.dequeue().has_value());
 }
 
+// Segment turnover: each full R = 8 ring closes on one dead ticket and
+// the list appends a fresh one.  Draining past a closed ring's dead ticket
+// must not spin-wait, since nobody is en route to it (an ungated wait
+// would spend spin_wait_iters = 64 per switch: 576).
+TEST(Lcrq, SegmentSwitchDoesNotSpinWait) {
+    QueueOptions opt;
+    opt.ring_order = 3;  // R = 8
+    LcrqQueue q(opt);
+    const stats::Snapshot before = stats::global_snapshot();
+    for (value_t v = 1; v <= 80; ++v) q.enqueue(v);
+    EXPECT_EQ((stats::global_snapshot() - before)[stats::Event::kCrqAppend], 9u);
+    for (value_t v = 1; v <= 80; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
+    EXPECT_FALSE(q.dequeue().has_value());
+    EXPECT_EQ(test::spin_waits_since(before), 0u);
+}
+
 TEST(Lcrq, InterleavedEnqueueDequeue) {
     LcrqQueue q(tiny());
     value_t next_in = 1;

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "arch/counters.hpp"
 #include "arch/inject.hpp"
 #include "queues/queue_common.hpp"
 #include "util/xorshift.hpp"
@@ -32,6 +33,12 @@ constexpr unsigned tag_producer(value_t v) noexcept {
 }
 constexpr std::uint64_t tag_seq(value_t v) noexcept {
     return (v & ((value_t{1} << 40) - 1)) - 1;
+}
+
+// CRQ dequeue spin-waits (§4.1.1) recorded process-wide since `before`:
+// exact when only the calling thread dequeues.
+inline std::uint64_t spin_waits_since(const stats::Snapshot& before) {
+    return (stats::global_snapshot() - before)[stats::Event::kSpinWait];
 }
 
 // Run `threads` copies of `body(thread_index)` with a start barrier so
