@@ -1,10 +1,13 @@
 // google-benchmark microbenchmarks of single queue operations: the cost
 // of an enqueue/dequeue pair on every registered queue, single-threaded
-// (pure instruction cost, no contention) and multi-threaded.
+// (pure instruction cost, no contention) and multi-threaded — plus the
+// same pair through a bounded blocking facade at a standing depth.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
+#include "queues/blocking_queue.hpp"
+#include "queues/lcrq.hpp"
 #include "registry/queue_registry.hpp"
 
 namespace {
@@ -33,6 +36,25 @@ void BM_EnqueueDequeuePair(benchmark::State& state, AnyQueue* q) {
     }
     state.SetItemsProcessed(state.iterations() * 2);
 }
+
+// One admission and one dequeue on a bounded BlockingQueue<LcrqQueue>
+// (R = 2^6) that holds range(0) items: every admission reads the capacity
+// watermark, approx_size(), so this is what that read costs as the
+// segment list grows (65,536 items = 1,025 segments).
+void BM_BoundedFacadePairAtDepth(benchmark::State& state) {
+    QueueOptions opt;
+    opt.ring_order = 6;
+    BlockingQueue<LcrqQueue> q(opt, std::size_t{1} << 22);
+    const auto depth = static_cast<value_t>(state.range(0));
+    for (value_t v = 1; v <= depth; ++v) q.try_enqueue(v);
+    value_t next = depth + 1;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(q.try_enqueue(next++));
+        benchmark::DoNotOptimize(q.try_dequeue());
+    }
+    state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_BoundedFacadePairAtDepth)->Arg(0)->Arg(4096)->Arg(65536);
 
 void register_all() {
     for (const auto& info : queue_catalog()) {

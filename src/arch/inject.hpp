@@ -47,7 +47,8 @@ enum class Point : std::uint8_t {
     kListEmptyObserved,    // LinkedSegments::dequeue[_bulk], segment reported EMPTY
     kListAppend,           // LinkedSegments, fresh segment linked (append CAS succeeded)
     kListHeadSwing,        // LinkedSegments, before the head-swing CAS
-    kApproxSizeWalk,       // LinkedSegments::sum_segments, next segment protected
+    kApproxSizeWalk,       // LinkedSegments::segment_count walk, next segment
+                           //   protected (approx_size no longer walks)
     kHazardRetire,         // HazardThread::retire_impl, object handed over
     kHazardScan,           // HazardDomain::drain, reclamation pass starting
     kScqEnqAfterFaa,       // ScqRing/WcqRing::enqueue, ticket obtained
@@ -88,9 +89,10 @@ enum class Point : std::uint8_t {
                            //   done, about to sleep on the eventcount (a
                            //   kill here models a consumer/producer dying
                            //   while parked)
-    kBlockNotify,          // BlockingQueue, item published and epoch
-                           //   bumped, the futex wake not yet issued (a
-                           //   kill here models a producer dying between
+    kBlockNotify,          // BlockingQueue (EventCount::signal), change
+                           //   published, a waiter seen registered and the
+                           //   epoch bumped, the futex wake not yet issued
+                           //   (a kill here models a producer dying between
                            //   publish and notify — sleepers must still
                            //   make progress via the sliced wait)
     kDrain,                // BlockingQueue::drain, one drain-loop pass (a

@@ -14,10 +14,13 @@
 //
 // Lost-wakeup freedom (the eventcount argument, restated for stacks):
 // the waiter pushes its node with a seq_cst fence before re-reading the
-// epoch; the waker bumps the epoch (seq_cst RMW inside the blocking
-// facade) before popping the stack.  Either the waiter's re-read sees the
-// bump (it aborts the park and resumes itself), or the push precedes the
-// pop in the head's modification order and the waker resumes it.
+// epoch; the waker, after publishing, bumps the epoch and fences before
+// popping the stack.  Either the waiter's re-read sees the bump (it aborts
+// the park and resumes itself), or the push precedes the pop in the
+// head's modification order and the waker resumes it.  The bump is the
+// waker's own: awaiters are not counted waiters, and the blocking
+// facade's signal bumps only for counted ones (verify/notify_model.hpp
+// checks both pairs, and that dropping this bump strands an awaiter).
 //
 // Node ownership: nodes are heap-allocated, one per park, and reference
 // counted by the two parties that may touch them concurrently: the
@@ -169,7 +172,7 @@ class AsyncQueue {
         for (;;) {
             const std::uint32_t epoch = bq_.items_epoch();
             if (auto v = bq_.try_dequeue()) {
-                wake(producer_waiters_);  // bounded producers may be parked
+                wake(Side::kSpace);  // bounded producers may be parked
                 co_return v;
             }
             if (bq_.closed()) {
@@ -177,7 +180,7 @@ class AsyncQueue {
                 // path: a zero-deadline wait drains or linearizes EMPTY.
                 WaitResult r = bq_.wait_dequeue_for(0);
                 if (r.ok()) {
-                    wake(producer_waiters_);
+                    wake(Side::kSpace);
                     co_return r.value;
                 }
                 co_return std::nullopt;
@@ -196,7 +199,7 @@ class AsyncQueue {
             const std::uint32_t epoch = bq_.space_epoch();
             switch (bq_.try_admit(x)) {
                 case Admission::kAccepted:
-                    wake(consumer_waiters_);  // parked consumer frames, if any
+                    wake(Side::kItems);  // parked consumer frames, if any
                     co_return true;
                 case Admission::kClosed:
                     co_return false;
@@ -210,19 +213,19 @@ class AsyncQueue {
     // Thread-side bridges for producers/consumers that are not coroutines.
     bool enqueue_sync(value_t x) {
         const bool ok = bq_.try_enqueue(x);
-        if (ok) wake(consumer_waiters_);
+        if (ok) wake(Side::kItems);
         return ok;
     }
     std::optional<value_t> try_dequeue_sync() {
         auto v = bq_.try_dequeue();
-        if (v) wake(producer_waiters_);
+        if (v) wake(Side::kSpace);
         return v;
     }
 
     void close() {
         bq_.close();
-        wake(consumer_waiters_);
-        wake(producer_waiters_);
+        wake(Side::kItems);
+        wake(Side::kSpace);
     }
     bool closed() const noexcept { return bq_.closed(); }
 
@@ -316,11 +319,20 @@ class AsyncQueue {
         Side side_;
     };
 
-    // Resume every parked frame on `stack`.  Each pop drops the stack's
-    // reference; the node is freed once the awaiter has dropped its own
-    // (aborted nodes — their frame already resumed itself — only get the
-    // reference drop here).
-    void wake(WaiterStack& stack) {
+    // Resume every frame parked on `side` (call after publishing).  First
+    // advance the epoch those frames watch: the facade's signal skips the
+    // bump for uncounted waiters, so without this an awaiter that read the
+    // epoch before the publish and pushed after our pop would park for
+    // good.  Each pop drops the stack's reference; the node is freed once
+    // the awaiter has dropped its own (aborted nodes — their frame already
+    // resumed itself — only get the reference drop here).
+    void wake(Side side) {
+        WaiterStack& stack = side == Side::kItems ? consumer_waiters_ : producer_waiters_;
+        if (side == Side::kItems) {
+            bq_.advance_items_epoch();
+        } else {
+            bq_.advance_space_epoch();
+        }
         std::atomic_thread_fence(std::memory_order_seq_cst);
         WaiterNode* n = stack.pop_all();
         while (n != nullptr) {

@@ -7,9 +7,18 @@
 // bound — layer this facade on top.  Two futex eventcounts turn the
 // nonblocking operations into blocking ones without touching the queue's
 // hot path: consumers only enter the futex slow path after the fast
-// dequeue misses, producers only pay a wake syscall when a waiter is
-// registered, and (bounded mode) producers sleep on a second eventcount
-// that dequeues bump.
+// dequeue misses, producers only bump the epoch and pay a wake syscall
+// when a waiter is registered, and (bounded mode) producers sleep on a
+// second eventcount that dequeues signal.
+//
+// Idle waiters write nothing shared.  A waiter makes one real dequeue
+// (or admission), then, for a spin window of kSpinWindowNs timed with the
+// TSC, polls the base's read-only looks_empty() peek and makes a real
+// attempt only when the peek says items arrived.  Bases without a peek
+// (and AnyQueue's default) answer "don't know", so their window is spent
+// on real attempts.  The window is one futex park->wake round trip, so
+// a wake that would come within that time is caught spinning instead of
+// paying for the park.
 //
 // Semantics:
 //   try_enqueue(x)      — nonblocking admission: false when closed, at the
@@ -30,7 +39,8 @@
 //                         "closed and drained, stop".  Sleeps for real: a
 //                         futex timed wait on Linux (sliced, so a lost
 //                         notify costs bounded latency, never a strand),
-//                         a sliced sleep_for elsewhere.
+//                         a sliced sleep_for elsewhere.  A zero or past
+//                         deadline still makes one real dequeue.
 //   close()             — wakes everyone; further enqueues are refused,
 //                         pending items remain dequeueable.
 //   drain(timeout_ns)   — close (if needed) and dequeue the remainder
@@ -120,32 +130,48 @@ struct DrainReport {
 namespace detail {
 
 // 32-bit futex eventcount: epoch word sleepers wait on + waiter count so
-// the notifier's wake syscall is skipped when nobody sleeps.  32-bit
-// because FUTEX_WAIT compares exactly 4 bytes; epoch wraparound after 2^32
-// signals is harmless (a sleeper whose observed epoch is re-reached after
-// a full wrap eats one spurious slice timeout and re-checks).
+// a notifier with nobody registered writes nothing.  32-bit because
+// FUTEX_WAIT compares exactly 4 bytes; epoch wraparound after 2^32 bumps
+// is harmless (a sleeper whose observed epoch is re-reached after a full
+// wrap eats one spurious slice timeout and re-checks).
+//
+// The handshake (verify/notify_model.hpp enumerates its interleavings):
+//   waiter:   announce_waiter(); e = prepare(); re-check the condition;
+//             wait_slice(e, ...) if it still fails; retract_waiter().
+//   notifier: publish the change; signal().
+// signal() is a fence and a load of the waiter count; it bumps and wakes
+// only when that count is nonzero.  The two seq_cst fences (after the
+// announce, before the count load) order the pair: either the notifier
+// sees the registration and bumps — so the sleeper's futex compare fails
+// or the wake finds it parked — or the waiter's re-check sees the
+// published change and never sleeps.
 class EventCount {
   public:
-    // Snapshot the epoch *before* the final condition re-check; pass it to
-    // wait_slice so a signal between re-check and sleep is never missed.
+    // Snapshot the epoch after announce_waiter() and before the final
+    // condition re-check; pass it to wait_slice so a signal between
+    // re-check and sleep is never missed.
     std::uint32_t prepare() const noexcept {
         return epoch_.load(std::memory_order_acquire);
     }
 
-    void announce_waiter() noexcept { waiters_.fetch_add(1, std::memory_order_seq_cst); }
+    void announce_waiter() noexcept {
+        waiters_.fetch_add(1, std::memory_order_seq_cst);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+    }
     void retract_waiter() noexcept { waiters_.fetch_sub(1, std::memory_order_seq_cst); }
 
-    // Publish "the condition may have changed".  The seq_cst epoch bump
-    // orders against the waiter-side announce+re-check: either the sleeper
-    // sees the new epoch and refuses to sleep, or the signaler sees the
-    // registered waiter and issues the wake.
+    // Unconditional epoch advance, for layers whose waiters watch the
+    // epoch without registering (the coroutine facade's awaiters).
     void bump() noexcept { epoch_.fetch_add(1, std::memory_order_seq_cst); }
-    void wake_if_waiters() noexcept {
-        if (waiters_.load(std::memory_order_seq_cst) != 0) wake_all();
-    }
-    void signal() noexcept {
+
+    // Publish "the condition may have changed" to registered waiters.  The
+    // injection point sits in the bump-to-wake window.
+    void signal() LCRQ_INJECT_NOEXCEPT {
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (waiters_.load(std::memory_order_relaxed) == 0) return;
         bump();
-        wake_if_waiters();
+        LCRQ_INJECT_POINT(kBlockNotify);
+        wake_all();
     }
 
     // Sleep until the epoch moves past `observed` or roughly `slice_ns`
@@ -203,8 +229,9 @@ class WaiterGuard {
 
 // Adapter so the facade composes over a registry-constructed backend:
 // BlockingQueue<UniquePtrBase<AnyQueue>> wraps any catalog queue picked at
-// runtime.  AnyQueue exposes only the total enqueue/dequeue, so the facade
-// falls back to its own size counters for the capacity watermark.
+// runtime.  AnyQueue exposes the total enqueue/dequeue and the waiters'
+// peek, so the facade falls back to its own size counters for the
+// capacity watermark.
 template <typename Q>
 class UniquePtrBase {
   public:
@@ -214,6 +241,11 @@ class UniquePtrBase {
 
     void enqueue(value_t x) { q_->enqueue(x); }
     std::optional<value_t> dequeue() { return q_->dequeue(); }
+    bool looks_empty()
+        requires requires(Q& q) { { q.looks_empty() } -> std::same_as<bool>; }
+    {
+        return q_->looks_empty();
+    }
 
     Q& operator*() noexcept { return *q_; }
     Q* operator->() noexcept { return q_.get(); }
@@ -239,6 +271,8 @@ class BlockingQueue {
     // progress.
     static constexpr bool kBaseIsBounded =
         requires(const Base& b) { { b.capacity() } -> std::convertible_to<std::uint64_t>; };
+    static constexpr bool kBaseHasPeek =
+        requires(Base& b) { { b.looks_empty() } -> std::same_as<bool>; };
 
   public:
     // capacity == 0 means unbounded (no watermark, no shedding).
@@ -277,35 +311,38 @@ class BlockingQueue {
         return wait_enqueue_until(x, saturating_deadline(timeout_ns));
     }
 
-    // Bounded-mode producer wait: sleeps on the space eventcount (bumped by
-    // every successful dequeue) until the item is admitted, the queue
-    // closes, or the deadline passes.  A timeout counts as a shed — the
-    // caller's request is dropped at the watermark, just later.
+    // Bounded-mode producer wait: retries admission for a spin window,
+    // then sleeps on the space eventcount (signalled by dequeues) until the
+    // item is admitted, the queue closes, or the deadline passes.  A
+    // timeout counts as a shed — the caller's request is dropped at the
+    // watermark, just later.
     WaitStatus wait_enqueue_until(value_t x, std::uint64_t deadline_ns) {
-        SpinWait spinner;
         bool counted_block = false;
+        std::uint64_t spin_end = 0;  // opened by the first refusal
         for (;;) {
-            for (int i = 0; i < kFastAttempts; ++i) {
-                switch (admit(x)) {
-                    case Admission::kAccepted:
-                        return WaitStatus::kOk;
-                    case Admission::kClosed:
-                        return WaitStatus::kClosed;
-                    case Admission::kFull:
-                        break;
-                }
-                if (now_ns() >= deadline_ns) {
-                    stats::count(stats::Event::kShed);
-                    return WaitStatus::kTimeout;
-                }
-                spinner.spin();
+            switch (admit(x)) {
+                case Admission::kAccepted:
+                    return WaitStatus::kOk;
+                case Admission::kClosed:
+                    return WaitStatus::kClosed;
+                case Admission::kFull:
+                    break;
+            }
+            if (spin_end == 0) spin_end = spin_window_end(deadline_ns);
+            if (rdtsc() < spin_end) {
+                cpu_relax();
+                continue;
+            }
+            if (now_ns() >= deadline_ns) {
+                stats::count(stats::Event::kShed);
+                return WaitStatus::kTimeout;
             }
             // Slow path: register on the space eventcount, re-check (a
             // dequeue may have landed between the miss and registration),
             // then sleep one slice.
-            const std::uint32_t observed = space_ec_.prepare();
             {
                 detail::WaiterGuard guard(space_ec_);
+                const std::uint32_t observed = space_ec_.prepare();
                 switch (admit(x)) {
                     case Admission::kAccepted:
                         return WaitStatus::kOk;
@@ -327,7 +364,7 @@ class BlockingQueue {
                 space_ec_.wait_slice(observed,
                                      std::min(deadline_ns - nw, kMaxSliceNs));
             }
-            spinner.reset();
+            spin_end = 0;
         }
     }
 
@@ -348,24 +385,24 @@ class BlockingQueue {
         return wait_dequeue_until(saturating_deadline(timeout_ns));
     }
 
-    // Timed wait.  Optimistic attempts first, then register on the items
+    // Timed wait.  One real dequeue, then peeks between real dequeues for
+    // a spin window (capped by the deadline), then register on the items
     // eventcount and sleep in deadline-capped slices (futex on Linux).  The
     // slice cap bounds the damage of a lost notify: a producer killed
-    // between publish and wake (kBlockNotify) delays the sleeper by at most
+    // between bump and wake (kBlockNotify) delays the sleeper by at most
     // one slice instead of stranding it.
     WaitResult wait_dequeue_until(std::uint64_t deadline_ns) {
-        SpinWait spinner;
         bool counted_block = false;
+        std::uint64_t spin_end = 0;  // opened by the first miss
         for (;;) {
-            for (int i = 0; i < kFastAttempts; ++i) {
-                if (auto v = try_dequeue()) return {WaitStatus::kOk, *v};
-                if (closed_.load(std::memory_order_acquire)) return drain_after_close();
-                if (now_ns() >= deadline_ns) return {WaitStatus::kTimeout, kBottom};
-                spinner.spin();
-            }
-            const std::uint32_t observed = items_ec_.prepare();
+            if (auto v = try_dequeue()) return {WaitStatus::kOk, *v};
+            if (closed_.load(std::memory_order_acquire)) return drain_after_close();
+            if (spin_end == 0) spin_end = spin_window_end(deadline_ns);
+            if (await_items(spin_end)) continue;
+            if (now_ns() >= deadline_ns) return {WaitStatus::kTimeout, kBottom};
             {
                 detail::WaiterGuard guard(items_ec_);
+                const std::uint32_t observed = items_ec_.prepare();
                 if (auto v = try_dequeue()) return {WaitStatus::kOk, *v};
                 if (closed_.load(std::memory_order_acquire)) return drain_after_close();
                 if (!counted_block) {
@@ -377,7 +414,7 @@ class BlockingQueue {
                 if (nw >= deadline_ns) return {WaitStatus::kTimeout, kBottom};
                 items_ec_.wait_slice(observed, std::min(deadline_ns - nw, kMaxSliceNs));
             }
-            spinner.reset();
+            spin_end = 0;
         }
     }
 
@@ -430,8 +467,9 @@ class BlockingQueue {
 
     // --- introspection -----------------------------------------------------
 
-    // Items currently inside, approximately: the base's hazard-protected
-    // segment walk when available, else the facade's own enq/deq counters.
+    // Items currently inside, approximately: the base's estimate when it
+    // has one (O(1) for the list queues), else the facade's own enq/deq
+    // counters.
     std::uint64_t approx_size() {
         if constexpr (kBaseHasApproxSize) {
             return base_.approx_size();
@@ -445,14 +483,25 @@ class BlockingQueue {
     std::size_t capacity() const noexcept { return capacity_; }
     Base& base() noexcept { return base_; }
 
-    // Epoch snapshots for layers that build their own waiters on the same
-    // words (the coroutine facade): capture before the final nonblocking
-    // re-check, compare after registering, exactly like wait_slice callers.
+    // Epoch snapshots and advances for layers that build their own waiters
+    // on the same words (the coroutine facade): capture before the final
+    // nonblocking re-check, compare after registering, exactly like
+    // wait_slice callers.  Such waiters are not counted, so the facade's
+    // own signals skip the bump for them: after publishing, a layer must
+    // advance the epoch its waiters watch before it looks for them.
     std::uint32_t items_epoch() const noexcept { return items_ec_.prepare(); }
     std::uint32_t space_epoch() const noexcept { return space_ec_.prepare(); }
+    void advance_items_epoch() noexcept { items_ec_.bump(); }
+    void advance_space_epoch() noexcept { space_ec_.bump(); }
 
   private:
-    static constexpr int kFastAttempts = 64;
+    // How long a waiter spins before it parks: one cross-CPU futex
+    // park->wake round trip, rounded up (bench/micro_primitives
+    // BM_FutexParkWakeRoundTrip; on a 4-vCPU VM its mean is 15 us on a
+    // quiet host and 22 us while other jobs run — EXPERIMENTS.md).
+    // Spinning about as long as a park costs keeps a waiter within twice
+    // the better of the two.
+    static constexpr std::uint64_t kSpinWindowNs = 25'000;
     // Bounded post-close EMPTY re-check (see file comment).
     static constexpr int kClosedRecheckRounds = 16;
     // Cap on any single sleep; the recovery bound after a lost notify.
@@ -462,6 +511,36 @@ class BlockingQueue {
     static std::uint64_t saturating_deadline(std::uint64_t timeout_ns) noexcept {
         const std::uint64_t now = now_ns();
         return timeout_ns > kNoDeadline - now ? kNoDeadline : now + timeout_ns;
+    }
+
+    // TSC stamp at which a spin window opened now ends: kSpinWindowNs,
+    // or less when the deadline comes first.
+    std::uint64_t spin_window_end(std::uint64_t deadline_ns) const noexcept {
+        const std::uint64_t start = rdtsc();
+        const std::uint64_t now = now_ns();
+        const std::uint64_t left = deadline_ns > now ? deadline_ns - now : 0;
+        return start + static_cast<std::uint64_t>(
+                           static_cast<double>(std::min(left, kSpinWindowNs)) * tsc_per_ns_);
+    }
+
+    // Spin on the read-only peek until it says items arrived (or the queue
+    // closed) — true: make a real attempt — or the window ends — false.  A
+    // base without a peek answers "not empty", so its every pass is a real
+    // attempt.
+    bool await_items(std::uint64_t spin_end) {
+        for (;;) {
+            if (rdtsc() >= spin_end) return false;
+            cpu_relax();
+            if (!looks_empty() || closed_.load(std::memory_order_acquire)) return true;
+        }
+    }
+
+    bool looks_empty() {
+        if constexpr (kBaseHasPeek) {
+            return base_.looks_empty();
+        } else {
+            return false;
+        }
     }
 
     // One admission attempt: closed check, watermark check, base insert,
@@ -490,12 +569,9 @@ class BlockingQueue {
         if constexpr (!kBaseHasApproxSize) {
             enq_count_.fetch_add(1, std::memory_order_relaxed);
         }
-        // Epoch bump + conditional wake: only consumers that already
-        // registered as waiters cost this producer a futex syscall.  The
-        // injection point sits exactly in the publish-to-wake window.
-        items_ec_.bump();
-        LCRQ_INJECT_POINT(kBlockNotify);
-        items_ec_.wake_if_waiters();
+        // Only consumers that already registered as waiters cost this
+        // producer an epoch bump and a futex syscall.
+        items_ec_.signal();
         return Admission::kAccepted;
     }
 
@@ -506,6 +582,7 @@ class BlockingQueue {
         // Producers may be parked on the space eventcount: always when the
         // facade is bounded, and even with capacity_ == 0 when the *base*
         // ring is bounded (admit() reports its full as retryable kFull).
+        // With none registered, the signal is a fence and a load.
         if (kBaseIsBounded || capacity_ != 0) space_ec_.signal();
     }
 
@@ -524,6 +601,9 @@ class BlockingQueue {
 
     Base base_;
     const std::size_t capacity_;
+    // The TSC rate, calibrated (~10 ms, once per process) at construction
+    // rather than inside the first waiter's spin window.
+    const double tsc_per_ns_ = tsc_per_ns();
     detail::EventCount items_ec_;  // consumers sleep; enqueues signal
     detail::EventCount space_ec_;  // bounded producers sleep; dequeues signal
     // Watermark fallback when the base has no approx_size.

@@ -345,6 +345,7 @@ class Crq {
     static constexpr const char* kListName = "lcrq";
     std::atomic<Crq*> next{nullptr};
     std::atomic<int> cluster{0};
+    std::atomic<std::uint64_t> ordinal{0};
 
     // Test peers: simulate a thread that performed its F&A and then died
     // (was descheduled forever) before touching the ring — the adversarial

@@ -56,8 +56,11 @@ namespace lcrq {
 
 // try_enqueue answers kFull (SCQ/wCQ: every slot is in flight; CRQ never
 // does) or kClosed (closed by a tantrum, the list, or close()).  `next` is
-// the list link (also the pool's), `cluster` the §4.1.1 handoff tag, and
-// kListName the name of the list queue over the segment.
+// the list link (also the pool's), `cluster` the §4.1.1 handoff tag,
+// `ordinal` the segment's position in the list (stamped by the appender),
+// and kListName the name of the list queue over the segment.  Every segment
+// holds 2^QueueOptions::ring_order items (Crq and the SCQ value queue both
+// assert it on reset).
 template <typename S>
 concept ListSegment = requires(S s, const QueueOptions& opt,
                                std::optional<value_t> first, value_t v) {
@@ -69,6 +72,7 @@ concept ListSegment = requires(S s, const QueueOptions& opt,
     { s.approx_size() } -> std::convertible_to<std::uint64_t>;
     { s.next.load() } -> std::same_as<S*>;
     { s.cluster.load() } -> std::same_as<int>;
+    { s.ordinal.load() } -> std::same_as<std::uint64_t>;
     { S::kListName } -> std::convertible_to<const char*>;
 };
 
@@ -92,6 +96,7 @@ class LinkedSegments {
           hierarchy_(opt.cluster_timeout_ns, opt.cluster_proceed_on_timeout),
           pool_(opt.segment_pool_cap) {
         Seg* s = alloc_segment();
+        s->ordinal.store(0, std::memory_order_relaxed);
         first_ = s;
         head_->store(s, std::memory_order_relaxed);
         tail_->store(s, std::memory_order_relaxed);
@@ -243,21 +248,47 @@ class LinkedSegments {
         return n;
     }
 
-    // Introspection for tests, benches, and monitoring.  In the protected
-    // configuration both walks take hazard slots, so they are safe
-    // concurrent with dequeue-driven segment retirement; unprotected
-    // builds keep the plain walk (nothing is reclaimed before destruction).
-    std::size_t segment_count() {
-        return static_cast<std::size_t>(
-            sum_segments([](Seg&) { return std::uint64_t{1}; }));
+    // Live segments, by walking the list.  In the protected configuration
+    // the walk takes hazard slots, so it is safe concurrent with
+    // dequeue-driven segment retirement; unprotected builds keep the plain
+    // walk (nothing is reclaimed before destruction).  O(live segments):
+    // for tests, benches and monitoring, never for a per-operation path.
+    std::size_t segment_count() { return walk_segments(); }
+
+    // Item-count estimate in O(1): the head and tail segments' own
+    // estimates plus R items for every segment between them (the
+    // ordinals say how many there are).  Only a snapshot under
+    // concurrency; a middle segment counts as R items however many it got
+    // before it closed, so tantrum-closed middle segments and the enqueue
+    // tickets a closed head wasted make it over-count, never under-count
+    // when quiescent.  Cheap enough for a per-admit watermark.
+    std::uint64_t approx_size() {
+        Seg* const h = acquire(*head_, 1);
+        std::uint64_t n = h->approx_size();
+        // head_ never passes tail_ (swing_head), so a tail read after h is
+        // h or a later segment; only a later one needs its own slot.
+        if (tail_->load(std::memory_order_acquire) != h) {
+            Seg* const t = acquire(*tail_, 2);
+            const std::uint64_t span = t->ordinal.load(std::memory_order_relaxed) -
+                                       h->ordinal.load(std::memory_order_relaxed);
+            n += t->approx_size() + (span - 1) * seg_capacity_;
+            release(2);
+        }
+        release(1);
+        return n;
     }
 
-    // Item-count estimate: the sum of the live segments' estimates.  Only
-    // a snapshot under concurrency, and closed segments being drained can
-    // each over-count by the enqueue tickets wasted there before they
-    // closed.
-    std::uint64_t approx_size() {
-        return sum_segments([](Seg& s) { return s.approx_size(); });
+    // Read-only emptiness peek for waiters: true when the head segment's
+    // estimate is 0 and it has no successor.  Loads only (plus this
+    // thread's own hazard slot), so idle pollers leave the ring's shared
+    // lines clean.  A hint: "empty" can be stale by the time it returns,
+    // so a waiter must still make a real dequeue before it sleeps.
+    bool looks_empty() {
+        Seg* h = acquire(*head_);
+        const bool empty =
+            h->approx_size() == 0 && h->next.load(std::memory_order_acquire) == nullptr;
+        release();
+        return empty;
     }
     HazardDomain& hazard_domain() noexcept { return domain_; }
     SegmentPool<Seg>& segment_pool() noexcept { return pool_; }
@@ -282,6 +313,9 @@ class LinkedSegments {
         Seg* fresh = alloc_segment(x);
         Seg* expected = nullptr;
         stats::count(stats::Event::kCas);
+        // Stamped under exclusive ownership; the linking CAS publishes it.
+        fresh->ordinal.store(seg->ordinal.load(std::memory_order_relaxed) + 1,
+                             std::memory_order_relaxed);
         if (seg->next.compare_exchange_strong(expected, fresh,
                                               std::memory_order_seq_cst)) {
             LCRQ_INJECT_POINT(kListAppend);
@@ -295,11 +329,15 @@ class LinkedSegments {
         return false;
     }
 
-    // Move head past the drained `seg`; the winner retires it.
-    // Unprotected, the drained segment stays linked from first_ and is
-    // freed by the destructor.
+    // Move head past the drained `seg`; the winner retires it.  A tail
+    // still on `seg` (its appender not yet done swinging it) is helped
+    // forward first, so head_ never passes tail_: a segment tail_ names is
+    // never retired, which is what lets acquire_tail and approx_size
+    // protect it.  Unprotected, the drained segment stays linked from
+    // first_ and is freed by the destructor.
     void swing_head(Seg* seg) {
         Seg* next = seg->next.load(std::memory_order_acquire);
+        if (tail_->load(std::memory_order_acquire) == seg) counted_cas_ptr(*tail_, seg, next);
         LCRQ_INJECT_POINT(kListHeadSwing);
         if (counted_cas_ptr(*head_, seg, next)) {
             release();
@@ -339,22 +377,22 @@ class LinkedSegments {
     }
 
     // Read a list pointer for use: publish-fence-reread under hazard
-    // protection (slot 0), or a plain acquire load in the unprotected
-    // (leak-until-destruction) specialization.
-    Seg* acquire(const std::atomic<Seg*>& src) {
+    // protection, or a plain acquire load in the unprotected
+    // (leak-until-destruction) specialization.  Operations use slot 0;
+    // introspection uses slots 1-3 so it can run concurrently with them
+    // from the same thread's record.
+    Seg* acquire(const std::atomic<Seg*>& src, std::size_t slot = 0) {
         if constexpr (Protected) {
-            return my_hazard().protect(src, 0);
+            return my_hazard().protect(src, slot);
         } else {
             return src.load(std::memory_order_acquire);
         }
     }
-    void release() {
-        if constexpr (Protected) my_hazard().clear(0);
+    void release(std::size_t slot = 0) {
+        if constexpr (Protected) my_hazard().clear(slot);
     }
 
-    // Sum fn(segment) over the live list.  Operations use hazard slot 0;
-    // this walk uses slots 1-3 so it can run concurrently with them from
-    // the same thread's record.
+    // Count the live list.
     //
     // Safety of the protected walk: segments are retired strictly front to
     // back, and only after head_ swings past them.  Each step publishes
@@ -366,25 +404,24 @@ class LinkedSegments {
     // total order) any future scan must see our slot, so the segment stays
     // live while we hold it.  If head_ moved, the chain may be stale: the
     // attempt restarts from the new head.
-    template <typename Fn>
-    std::uint64_t sum_segments(Fn&& fn) {
+    std::size_t walk_segments() {
         if constexpr (!Protected) {
-            std::uint64_t n = 0;
+            std::size_t n = 0;
             for (Seg* s = head_->load(std::memory_order_acquire); s != nullptr;
                  s = s->next.load(std::memory_order_acquire)) {
-                n += fn(*s);
+                ++n;
             }
             return n;
         } else {
             HazardThread& hp = my_hazard();
             for (;;) {
-                std::uint64_t n = 0;
+                std::size_t n = 0;
                 Seg* const anchor = hp.protect(*head_, 1);
                 Seg* cur = anchor;
                 std::size_t slot = 2;
                 bool restart = false;
                 for (;;) {
-                    n += fn(*cur);
+                    ++n;
                     if (cur->next.load(std::memory_order_acquire) == nullptr) break;
                     Seg* next = hp.protect(cur->next, slot);
                     if (next == nullptr) break;
@@ -414,6 +451,7 @@ class LinkedSegments {
     }
 
     QueueOptions opt_;
+    const std::uint64_t seg_capacity_ = std::uint64_t{1} << opt_.ring_order;
     Hierarchy hierarchy_;
     // Declared before domain_: retire-to-pool deleters run from hazard
     // drains as late as ~HazardDomain (and the per-thread record releases

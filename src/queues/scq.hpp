@@ -663,6 +663,7 @@ class ScqValueQueue {
     static constexpr const char* kListName = Ring::kListName;
     std::atomic<ScqValueQueue*> next{nullptr};
     std::atomic<int> cluster{0};
+    std::atomic<std::uint64_t> ordinal{0};
 
   private:
     const std::uint64_t capacity_;

@@ -1,6 +1,7 @@
 #include "registry/queue_registry.hpp"
 
 #include <cassert>
+#include <concepts>
 #include <functional>
 #include <map>
 #include <string_view>
@@ -58,6 +59,15 @@ class Adapter final : public AnyQueue {
         if (n == 0) stats::count(stats::Event::kDequeueEmpty);
         stats::count(stats::Event::kBulkDequeue);
         return n;
+    }
+
+    // Not an operation: counts nothing.
+    bool looks_empty() override {
+        if constexpr (requires { { q_.looks_empty() } -> std::same_as<bool>; }) {
+            return q_.looks_empty();
+        } else {
+            return false;
+        }
     }
 
     const std::string& name() const noexcept override { return name_; }

@@ -46,6 +46,13 @@ class AnyQueue {
         return n;
     }
 
+    // Read-only emptiness hint for waiters: true only when the queue looks
+    // empty without a single shared write.  A hint, not an answer — a true
+    // can be stale on return, so a waiter still makes a real dequeue before
+    // it sleeps.  The default, false, means "don't know, poll for real";
+    // the registry adapter forwards the queue's own peek when it has one.
+    virtual bool looks_empty() { return false; }
+
     virtual const std::string& name() const noexcept = 0;
 };
 

@@ -3,27 +3,22 @@
 // Resumption threading: a parked coroutine frame resumes on whichever
 // thread performed the wake (an enqueue_sync, a dequeue, or close), so
 // everything a frame touches after a suspension point is atomics-only.
+// The multi-threaded cases live in facade_thread_cases.hpp, shared with
+// the LSCQ instantiation the tsan build row runs.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstdint>
 #include <optional>
-#include <thread>
-#include <vector>
 
+#include "facade_thread_cases.hpp"
 #include "queues/async_queue.hpp"
-#include "queues/lscq.hpp"
+#include "queues/lcrq.hpp"
 #include "test_support.hpp"
-#include "util/timing.hpp"
 
 namespace lcrq {
 namespace {
 
-QueueOptions tiny() {
-    QueueOptions opt;
-    opt.ring_order = 2;
-    opt.starvation_limit = 4;
-    return opt;
-}
+using test::facade_tiny;
 
 Task<std::uint64_t> forty_two() { co_return 42u; }
 
@@ -41,7 +36,7 @@ TEST(AsyncTask, TasksComposeBySymmetricTransfer) {
 }
 
 TEST(AsyncQueue, DequeueCompletesWithoutParkingWhenItemReady) {
-    AsyncQueue<> q(tiny());
+    AsyncQueue<> q(facade_tiny());
     ASSERT_TRUE(q.enqueue_sync(7));
     const auto v = sync_wait(q.dequeue());
     ASSERT_TRUE(v.has_value());
@@ -49,98 +44,21 @@ TEST(AsyncQueue, DequeueCompletesWithoutParkingWhenItemReady) {
 }
 
 TEST(AsyncQueue, AwaitEnqueueThenAwaitDequeueRoundtrip) {
-    AsyncQueue<> q(tiny());
+    AsyncQueue<> q(facade_tiny());
     EXPECT_TRUE(sync_wait(q.enqueue(11)));
     EXPECT_TRUE(sync_wait(q.enqueue(12)));
     EXPECT_EQ(sync_wait(q.dequeue()).value_or(0), 11u);
     EXPECT_EQ(sync_wait(q.dequeue()).value_or(0), 12u);
 }
 
-TEST(AsyncQueue, ParkedDequeueResumesOnCrossThreadEnqueue) {
-    AsyncQueue<> q(tiny());
-    std::optional<value_t> got;
-    std::thread consumer([&] { got = sync_wait(q.dequeue()); });
-    spin_for_ns(2'000'000);  // give the frame time to park
-    ASSERT_TRUE(q.enqueue_sync(99));
-    consumer.join();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, 99u);
-}
-
-TEST(AsyncQueue, ParkedDequeueResumesOnCoroutineEnqueue) {
-    // The waker here is itself a coroutine: co_await enqueue() must pop the
-    // consumer waiter stack just like the thread-side bridge does.
-    AsyncQueue<> q(tiny());
-    std::optional<value_t> got;
-    std::thread consumer([&] { got = sync_wait(q.dequeue()); });
-    spin_for_ns(2'000'000);
-    EXPECT_TRUE(sync_wait(q.enqueue(31)));
-    consumer.join();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, 31u);
-}
-
-TEST(AsyncQueue, CloseWakesParkedConsumerToNullopt) {
-    AsyncQueue<> q(tiny());
-    std::optional<value_t> got = 1;  // sentinel: must become nullopt
-    std::thread consumer([&] { got = sync_wait(q.dequeue()); });
-    spin_for_ns(2'000'000);
-    q.close();
-    consumer.join();
-    EXPECT_FALSE(got.has_value());
-}
-
-TEST(AsyncQueue, BoundedEnqueueParksUntilSpaceFrees) {
-    AsyncQueue<> q(tiny(), /*capacity=*/1);
-    ASSERT_TRUE(q.enqueue_sync(1));
-    std::atomic<int> result{-1};
-    std::thread producer([&] { result.store(sync_wait(q.enqueue(2)) ? 1 : 0); });
-    spin_for_ns(2'000'000);
-    EXPECT_EQ(result.load(), -1) << "enqueue must park while the queue is full";
-    EXPECT_EQ(q.try_dequeue_sync().value_or(0), 1u);
-    producer.join();
-    EXPECT_EQ(result.load(), 1);
-    EXPECT_EQ(q.try_dequeue_sync().value_or(0), 2u);
-}
-
-TEST(AsyncQueue, CloseFailsParkedBoundedProducer) {
-    AsyncQueue<> q(tiny(), /*capacity=*/1);
-    ASSERT_TRUE(q.enqueue_sync(1));
-    std::atomic<int> result{-1};
-    std::thread producer([&] { result.store(sync_wait(q.enqueue(2)) ? 1 : 0); });
-    spin_for_ns(2'000'000);
-    q.close();
-    producer.join();
-    EXPECT_EQ(result.load(), 0) << "close must fail the parked producer";
-}
-
-TEST(AsyncQueue, ParkingEnqueueDoesNotInflateShedCounter) {
-    // Regression: the bounded enqueue retry loop used to call try_enqueue,
-    // which counts a shed on every watermark refusal — one logical co_await
-    // that parked and then succeeded recorded many sheds.  The async path
-    // never sheds: it parks on full and fails only on close.
-    stats::reset_all();
-    AsyncQueue<> q(tiny(), /*capacity=*/1);
-    ASSERT_TRUE(sync_wait(q.enqueue(1)));
-    std::atomic<int> result{-1};
-    std::thread producer([&] { result.store(sync_wait(q.enqueue(2)) ? 1 : 0); });
-    spin_for_ns(2'000'000);  // let the producer hit full and park
-    EXPECT_EQ(q.try_dequeue_sync().value_or(0), 1u);
-    producer.join();
-    EXPECT_EQ(result.load(), 1);
-    const stats::Snapshot s = stats::global_snapshot();
-    EXPECT_EQ(s[stats::Event::kShed], 0u)
-        << "a parked-then-admitted co_await enqueue must not record sheds";
-}
-
 TEST(AsyncQueue, EnqueueReturnsFalseAfterClose) {
-    AsyncQueue<> q(tiny());
+    AsyncQueue<> q(facade_tiny());
     q.close();
     EXPECT_FALSE(sync_wait(q.enqueue(5)));
 }
 
 TEST(AsyncQueue, DequeueDrainsPrecloseItemsThenNullopt) {
-    AsyncQueue<> q(tiny());
+    AsyncQueue<> q(facade_tiny());
     for (value_t v = 1; v <= 20; ++v) ASSERT_TRUE(q.enqueue_sync(v));
     q.close();
     for (value_t v = 1; v <= 20; ++v) {
@@ -149,76 +67,30 @@ TEST(AsyncQueue, DequeueDrainsPrecloseItemsThenNullopt) {
     EXPECT_FALSE(sync_wait(q.dequeue()).has_value());
 }
 
-// Detached logical workers: many consumer coroutines multiplexed over the
-// wakers' threads, counting every delivered item exactly once.
-DetachedTask detached_consumer(AsyncQueue<LscqQueue>& q, std::atomic<std::uint64_t>& sum,
-                               std::atomic<int>& live) {
-    for (;;) {
-        const auto v = co_await q.dequeue();
-        if (!v.has_value()) break;
-        sum.fetch_add(*v, std::memory_order_relaxed);
-    }
-    live.fetch_sub(1, std::memory_order_release);
+TEST(AsyncQueue, WakerAdvancesTheEpochItsAwaitersWatch) {
+    // Awaiters are not counted waiters, so the facade's own signal leaves
+    // the epochs alone; every async waker must advance the epoch its side's
+    // awaiters snapshot, or an awaiter that read the old epoch and pushed
+    // after the waker's pop would park for good.
+    AsyncQueue<> q(facade_tiny(), /*capacity=*/4);
+    BlockingQueue<LcrqQueue>& bq = q.blocking();
+    const std::uint32_t items0 = bq.items_epoch();
+    const std::uint32_t space0 = bq.space_epoch();
+    ASSERT_TRUE(q.enqueue_sync(1));
+    EXPECT_NE(bq.items_epoch(), items0) << "enqueue must advance the items epoch";
+    EXPECT_EQ(bq.space_epoch(), space0);
+    ASSERT_TRUE(q.try_dequeue_sync().has_value());
+    EXPECT_NE(bq.space_epoch(), space0) << "dequeue must advance the space epoch";
+    // The blocking facade alone, with nobody registered, bumps nothing.
+    const std::uint32_t items1 = bq.items_epoch();
+    ASSERT_TRUE(bq.try_enqueue(2));
+    EXPECT_EQ(bq.items_epoch(), items1);
 }
-
-TEST(AsyncQueue, DetachedWorkersDrainEverythingAcrossThreads) {
-    AsyncQueue<LscqQueue> q(tiny());
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<int> live{4};
-    for (int i = 0; i < 4; ++i) detached_consumer(q, sum, live);
-
-    constexpr std::uint64_t kPerProducer = 2'000;
-    test::run_threads(2, [&](int id) {
-        for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-            const value_t v = static_cast<value_t>(id * kPerProducer + i + 1);
-            while (!q.enqueue_sync(v)) std::this_thread::yield();
-        }
-    });
-    q.close();
-    while (live.load(std::memory_order_acquire) != 0) std::this_thread::yield();
-
-    const std::uint64_t n = 2 * kPerProducer;
-    EXPECT_EQ(sum.load(), n * (n + 1) / 2) << "items lost or duplicated";
-}
-
-DetachedTask detached_producer(AsyncQueue<LscqQueue>& q, std::uint64_t first,
-                               std::uint64_t n, std::atomic<int>& live) {
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (!co_await q.enqueue(first + i)) break;
-    }
-    live.fetch_sub(1, std::memory_order_release);
-}
-
-TEST(AsyncQueue, ParkAbortWakeChurnStress) {
-    // Hammers the park-abort-vs-wake CAS race (regression for the waiter
-    // node use-after-free: the losing awaiter still runs its state CAS, so
-    // the node must stay alive until both parties are done).  Capacity 1
-    // keeps the producer frames parking on nearly every item while two
-    // dequeuing threads race the awaiters for the nodes.
-    AsyncQueue<LscqQueue> q(tiny(), /*capacity=*/1);
-    constexpr std::uint64_t kPer = 3'000;
-    std::atomic<int> live{3};
-    for (int i = 0; i < 3; ++i) detached_producer(q, i * kPer + 1, kPer, live);
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<bool> stop{false};
-    std::thread helper([&] {
-        while (!stop.load(std::memory_order_acquire)) {
-            if (auto v = q.try_dequeue_sync()) {
-                sum.fetch_add(*v, std::memory_order_relaxed);
-            }
-        }
-    });
-    while (live.load(std::memory_order_acquire) != 0) {
-        if (auto v = q.try_dequeue_sync()) {
-            sum.fetch_add(*v, std::memory_order_relaxed);
-        }
-    }
-    stop.store(true, std::memory_order_release);
-    helper.join();
-    while (auto v = q.try_dequeue_sync()) sum.fetch_add(*v, std::memory_order_relaxed);
-    const std::uint64_t n = 3 * kPer;
-    EXPECT_EQ(sum.load(), n * (n + 1) / 2) << "items lost or duplicated";
-}
-
 }  // namespace
 }  // namespace lcrq
+
+namespace lcrq::test {
+INSTANTIATE_TYPED_TEST_SUITE_P(Lcrq, AsyncThreads, LcrqQueue);
+// Instantiated over LcrqQueue in test_shutdown_and_blocking.
+GTEST_ALLOW_UNINSTANTIATED_PARAMETERIZED_TEST(BlockingThreads);
+}  // namespace lcrq::test

@@ -81,6 +81,43 @@ TEST_F(InjectBlocking, KilledProducerAtNotifyDoesNotStrandSleeper) {
     EXPECT_EQ(got.value, 42u) << "published item must be the one delivered";
 }
 
+// The gated signal: with nobody registered, an admit is a fence and a
+// load of the waiter count — it never bumps, so it never reaches the
+// bump-to-wake window.
+TEST_F(InjectBlocking, AdmitsWithNoWaiterSkipTheNotifyWindow) {
+    BlockingQueue<LscqQueue> q(tiny());
+    ctl().arm();
+    ctl().bind_thread(0);
+    for (value_t v = 1; v <= 100; ++v) ASSERT_TRUE(q.try_enqueue(v));
+    EXPECT_EQ(ctl().visits(0, Point::kBlockNotify), 0u);
+}
+
+// A consumer registered and held just before its sleep: one admit sees
+// the registration, takes the bump-and-wake path exactly once, and the
+// consumer, whose epoch snapshot the bump made stale, gets the item.
+TEST_F(InjectBlocking, OneAdmitWakesARegisteredConsumer) {
+    BlockingQueue<LscqQueue> q(tiny());
+    ctl().set_hold_deadline(std::chrono::seconds{10});
+    ctl().hold_until(0, Point::kBlockWait, 1, 1, Point::kBlockNotify, 1);
+    ctl().arm();
+
+    WaitResult got;
+    run_threads(2, [&](int id) {
+        ctl().bind_thread(id);
+        if (id == 0) {
+            got = q.wait_dequeue_for(5'000'000'000);  // 5 s: never the bound
+        } else {
+            await([&] { return ctl().visits(0, Point::kBlockWait) >= 1; });
+            ASSERT_TRUE(q.try_enqueue(42));
+        }
+    });
+
+    EXPECT_EQ(ctl().hold_timeouts(), 0u) << "window was not constructed";
+    EXPECT_EQ(ctl().visits(1, Point::kBlockNotify), 1u);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value, 42u);
+}
+
 // A drainer killed mid-sweep (kDrain fires at the top of every pass) must
 // not wedge shutdown: the queue is already closed, the victim's partial
 // sink is kept, and a surviving drainer finishes the remainder to a
@@ -167,8 +204,8 @@ TEST_F(InjectBlocking, KilledBoundedProducerUnwindKeepsFacadeUsable) {
 // so producers constantly ride the watermark, random delays at every
 // facade and LSCQ point, full exactly-once FIFO accounting.  Consumers
 // start only once a producer has parked: with the facade full and nobody
-// dequeuing, a producer must exhaust its fast attempts and reach the
-// wait, so every seed covers the window by construction.
+// dequeuing, a producer must outlast its spin window and reach the wait,
+// so every seed covers the window by construction.
 TEST_F(InjectBlocking, RandomPerturbationSweepBoundedEnqueue) {
     constexpr int kProducers = 2;
     constexpr int kConsumers = 2;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "arch/counters.hpp"
+#include "queues/blocking_queue.hpp"
 #include "queues/lcrq.hpp"
 #include "test_support.hpp"
 #include "verify/history.hpp"
@@ -167,7 +168,7 @@ TEST_F(InjectLcrq, RingCloseStraddlesBulkClaim) {
     EXPECT_TRUE(r.ok) << r.error;
 }
 
-// Hazard retirement racing the approx_size segment walk (acceptance (b)).
+// Hazard retirement racing the segment_count walk (acceptance (b)).
 //
 // The walker protects ring 0 and its successor, then parks; a dequeuer
 // drains ring 0, swings head, and retires it (kHazardRetire releases the
@@ -175,7 +176,7 @@ TEST_F(InjectLcrq, RingCloseStraddlesBulkClaim) {
 // live list — under ASan this is the use-after-free probe for the hazard
 // protocol; the count it returns is exact because the queue is quiescent
 // by the time the restarted walk runs.
-TEST_F(InjectLcrq, HazardRetireDuringApproxSizeWalkForcesRestart) {
+TEST_F(InjectLcrq, HazardRetireDuringSegmentWalkForcesRestart) {
     LcrqQueue q(tiny_ring(1, 1));  // R = 2: 8 items -> 4 segments
     for (value_t v = 1; v <= 8; ++v) q.enqueue(v);
     ASSERT_EQ(q.segment_count(), 4u);
@@ -184,12 +185,12 @@ TEST_F(InjectLcrq, HazardRetireDuringApproxSizeWalkForcesRestart) {
     ctl().hold_until(0, Point::kApproxSizeWalk, 1, 1, Point::kHazardRetire, 1);
     ctl().arm();
 
-    std::uint64_t size_seen = 0;
+    std::size_t segments_seen = 0;
     std::vector<value_t> got;
     run_threads(2, [&](int id) {
         ctl().bind_thread(id);
         if (id == 0) {
-            size_seen = q.approx_size();  // parks mid-walk holding ring 0
+            segments_seen = q.segment_count();  // parks mid-walk holding ring 0
         } else {
             await([&] { return ctl().visits(0, Point::kApproxSizeWalk) >= 1; });
             // Drain ring 0 and step into ring 1: swings head, retires ring 0.
@@ -203,18 +204,33 @@ TEST_F(InjectLcrq, HazardRetireDuringApproxSizeWalkForcesRestart) {
     EXPECT_GE(ctl().visits(1, Point::kHazardRetire), 1u)
         << "ring 0 was never retired";
     ASSERT_EQ(got.size(), 3u);
-    // The restarted walk sums rings 1-3.  Each closed ring estimates 2:
-    // the enqueue ticket wasted by the close inflates ring 1 (1 item) to
-    // its clamp, and the clamp also makes the count independent of whether
-    // the racing dequeuer's head F&A in ring 1 lands before or after the
-    // walk reads it — so the result is deterministic.
-    EXPECT_EQ(size_seen, 6u) << "walk did not restart on the live list";
+    // The restarted walk counts rings 1-3; the first attempt would have
+    // counted 4.
+    EXPECT_EQ(segments_seen, 3u) << "walk did not restart on the live list";
     // Drain and verify nothing was lost while the walker held the ring.
     for (value_t v = 4; v <= 8; ++v) {
         const auto d = q.dequeue();
         ASSERT_TRUE(d.has_value());
         EXPECT_EQ(*d, v);
     }
+}
+
+// The bounded facade's watermark reads approx_size() on every admit, so it
+// must not walk the list: one admit over 100 segments visits the walk's
+// point zero times (a walking approx_size visits it once per segment past
+// the head).
+TEST_F(InjectLcrq, WatermarkAdmitDoesNotWalkTheSegments) {
+    BlockingQueue<LcrqQueue> q(tiny_ring(2, 4), /*capacity=*/1 << 20);  // R = 4
+    for (value_t v = 1; v <= 400; ++v) ASSERT_TRUE(q.try_enqueue(v));
+    ASSERT_EQ(q.base().segment_count(), 100u);
+
+    ctl().arm();
+    ctl().bind_thread(0);
+    ASSERT_TRUE(q.try_enqueue(401));
+    EXPECT_EQ(ctl().visits(0, Point::kApproxSizeWalk), 0u)
+        << "the watermark walked the segment list";
+    // Head and tail estimates plus R per full segment between them.
+    EXPECT_EQ(q.approx_size(), 401u);
 }
 
 // A thread killed mid-enqueue, pre-publish (acceptance (c)): its ticket is

@@ -64,6 +64,14 @@ void await(Cond cond) {
     while (!cond()) std::this_thread::yield();
 }
 
+// Wait until `cond` holds or 10 s pass, whichever is first: a schedule
+// gate whose miss fails the test's own assertion instead of hanging it.
+template <typename Cond>
+void await_bounded(Cond cond) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+    while (!cond() && std::chrono::steady_clock::now() < deadline) std::this_thread::yield();
+}
+
 // Build the canonical recycling precondition: segment A drained but still
 // the list head, with a successor holding exactly one item.  5 enqueues
 // fill A (4), close it, and append B seeded with item 4; 4 dequeues drain
@@ -216,6 +224,15 @@ TYPED_TEST(InjectPool, ParkedHeadSwingCannotAbaAcrossRecycling) {
 // recording.  Every seed must stay linearizable, actually recycle, and
 // reclaim everything by the end.  Failures print their replay line.
 //
+// Recycling is reached by construction, not by load.  Consumers that
+// keep up would keep one segment circulating forever (nothing closes), so
+// they start only once the producers' first halves are in — 60 items over
+// capacity-4 segments close at least 14.  Producers enqueue their second
+// halves only once the pool holds a segment, and consumers pause at that
+// point until both second halves have begun, so the tail is still full
+// and the first second-half enqueue appends by popping the pool.  Every
+// wait is bounded; a missed window fails the reuse check, not the run.
+//
 // `cluster_of` maps a worker id to the (virtual) cluster it claims via
 // topo::set_current_cluster, so the same sweep runs both on the default
 // single-cluster shape and spread across a virtual topology whose ids
@@ -237,20 +254,36 @@ void recycling_sweep(const std::function<int(int)>& cluster_of) {
         std::vector<verify::ThreadLog> logs;
         for (int t = 0; t < kProducers + kConsumers; ++t) logs.emplace_back(t);
         std::atomic<std::uint64_t> consumed{0};
+        std::atomic<int> first_halves{0};   // producers done with their first half
+        std::atomic<int> second_halves{0};  // producers into their second half
+        const auto pool_holds_one = [&] { return q.segment_pool().size() > 0; };
 
         run_threads(kProducers + kConsumers, [&](int id) {
             ctl().bind_thread(id);
             topo::set_current_cluster(cluster_of(id));
             if (id < kProducers) {
                 for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+                    if (i == kPerProducer / 2) {
+                        first_halves.fetch_add(1, std::memory_order_acq_rel);
+                        await_bounded(pool_holds_one);
+                    }
                     logs[static_cast<std::size_t>(id)].enqueue(
                         q, tag(static_cast<unsigned>(id), i));
+                    if (i == kPerProducer / 2) {
+                        second_halves.fetch_add(1, std::memory_order_acq_rel);
+                    }
                 }
             } else {
+                await_bounded([&] { return first_halves.load() == kProducers; });
                 auto& log = logs[static_cast<std::size_t>(id)];
+                bool paused = false;
                 while (consumed.load(std::memory_order_acquire) < kTotal) {
                     if (log.dequeue(q)) {
                         consumed.fetch_add(1, std::memory_order_acq_rel);
+                    }
+                    if (!paused && pool_holds_one()) {
+                        paused = true;
+                        await_bounded([&] { return second_halves.load() == kProducers; });
                     }
                 }
             }

@@ -182,6 +182,33 @@ TEST(Lcrq, ApproxSizeAcrossSegments) {
     EXPECT_EQ(q.approx_size(), 0u);
 }
 
+TEST(Lcrq, ApproxSizeCountsFullSegmentsBetweenHeadAndTail) {
+    // O(1) estimate: head and tail estimates plus R per segment between
+    // them.  Single-threaded, every middle segment closed full, so it is
+    // exact until the head is a partly drained closed segment.
+    LcrqQueue q(tiny());  // R = 4
+    for (value_t v = 1; v <= 41; ++v) q.enqueue(v);
+    ASSERT_EQ(q.segment_count(), 11u);
+    EXPECT_EQ(q.approx_size(), 41u);
+    for (value_t v = 1; v <= 6; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
+    // 35 items; the head (2 left) also counts the ticket its close wasted.
+    EXPECT_EQ(q.approx_size(), 36u);
+}
+
+TEST(Lcrq, LooksEmptyFollowsTheHeadSegmentAndItsSuccessor) {
+    LcrqQueue q(tiny());  // R = 4
+    EXPECT_TRUE(q.looks_empty());
+    for (value_t v = 1; v <= 5; ++v) q.enqueue(v);  // two segments
+    EXPECT_FALSE(q.looks_empty());
+    for (value_t v = 1; v <= 4; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
+    // The head segment is drained but a successor exists: not empty.
+    EXPECT_FALSE(q.looks_empty());
+    ASSERT_EQ(q.dequeue().value_or(0), 5u);
+    EXPECT_TRUE(q.looks_empty());
+    EXPECT_FALSE(q.dequeue().has_value());
+    EXPECT_TRUE(q.looks_empty()) << "an EMPTY dequeue must leave the peek empty";
+}
+
 TEST(Lcrq, ApproxSizeDuringRetirementStress) {
     // approx_size walks the segment list under hazard protection, so it
     // must be safe to hammer concurrently with dequeue-driven segment

@@ -2,7 +2,8 @@
 // every interleaving for tiny configurations (the executable form of the
 // paper's §4.1.2 argument, covering the safe-bit corner cases real-thread
 // tests cannot reach deterministically), random sampling for larger ones,
-// and a differential check that the model matches the real Crq.
+// and a differential check that the model matches the real Crq.  Also the
+// facades' notify handshakes (verify/notify_model.hpp), explored whole.
 #include <gtest/gtest.h>
 
 #include "queues/crq.hpp"
@@ -11,6 +12,7 @@
 #include "queues/wcq.hpp"
 #include "verify/lcrq_model.hpp"
 #include "verify/explore.hpp"
+#include "verify/notify_model.hpp"
 
 namespace lcrq::verify {
 namespace {
@@ -857,6 +859,41 @@ TEST(ExploreWcq, RandomSamplingBlindRevertStaysBroken) {
     cfg.corrected = true;
     const auto fixed = explore_wcq_random(script, cfg);
     EXPECT_EQ(fixed.violations, 0u) << fixed.summary();
+}
+
+// --- notify handshakes ------------------------------------------------------
+
+TEST(NotifyModel, BlockingHandshakeNeverStrandsASleeper) {
+    const NotifyExploreResult r = explore_blocking_handshake();
+    EXPECT_TRUE(r.ok()) << r.first_violation;
+    // Both sides of the gate were explored: schedules where the notifier
+    // skipped the bump (nobody registered yet) and ones where the waiter
+    // really parked and had to be woken.
+    EXPECT_GT(r.skips, 0u);
+    EXPECT_GT(r.sleeps, 0u);
+}
+
+TEST(NotifyModel, AsyncHandshakeNeverStrandsAnAwaiter) {
+    const NotifyExploreResult r = explore_async_handshake();
+    EXPECT_TRUE(r.ok()) << r.first_violation;
+    EXPECT_GT(r.schedules, 0u);
+    EXPECT_GT(r.sleeps, 0u) << "no schedule parked the awaiter";
+}
+
+TEST(NotifyModel, CatchesANotifierThatReadsTheCountBeforePublishing) {
+    const NotifyExploreResult r =
+        explore_blocking_handshake(NotifyMutant::kCountBeforePublish);
+    EXPECT_GT(r.violations, 0u) << "the explorer missed the lost wakeup";
+}
+
+TEST(NotifyModel, CatchesAWaiterThatReadsTheEpochAfterItsRecheck) {
+    const NotifyExploreResult r = explore_blocking_handshake(NotifyMutant::kEpochAfterRecheck);
+    EXPECT_GT(r.violations, 0u) << "the explorer missed the lost wakeup";
+}
+
+TEST(NotifyModel, CatchesAnAsyncWakerThatSkipsItsBump) {
+    const NotifyExploreResult r = explore_async_handshake(NotifyMutant::kAsyncSkipBump);
+    EXPECT_GT(r.violations, 0u) << "the explorer missed the stranded awaiter";
 }
 
 }  // namespace

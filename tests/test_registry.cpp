@@ -136,6 +136,29 @@ TEST(Registry, AdapterCountsOperations) {
     EXPECT_EQ(s[stats::Event::kDequeueEmpty], 1u);
 }
 
+TEST(Registry, ListQueuesForwardTheirPeekAndOthersAnswerDontKnow) {
+    // The list queues peek without writing; the adapter forwards it and
+    // counts nothing for it.  Queues without a peek answer false ("don't
+    // know, poll for real"), which keeps a waiter making real dequeues.
+    for (const char* name : {"lcrq", "lscq", "lwcq"}) {
+        SCOPED_TRACE(name);
+        auto q = make_queue(name);
+        ASSERT_NE(q, nullptr);
+        stats::reset_all();
+        EXPECT_TRUE(q->looks_empty());
+        q->enqueue(1);
+        EXPECT_FALSE(q->looks_empty());
+        EXPECT_EQ(q->dequeue().value_or(0), 1u);
+        EXPECT_TRUE(q->looks_empty());
+        const auto s = stats::global_snapshot();
+        EXPECT_EQ(s[stats::Event::kDequeue], 1u) << "a peek counted as a dequeue";
+        EXPECT_EQ(s[stats::Event::kDequeueEmpty], 0u);
+    }
+    auto ms = make_queue("ms");
+    ASSERT_NE(ms, nullptr);
+    EXPECT_FALSE(ms->looks_empty());
+}
+
 TEST(Registry, PaperSetsResolve) {
     for (const auto& name : paper_single_processor_set()) {
         EXPECT_NE(make_queue(name), nullptr) << name;

@@ -1,10 +1,13 @@
 // LCRQ graceful shutdown (close / try_enqueue) and the blocking facade.
+// The facade's multi-threaded cases live in facade_thread_cases.hpp,
+// shared with the LSCQ instantiation the tsan build row runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
+#include "facade_thread_cases.hpp"
 #include "queues/blocking_queue.hpp"
 #include "queues/lcrq.hpp"
 #include "queues/scq.hpp"
@@ -107,41 +110,11 @@ TEST(BlockingQueue, BaseClosedDirectlyEnqueueRefusesInsteadOfLosing) {
     EXPECT_FALSE(q.try_dequeue().has_value());
 }
 
-TEST(BlockingQueue, WaitDequeueGetsItem) {
-    BlockingQueue<> q;
-    std::thread producer([&] {
-        spin_for_ns(2'000'000);
-        EXPECT_TRUE(q.enqueue(42));
-    });
-    const auto v = q.wait_dequeue();  // blocks until the producer lands
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 42u);
-    producer.join();
-}
-
 TEST(BlockingQueue, TryDequeueNeverBlocks) {
     BlockingQueue<> q;
     EXPECT_FALSE(q.try_dequeue().has_value());
     q.enqueue(7);
     EXPECT_EQ(q.try_dequeue().value_or(0), 7u);
-}
-
-TEST(BlockingQueue, CloseWakesSleepers) {
-    BlockingQueue<> q;
-    std::atomic<int> woke{0};
-    std::vector<std::thread> sleepers;
-    for (int i = 0; i < 3; ++i) {
-        sleepers.emplace_back([&] {
-            const auto v = q.wait_dequeue();
-            EXPECT_FALSE(v.has_value());  // closed and empty
-            woke.fetch_add(1);
-        });
-    }
-    spin_for_ns(3'000'000);  // give them time to reach the futex
-    q.close();
-    for (auto& t : sleepers) t.join();
-    EXPECT_EQ(woke.load(), 3);
-    EXPECT_FALSE(q.enqueue(1)) << "enqueue after close must be refused";
 }
 
 TEST(BlockingQueue, DrainsBeforeReportingClosed) {
@@ -154,32 +127,6 @@ TEST(BlockingQueue, DrainsBeforeReportingClosed) {
         EXPECT_EQ(*r, v);
     }
     EXPECT_FALSE(q.wait_dequeue().has_value());
-}
-
-TEST(BlockingQueue, ProducerConsumerThroughputWithShutdown) {
-    // The canonical lifecycle: producers produce, the last one out closes,
-    // blocked consumers wake, drain, and see the closed signal.
-    BlockingQueue<> q;
-    constexpr std::uint64_t kItems = 20'000;
-    std::atomic<std::uint64_t> received{0};
-    std::atomic<int> producers_left{2};
-    test::run_threads(4, [&](int id) {
-        if (id < 2) {
-            for (std::uint64_t i = 0; i < kItems / 2; ++i) {
-                ASSERT_TRUE(q.enqueue(test::tag(static_cast<unsigned>(id), i)));
-            }
-            if (producers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                q.close();
-            }
-        } else {
-            while (auto v = q.wait_dequeue()) {
-                received.fetch_add(1, std::memory_order_acq_rel);
-            }
-            // nullopt: closed and drained (for this consumer's view).
-        }
-    });
-    while (q.try_dequeue().has_value()) received.fetch_add(1);
-    EXPECT_EQ(received.load(), kItems);
 }
 
 TEST(BlockingQueue, WaitForTimesOutWhenIdle) {
@@ -199,18 +146,6 @@ TEST(BlockingQueue, WaitForReturnsEarlyWithItem) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value, 9u);
     EXPECT_LT(now_ns() - t0, 500'000'000u) << "did not return promptly";
-}
-
-TEST(BlockingQueue, WaitForSeesConcurrentProducer) {
-    BlockingQueue<> q;
-    std::thread producer([&] {
-        spin_for_ns(1'000'000);
-        q.enqueue(77);
-    });
-    const WaitResult r = q.wait_dequeue_for(2'000'000'000);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value, 77u);
-    producer.join();
 }
 
 TEST(BlockingQueue, WaitForAfterCloseDrainsThenClosed) {
@@ -241,7 +176,7 @@ TEST(BlockingQueue, WaitForSleepsInsteadOfSpinning) {
     EXPECT_TRUE(r.timed_out());
     ASSERT_GE(wall, kWaitNs - 1'000'000) << "deadline not honored";
     // The old implementation burned ~100% of wall as CPU; the sliced futex
-    // wait costs the 64 optimistic attempts plus ~20 wakeups.  Even on a
+    // wait costs a 25 us spin window per slice plus ~20 wakeups.  Even on a
     // loaded CI host, a quarter of the wall budget is an order of
     // magnitude above what sleeping costs and far below what spinning did.
     EXPECT_LT(cpu, wall / 4) << "wait_dequeue_for burned CPU like a spin loop";
@@ -257,18 +192,6 @@ TEST(BlockingQueue, BoundedTryEnqueueShedsAtWatermark) {
     EXPECT_TRUE(q.try_enqueue(9)) << "space freed: accepted again";
 }
 
-TEST(BlockingQueue, WaitEnqueueBlocksUntilSpace) {
-    BlockingQueue<> q(QueueOptions{}, /*capacity=*/4);
-    for (value_t v = 1; v <= 4; ++v) ASSERT_TRUE(q.try_enqueue(v));
-    std::thread consumer([&] {
-        spin_for_ns(2'000'000);
-        EXPECT_EQ(q.try_dequeue().value_or(0), 1u);
-    });
-    const WaitStatus st = q.wait_enqueue_for(5, 2'000'000'000);
-    EXPECT_EQ(st, WaitStatus::kOk) << "blocked producer must land after the dequeue";
-    consumer.join();
-}
-
 TEST(BlockingQueue, WaitEnqueueTimesOutWhenFull) {
     BlockingQueue<> q(QueueOptions{}, /*capacity=*/2);
     ASSERT_TRUE(q.try_enqueue(1));
@@ -278,17 +201,6 @@ TEST(BlockingQueue, WaitEnqueueTimesOutWhenFull) {
     EXPECT_GE(now_ns() - t0, 2'000'000u);
     q.close();
     EXPECT_EQ(q.wait_enqueue_for(4, 1'000'000), WaitStatus::kClosed);
-}
-
-TEST(BlockingQueue, WaitEnqueueWakesOnClose) {
-    BlockingQueue<> q(QueueOptions{}, /*capacity=*/1);
-    ASSERT_TRUE(q.try_enqueue(1));
-    std::thread closer([&] {
-        spin_for_ns(2'000'000);
-        q.close();
-    });
-    EXPECT_EQ(q.wait_enqueue(2), WaitStatus::kClosed);
-    closer.join();
 }
 
 TEST(BlockingQueue, DrainDeliversRemainderAndReportsComplete) {
@@ -311,27 +223,6 @@ TEST(BlockingQueue, DrainOnEmptyClosedQueueIsComplete) {
     const DrainReport rep = q.drain(100'000'000);
     EXPECT_TRUE(rep.complete);
     EXPECT_EQ(rep.drained, 0u);
-}
-
-TEST(BlockingQueue, DrainRacesConcurrentConsumersWithoutLoss) {
-    // drain() and wait_dequeue consumers split the remainder; nothing is
-    // lost and nothing is double-delivered.
-    BlockingQueue<> q;
-    constexpr std::uint64_t kItems = 10'000;
-    for (std::uint64_t i = 0; i < kItems; ++i) {
-        ASSERT_TRUE(q.enqueue(test::tag(1, i)));
-    }
-    std::atomic<std::uint64_t> consumed{0};
-    std::atomic<std::uint64_t> drained{0};
-    test::run_threads(3, [&](int id) {
-        if (id == 0) {
-            const DrainReport rep = q.drain(2'000'000'000);
-            drained.fetch_add(rep.drained);
-        } else {
-            while (q.wait_dequeue().has_value()) consumed.fetch_add(1);
-        }
-    });
-    EXPECT_EQ(consumed.load() + drained.load(), kItems);
 }
 
 TEST(BlockingQueue, ComposesOverRegistryBackend) {
@@ -417,5 +308,61 @@ TEST(BlockingQueue, ShedAndBlockCountersFire) {
     EXPECT_EQ(s[stats::Event::kBlockedEnq], 1u) << "the bounded wait registered";
 }
 
+// Witnesses that idle facade traffic writes nothing a sleeper does not
+// need.  Single-threaded, so the counts are exact.
+
+TEST(BlockingQueue, AdmitsWithNoWaiterLeaveTheItemsEpochAlone) {
+    BlockingQueue<> q;
+    const std::uint32_t before = q.items_epoch();
+    for (value_t v = 1; v <= 1000; ++v) ASSERT_TRUE(q.try_enqueue(v));
+    EXPECT_EQ(q.items_epoch(), before) << "an admit bumped with no waiter registered";
+}
+
+TEST(BlockingQueue, DequeuesWithNoParkedProducerLeaveTheSpaceEpochAlone) {
+    BlockingQueue<> q(QueueOptions{}, /*capacity=*/4096);
+    for (value_t v = 1; v <= 1000; ++v) ASSERT_TRUE(q.try_enqueue(v));
+    const std::uint32_t before = q.space_epoch();
+    for (value_t v = 1; v <= 1000; ++v) ASSERT_EQ(q.try_dequeue().value_or(0), v);
+    EXPECT_EQ(q.space_epoch(), before) << "a dequeue bumped with no producer parked";
+}
+
+// A facade over a registry queue, where the adapter counts every real
+// dequeue (and every EMPTY one) while the peek counts nothing.
+BlockingQueue<UniquePtrBase<AnyQueue>> registry_facade(const char* name) {
+    return BlockingQueue<UniquePtrBase<AnyQueue>>(
+        UniquePtrBase<AnyQueue>(make_queue(name)));
+}
+
+TEST(BlockingQueue, IdleWaitPeeksInsteadOfPolling) {
+    auto q = registry_facade("lcrq");
+    stats::reset_all();
+    const WaitResult r = q.wait_dequeue_for(2'000'000);  // 2 ms, nobody enqueues
+    EXPECT_TRUE(r.timed_out());
+    const stats::Snapshot s = stats::global_snapshot();
+    // One before the window, one re-check before the sleep, one after it.
+    EXPECT_LE(s[stats::Event::kDequeueEmpty], 3u) << "the spin window polled for real";
+    EXPECT_EQ(s[stats::Event::kBlockedDeq], 1u);
+}
+
+TEST(BlockingQueue, ZeroOrPastDeadlineStillMakesOneRealDequeue) {
+    auto q = registry_facade("lcrq");
+    stats::reset_all();
+    EXPECT_TRUE(q.wait_dequeue_for(0).timed_out());
+    EXPECT_TRUE(q.wait_dequeue_until(0).timed_out());  // long past
+    const stats::Snapshot s = stats::global_snapshot();
+    EXPECT_EQ(s[stats::Event::kDequeueEmpty], 2u) << "one real attempt per call";
+    EXPECT_EQ(s[stats::Event::kBlockedDeq], 0u) << "no time left, so no park";
+    ASSERT_TRUE(q.try_enqueue(5));
+    const WaitResult r = q.wait_dequeue_for(0);
+    ASSERT_TRUE(r.ok()) << "a ready item must be delivered at a zero deadline";
+    EXPECT_EQ(r.value, 5u);
+}
+
 }  // namespace
 }  // namespace lcrq
+
+namespace lcrq::test {
+INSTANTIATE_TYPED_TEST_SUITE_P(Lcrq, BlockingThreads, LcrqQueue);
+// Instantiated over LcrqQueue in test_async_queue.
+GTEST_ALLOW_UNINSTANTIATED_PARAMETERIZED_TEST(AsyncThreads);
+}  // namespace lcrq::test
