@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
     std::printf("Closed-loop measurement: timestamps start when the operation "
                 "starts, so these are service times — queueing delay under "
                 "overload is excluded (coordinated omission).  For end-to-end "
-                "latency from intended arrival, see bench/dispatch_server.\n\n");
+                "latency from intended arrival, see perfbench's dispatch "
+                "workload (python3 perfbench/run.py --workload dispatch).\n\n");
 
     const std::uint64_t probes_ns[] = {100,    240,    500,     1'000,    2'000,
                                        5'000,  10'000, 25'000,  100'000,  1'000'000};

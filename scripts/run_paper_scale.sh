@@ -42,8 +42,10 @@ if [ "${BATCH_SWEEP:-0}" = "1" ]; then
                       --json "$OUT/BENCH_batch.json"
 fi
 
-# Canonical regression-gating artifacts at paper scale: BENCH_queue_ops.json,
-# BENCH_bulk_ops.json, BENCH_latency.json in $OUT.  Diff against a previous
-# generation with scripts/bench_compare.py to gate perf changes.
-run regress --paper --out-dir "$OUT"
+# The multi-socket hierarchy and multilane results (hardware-gated on a
+# single-node host): the -h claim timeouts and the lane front-ends next to
+# their plain bases, over the discovered clusters.
+run fig7_multiprocessor --clusters 0 --pairs 1000000 --runs 5 \
+                        --queues lcrq,lcrq-h0,lcrq-h100,lscq,lscq-h0,lscq-h100,lcrq-ml,lscq-ml \
+                        --thread-list 1,2,4,8,16,32,48,64,80
 echo "results in $OUT/"

@@ -10,13 +10,11 @@ namespace lcrq::bench {
 namespace {
 
 // Ratio that serializes as null (not 0, not inf) on a zero denominator:
-// the comparator must distinguish "no data" from "zero cost".
+// a reader must be able to tell "no data" from "zero cost".
 Json ratio(double num, double den) {
     if (den <= 0) return Json();
     return Json(num / den);
 }
-
-}  // namespace
 
 Json host_json() {
     const topo::Topology t = topo::discover();
@@ -93,8 +91,8 @@ Json counters_json(const stats::Snapshot& delta) {
                                            delta[stats::Event::kSegmentReuse])))
             // Fraction of successful multilane dequeues served by stealing
             // from another thread's lane; null for non-multilane queues.
-            // bench_compare.py gates on its growth (a balance regression
-            // shows up here before it shows up in throughput).
+            // A balance regression shows up here before it shows up in
+            // throughput.
             .set("lane_steal_rate",
                  ratio(static_cast<double>(delta[stats::Event::kLaneSteal]),
                        static_cast<double>(delta[stats::Event::kLaneLocalHit] +
@@ -110,14 +108,29 @@ Json counters_json(const stats::Snapshot& delta) {
             // Fraction of hierarchical enters that expired their timeout
             // and claimed the cluster tag (§4.1.1); null for queues without
             // the hierarchy policy.  Low = batching works (most enters find
-            // their own cluster or receive a handover); bench_compare.py
-            // gates on its growth.
+            // their own cluster or receive a handover).
             .set("cluster_handoff_rate",
                  ratio(static_cast<double>(delta[stats::Event::kClusterHandoff]),
                        static_cast<double>(delta[stats::Event::kClusterEnter])));
     return Json::object().set("counts", std::move(counts)).set("derived",
                                                                std::move(derived));
 }
+
+Json latency_json(const LatencyHistogram& h) {
+    const auto pct = [&](double q) {
+        return h.total() == 0 ? Json() : Json(h.percentile(q));
+    };
+    return Json::object()
+        .set("samples", h.total())
+        .set("mean_ns", h.total() == 0 ? Json() : Json(h.mean()))
+        .set("p50_ns", pct(0.50))
+        .set("p90_ns", pct(0.90))
+        .set("p99_ns", pct(0.99))
+        .set("p999_ns", pct(0.999))
+        .set("max_ns", h.total() == 0 ? Json() : Json(h.max()));
+}
+
+}  // namespace
 
 Json hw_json(const HwCounts& hw, std::uint64_t total_ops) {
     const auto ops = static_cast<double>(total_ops);
@@ -143,20 +156,6 @@ Json hw_json(const HwCounts& hw, std::uint64_t total_ops) {
     }
     if (any_missing) out.set("unavailable", std::move(unavailable));
     return out;
-}
-
-Json latency_json(const LatencyHistogram& h) {
-    const auto pct = [&](double q) {
-        return h.total() == 0 ? Json() : Json(h.percentile(q));
-    };
-    return Json::object()
-        .set("samples", h.total())
-        .set("mean_ns", h.total() == 0 ? Json() : Json(h.mean()))
-        .set("p50_ns", pct(0.50))
-        .set("p90_ns", pct(0.90))
-        .set("p99_ns", pct(0.99))
-        .set("p999_ns", pct(0.999))
-        .set("max_ns", h.total() == 0 ? Json() : Json(h.max()));
 }
 
 Json result_json(const std::string& queue, const RunConfig& cfg, const RunResult& r) {

@@ -1,14 +1,11 @@
 // Machine-readable benchmark reports.
 //
-// Every bench binary can serialize its runs as a versioned JSON document
-// (the shared --json flag), and bench/regress emits the canonical
-// BENCH_queue_ops.json / BENCH_bulk_ops.json / BENCH_latency.json artifacts
-// that scripts/bench_compare.py gates regressions against.  One schema for
-// all binaries: host topology, the RunConfig, and per-configuration result
-// entries carrying throughput (with the run-to-run cv the comparator's
-// noise model needs), the software-counter delta with derived atomics/op
-// and CAS-failure rates, and latency percentiles.  See EXPERIMENTS.md
-// ("Machine-readable pipeline") for the schema reference.
+// Every figure and table binary can serialize its runs as a versioned JSON
+// document (the shared --json flag).  One schema for all binaries: host
+// topology, the RunConfig, and per-configuration result entries carrying
+// throughput (with its run-to-run cv), the software-counter delta with
+// derived atomics/op and CAS-failure rates, and latency percentiles.  See
+// EXPERIMENTS.md ("Machine-readable output") for the schema reference.
 #pragma once
 
 #include <string>
@@ -19,28 +16,11 @@
 
 namespace lcrq::bench {
 
-// Bump on any backwards-incompatible field change; bench_compare.py
-// refuses to diff documents whose versions differ.
+// Bump on any backwards-incompatible field change, so a reader can refuse
+// documents of a version it does not know.
 inline constexpr int kBenchSchemaVersion = 1;
 
 // --- building blocks --------------------------------------------------------
-
-// {"description", "cpus", "clusters", "hw_threads"} for the host this
-// process runs on.
-Json host_json();
-
-// The full RunConfig, so an artifact is self-describing.
-Json config_json(const RunConfig& cfg);
-
-// {"mean_ops_per_sec", "cv", "min", "max", "runs"}.  cv is the recorded
-// run-to-run coefficient of variation — the comparator widens its
-// regression threshold by it.
-Json throughput_json(const RunningStats& s);
-
-// Raw per-event counts plus a "derived" block (atomics_per_op,
-// cas_failure_rate, cas2_failure_rate, faa_per_op, cas_fails_per_op).
-// Ratios with a zero denominator serialize as null, never as 0.
-Json counters_json(const stats::Snapshot& delta);
 
 // {"instructions_per_op", "l1d_miss_per_op", "llc_miss_per_op",
 //  "dtlb_miss_per_op"} — per-operation hardware-event rates, null for
@@ -48,10 +28,6 @@ Json counters_json(const stats::Snapshot& delta);
 // refused event's reason).  Emitted in result_json only when the run
 // measured hardware counters.
 Json hw_json(const HwCounts& hw, std::uint64_t total_ops);
-
-// {"samples", "mean_ns", "p50_ns", "p90_ns", "p99_ns", "p999_ns",
-//  "max_ns"}; percentiles are null when nothing was sampled.
-Json latency_json(const LatencyHistogram& h);
 
 // One results[] entry for a pairs-runner result: queue/workload/threads
 // key fields plus throughput, ns_per_op (null for failed runs), counters,
@@ -62,8 +38,7 @@ Json result_json(const std::string& queue, const RunConfig& cfg, const RunResult
 
 class JsonReport {
   public:
-    // `bench_id` names the producing experiment, e.g. "fig6a" or
-    // "regress/queue_ops".
+    // `bench_id` names the producing experiment, e.g. "fig6a".
     explicit JsonReport(std::string bench_id);
 
     // Record the sweep's base configuration (optional; once).
@@ -71,7 +46,6 @@ class JsonReport {
     // Bench-specific top-level fields (e.g. the swept batch sizes).
     void set_extra(std::string_view key, Json value);
     void add_result(Json entry);
-    std::size_t result_count() const noexcept { return results_.size(); }
 
     Json document() const;
     // Serialize to `path`; returns false (with a message on stderr) if the

@@ -170,9 +170,7 @@ bool parse_workload(const std::string& s, Workload& out) noexcept {
 }
 
 int effective_producers(const RunConfig& cfg) noexcept {
-    int p = cfg.producers > 0 ? cfg.producers : (cfg.threads + 1) / 2;
-    if (p >= cfg.threads) p = cfg.threads - 1;  // at least one consumer
-    return p < 1 ? 1 : p;
+    return cfg.threads > 1 ? (cfg.threads + 1) / 2 : 1;
 }
 
 topo::Topology effective_topology(const RunConfig& cfg) {

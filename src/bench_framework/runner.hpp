@@ -43,11 +43,6 @@ struct RunConfig {
     int threads = 2;
     std::uint64_t pairs_per_thread = 100'000;
     Workload workload = Workload::kPairs;
-    // kProducerConsumer split: threads [0, producers) enqueue, the rest
-    // dequeue.  0 = the historical ceil(T/2); clamped to threads - 1 so at
-    // least one consumer exists.  Lets the lane sweep run producer-heavy
-    // shapes (T-1 producers, 1 consumer) where enqueue contention dominates.
-    int producers = 0;
     int runs = 3;
     topo::Placement placement = topo::Placement::kSingleCluster;
     // Virtual cluster count for topology emulation; 0 = discovered.
@@ -95,8 +90,8 @@ RunResult run_pairs(const std::string& queue_name, const QueueOptions& qopt,
 // The effective topology a config runs on (honors cfg.clusters).
 topo::Topology effective_topology(const RunConfig& cfg);
 
-// Producer count of the kProducerConsumer workload after defaulting and
-// clamping (see RunConfig::producers).
+// Producer count of the kProducerConsumer workload: ceil(T/2), and 1 for
+// a single thread.
 int effective_producers(const RunConfig& cfg) noexcept;
 
 }  // namespace lcrq::bench

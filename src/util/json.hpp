@@ -1,10 +1,10 @@
-// Minimal JSON document type for the machine-readable benchmark pipeline.
+// Minimal JSON document type for the machine-readable benchmark output.
 //
-// The bench binaries emit BENCH_*.json artifacts that scripts/bench_compare.py
-// diffs across commits, and the test suite round-trips every report
-// (emit -> parse -> field-by-field compare), so this module carries both a
-// serializer and a parser.  Scope is deliberately small: the six JSON value
-// kinds, order-preserving objects (stable artifact diffs), exact double
+// The bench binaries write --json reports, perfbench writes its run
+// records, and the test suite round-trips every report (emit -> parse ->
+// field-by-field compare), so this module carries both a serializer and a
+// parser.  Scope is deliberately small: the six JSON value kinds,
+// order-preserving objects (stable artifact diffs), exact double
 // round-tripping, and NaN/Inf mapped to `null` on output (JSON has no
 // representation for them; `null` is the schema's "no data" marker).
 #pragma once

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -134,6 +135,74 @@ TEST(Registry, AdapterCountsOperations) {
     EXPECT_EQ(s[stats::Event::kEnqueue], 2u);
     EXPECT_EQ(s[stats::Event::kDequeue], 3u);
     EXPECT_EQ(s[stats::Event::kDequeueEmpty], 1u);
+}
+
+// Lock-prefixed RMWs per enqueue/dequeue pair on an empty queue, one
+// thread, default options: the "atomic operations" rows of Tables 2/3 with
+// nothing contended, so every count is exact and no CAS or CAS2 fails.
+struct RmwPerPair {
+    unsigned faa = 0, swap = 0, tas = 0, fetch_or = 0, cas = 0, cas2 = 0;
+};
+const std::map<std::string, RmwPerPair> kRmwPerPair = {
+    {"lcrq", {.faa = 2, .cas2 = 2}},
+    {"lcrq-h", {.faa = 2, .cas2 = 2}},
+    {"lcrq-compact", {.faa = 2, .cas2 = 2}},
+    {"lcrq-noreclaim", {.faa = 2, .cas2 = 2}},
+    {"lcrq-nopool", {.faa = 2, .cas2 = 2}},
+    {"lcrq-ml", {.faa = 2, .cas2 = 2}},
+    {"lcrq-cas", {.cas = 2, .cas2 = 2}},
+    {"lscq", {.faa = 4, .fetch_or = 2, .cas = 2}},
+    {"lscq-h", {.faa = 4, .fetch_or = 2, .cas = 2}},
+    {"lscq-nopool", {.faa = 4, .fetch_or = 2, .cas = 2}},
+    {"lscq-ml", {.faa = 4, .fetch_or = 2, .cas = 2}},
+    {"scq", {.faa = 4, .fetch_or = 2, .cas = 2}},
+    {"lwcq", {.faa = 4, .cas = 4}},
+    {"lwcq-noreclaim", {.faa = 4, .cas = 4}},
+    {"lwcq-nopool", {.faa = 4, .cas = 4}},
+    {"wcq", {.faa = 4, .cas = 4}},
+    {"ms", {.cas = 3}},
+    {"ms-nobackoff", {.cas = 3}},
+    {"kp", {.cas = 6}},
+    {"bounded-mpmc", {.cas = 2}},
+    {"two-lock", {.tas = 2}},
+    {"two-lock-blind", {.tas = 2}},
+    {"fc-queue", {.tas = 2}},
+    {"cc-queue", {.swap = 2}},
+    {"h-queue", {.swap = 2, .tas = 2}},
+    {"infinite-array", {.faa = 2, .swap = 2}},
+    {"mutex", {}},
+};
+
+TEST(Registry, EveryRowPaysExactlyItsAtomicsPerPair) {
+    constexpr std::uint64_t kWarmup = 8;  // lanes, cluster tag, first touches
+    constexpr std::uint64_t kPairs = 1000;
+    for (const auto& info : queue_catalog()) {
+        SCOPED_TRACE(info.name);
+        const auto row = kRmwPerPair.find(info.name);
+        ASSERT_NE(row, kRmwPerPair.end()) << "catalog row without an expected count";
+        auto q = make_queue(info.name);
+        ASSERT_NE(q, nullptr);
+        for (value_t v = 1; v <= kWarmup; ++v) {
+            q->enqueue(v);
+            ASSERT_EQ(q->dequeue().value_or(0), v);
+        }
+        const auto before = stats::global_snapshot();
+        for (value_t v = 1; v <= kPairs; ++v) {
+            q->enqueue(v);
+            ASSERT_EQ(q->dequeue().value_or(0), v);
+        }
+        const auto d = stats::global_snapshot() - before;
+        const RmwPerPair& want = row->second;
+        EXPECT_EQ(d[stats::Event::kFaa], want.faa * kPairs);
+        EXPECT_EQ(d[stats::Event::kSwap], want.swap * kPairs);
+        EXPECT_EQ(d[stats::Event::kTas], want.tas * kPairs);
+        EXPECT_EQ(d[stats::Event::kFetchOr], want.fetch_or * kPairs);
+        EXPECT_EQ(d[stats::Event::kCas], want.cas * kPairs);
+        EXPECT_EQ(d[stats::Event::kCas2], want.cas2 * kPairs);
+        EXPECT_EQ(d[stats::Event::kCasFailure], 0u);
+        EXPECT_EQ(d[stats::Event::kCas2Failure], 0u);
+    }
+    EXPECT_EQ(kRmwPerPair.size(), queue_catalog().size()) << "a table row names no queue";
 }
 
 TEST(Registry, ListQueuesForwardTheirPeekAndOthersAnswerDontKnow) {

@@ -2,14 +2,17 @@
 // behaviour (bounded capacity, ownership, concurrent push/pop), ring and
 // segment reset, home-cluster recording and hugepage slabs (typed over
 // the SCQ family's two segments, Scq and Wcq), and end-to-end recycling
-// through LSCQ.
+// through the list queues (reuse typed over LCRQ, LSCQ and LwCQ; the
+// rest through LSCQ).
 //
-// Deliberately TSan-eligible: everything here is dummy nodes or the
-// CAS2-free SCQ family (the LCRQ-side pool paths are covered in test_lcrq
-// and the injection suites, which run under ASan).
+// Deliberately TSan-eligible: every multi-threaded case here is dummy
+// nodes or the CAS2-free SCQ family.  LCRQ appears only in the
+// single-threaded reuse case (its concurrent pool paths are covered in
+// test_lcrq and the injection suites, which run under ASan).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <set>
@@ -17,7 +20,9 @@
 #include <vector>
 
 #include "arch/counters.hpp"
+#include "queues/lcrq.hpp"
 #include "queues/lscq.hpp"
+#include "queues/lwcq.hpp"
 #include "queues/scq.hpp"
 #include "queues/wcq.hpp"
 #include "queues/segment_pool.hpp"
@@ -228,7 +233,9 @@ TEST(SegmentPool, ClusterHintFilesAndPrefersHomeShard) {
 // — a use-after-free an observer thread could hit under churn.  Counting
 // is per-shard atomic counters now; this hammers the accessors from an
 // observer while workers churn, and samples the capacity bound *live*
-// rather than only after quiescence.
+// rather than only after quiescence.  The workers start churning only
+// once the observer has taken its first sample, so the reads overlap the
+// frees by construction, however the threads get scheduled.
 TEST(SegmentPool, SizeAccessorsRaceChurnWithoutTouchingFreedNodes) {
     constexpr int kWorkers = 3;
     constexpr std::size_t kCap = 8;
@@ -254,6 +261,14 @@ TEST(SegmentPool, SizeAccessorsRaceChurnWithoutTouchingFreedNodes) {
             }
         });
         test::run_threads(kWorkers, [&](int t) {
+            // Bounded: an observer that never samples fails the
+            // EXPECT_GT below rather than hanging the test.
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (samples.load(std::memory_order_relaxed) == 0 &&
+                   std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+            }
             for (int i = 0; i < kIters; ++i) {
                 topo::set_current_cluster((t + i) % 3);
                 // Interleave *frees* with the observer's reads: a quarter
@@ -371,18 +386,32 @@ TYPED_TEST(ScqFamilyReset, DrainedClosedSegmentRecyclesToSeededState) {
     EXPECT_EQ(q.try_enqueue(99), EnqueueResult::kFull) << "capacity must survive reset";
 }
 
-// --- end-to-end recycling through LSCQ --------------------------------------
+// --- end-to-end recycling through the list queues ---------------------------
 
-QueueOptions tiny_lscq(std::size_t pool_cap = 16) {
+QueueOptions tiny_rings(std::size_t pool_cap = 16) {
     QueueOptions opt;
     opt.ring_order = 2;  // capacity-4 segments: every 5th enqueue closes one
     opt.segment_pool_cap = pool_cap;
     return opt;
 }
 
-TEST(LscqSegmentPool, CloseHeavyChurnReusesSegments) {
+// Every list backend recycles through the one pool path in
+// LinkedSegments; suites are named by list queue.
+using ListQueues = ::testing::Types<LcrqQueue, LscqQueue, LwcqQueue>;
+struct ListName {
+    template <typename Q>
+    static std::string GetName(int) {
+        return Q::kName;
+    }
+};
+
+template <typename Q>
+struct ListSegmentPool : ::testing::Test {};
+TYPED_TEST_SUITE(ListSegmentPool, ListQueues, ListName);
+
+TYPED_TEST(ListSegmentPool, CloseHeavyChurnReusesSegments) {
     const auto before = stats::global_snapshot();
-    LscqQueue q(tiny_lscq());
+    TypeParam q(tiny_rings());
     value_t next_in = 0, next_out = 0;
     for (int round = 0; round < 200; ++round) {
         for (int i = 0; i < 6; ++i) q.enqueue(next_in++);
@@ -402,7 +431,7 @@ TEST(LscqSegmentPool, CloseHeavyChurnReusesSegments) {
 
 TEST(LscqSegmentPool, NoPoolVariantNeverReuses) {
     const auto before = stats::global_snapshot();
-    LscqQueue q(tiny_lscq(/*pool_cap=*/0));
+    LscqQueue q(tiny_rings(/*pool_cap=*/0));
     value_t next_in = 0, next_out = 0;
     for (int round = 0; round < 50; ++round) {
         for (int i = 0; i < 6; ++i) q.enqueue(next_in++);
@@ -417,7 +446,7 @@ TEST(LscqSegmentPool, NoPoolVariantNeverReuses) {
 }
 
 TEST(LscqSegmentPool, PoolCapacityBoundsParkedSegments) {
-    LscqQueue q(tiny_lscq(/*pool_cap=*/2));
+    LscqQueue q(tiny_rings(/*pool_cap=*/2));
     for (value_t v = 0; v < 400; ++v) q.enqueue(v);  // ~100 segments live
     for (value_t v = 0; v < 400; ++v) {
         ASSERT_EQ(q.dequeue().value_or(~0ull), v);
@@ -432,7 +461,7 @@ TEST(LscqSegmentPool, MpmcChurnWithRecyclingKeepsFifo) {
     // Concurrent producers/consumers over tiny segments with a tiny pool:
     // recycled segments must behave exactly like fresh ones (no lost, no
     // duplicated, per-producer FIFO).
-    LscqQueue q(tiny_lscq(/*pool_cap=*/4));
+    LscqQueue q(tiny_rings(/*pool_cap=*/4));
     const auto received = test::mpmc_exchange(q, 2, 2, 3000);
     test::expect_exchange_valid(received, 2, 3000);
     const auto after = stats::global_snapshot();
@@ -467,7 +496,7 @@ TEST(LscqSegmentPool, SingleClusterChurnPopsOnlyItsHomeShard) {
     topo::set_current_cluster(2);
     const auto before = stats::global_snapshot();
     {
-        LscqQueue q(tiny_lscq());
+        LscqQueue q(tiny_rings());
         value_t in = 0, out = 0;
         for (int round = 0; round < 100; ++round) {
             for (int i = 0; i < 6; ++i) q.enqueue(in++);

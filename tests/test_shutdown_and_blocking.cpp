@@ -328,9 +328,10 @@ TEST(BlockingQueue, DequeuesWithNoParkedProducerLeaveTheSpaceEpochAlone) {
 
 // A facade over a registry queue, where the adapter counts every real
 // dequeue (and every EMPTY one) while the peek counts nothing.
-BlockingQueue<UniquePtrBase<AnyQueue>> registry_facade(const char* name) {
+BlockingQueue<UniquePtrBase<AnyQueue>> registry_facade(const char* name,
+                                                       std::size_t capacity = 0) {
     return BlockingQueue<UniquePtrBase<AnyQueue>>(
-        UniquePtrBase<AnyQueue>(make_queue(name)));
+        UniquePtrBase<AnyQueue>(make_queue(name)), capacity);
 }
 
 TEST(BlockingQueue, IdleWaitPeeksInsteadOfPolling) {
@@ -356,6 +357,36 @@ TEST(BlockingQueue, ZeroOrPastDeadlineStillMakesOneRealDequeue) {
     const WaitResult r = q.wait_dequeue_for(0);
     ASSERT_TRUE(r.ok()) << "a ready item must be delivered at a zero deadline";
     EXPECT_EQ(r.value, 5u);
+}
+
+TEST(BlockingQueue, BoundedRegistryFacadeUnderBackpressureLosesNothing) {
+    // Capacity 4 and a consumer slower than its producer keep the watermark
+    // hit: the producer rides wait_enqueue_for (100 us), and a refusal is a
+    // timeout, never a lost or duplicated item.
+    constexpr std::uint64_t kOffered = 2000;
+    auto q = registry_facade("lscq", /*capacity=*/4);
+    std::vector<value_t> admitted, received;
+    std::uint64_t refused = 0;
+    std::thread consumer([&] {
+        while (auto v = q.wait_dequeue()) {
+            received.push_back(*v);
+            spin_for_ns(1'000);  // service time
+        }
+    });
+    for (value_t v = 1; v <= kOffered; ++v) {
+        const WaitStatus s = q.wait_enqueue_for(v, 100'000);
+        if (s == WaitStatus::kOk) {
+            admitted.push_back(v);
+        } else {
+            EXPECT_EQ(s, WaitStatus::kTimeout);
+            ++refused;
+        }
+    }
+    q.close();
+    consumer.join();
+    EXPECT_EQ(admitted.size() + refused, kOffered);
+    EXPECT_FALSE(admitted.empty());
+    EXPECT_EQ(received, admitted) << "admitted items must arrive exactly once, in order";
 }
 
 }  // namespace

@@ -306,7 +306,7 @@ TYPED_TEST(MultilaneStress, TokenConservationBetweenTwoQueues) {
 }
 
 TYPED_TEST(MultilaneStress, ProducerHeavyExchangeKeepsPerProducerFifo) {
-    // The lane sweep's shape at test scale: many producers, one consumer,
+    // A producer-heavy shape at test scale: many producers, one consumer,
     // two lanes.  Full accounting plus per-producer order — the relaxed
     // contract the front-end actually promises.
     QueueOptions opt;
