@@ -49,10 +49,7 @@ class InfiniteArrayQueue {
     void enqueue(value_t x) {
         for (;;) {
             const std::uint64_t t = HardwareFaa::fetch_add(*tail_, 1);
-            if (counted_swap(cell(t), x) == kBottom) {
-                stats::count(stats::Event::kEnqueue);
-                return;
-            }
+            if (counted_swap(cell(t), x) == kBottom) return;
             stats::count(stats::Event::kRingRetry);
         }
     }
@@ -61,14 +58,10 @@ class InfiniteArrayQueue {
         for (;;) {
             const std::uint64_t h = HardwareFaa::fetch_add(*head_, 1);
             const value_t x = counted_swap(cell(h), kTop);
-            stats::count(stats::Event::kDequeue);
             if (x != kBottom) return x;
             // The cell is poisoned: the matching enqueue can no longer
             // complete here.  Empty iff tail ≤ h + 1.
-            if (tail_->load(std::memory_order_seq_cst) <= h + 1) {
-                stats::count(stats::Event::kDequeueEmpty);
-                return std::nullopt;
-            }
+            if (tail_->load(std::memory_order_seq_cst) <= h + 1) return std::nullopt;
             stats::count(stats::Event::kRingRetry);
         }
     }

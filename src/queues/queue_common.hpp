@@ -167,8 +167,6 @@ struct QueueOptions {
     // Number of clusters the hierarchical algorithms partition threads
     // into.  0 = use the discovered topology.
     int clusters = 0;
-    // Combining bound: max operations one combiner applies per acquisition.
-    unsigned combiner_bound = 1024;
     // Capacity (log2) of the bounded baseline rings.
     unsigned bounded_order = 16;
     // Max ring segments the list queues (LCRQ/LSCQ/LwCQ) keep cached for

@@ -7,9 +7,8 @@
 #include <string_view>
 
 #include "queues/bounded_mpmc_queue.hpp"
-#include "queues/cc_queue.hpp"
+#include "queues/combining.hpp"
 #include "queues/fc_queue.hpp"
-#include "queues/h_queue.hpp"
 #include "queues/infinite_array_queue.hpp"
 #include "queues/kp_queue.hpp"
 #include "queues/lcrq.hpp"

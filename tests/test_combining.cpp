@@ -6,11 +6,8 @@
 
 #include <atomic>
 
-#include "queues/cc_queue.hpp"
-#include "queues/ccsynch.hpp"
+#include "queues/combining.hpp"
 #include "queues/fc_queue.hpp"
-#include "queues/h_queue.hpp"
-#include "queues/hsynch.hpp"
 #include "test_support.hpp"
 #include "topology/topology.hpp"
 
@@ -156,6 +153,41 @@ TEST(HQueue, ConcurrentExchangeTwoVirtualClusters) {
         topo::set_current_cluster(0);
     });
     test::expect_exchange_valid(received, 2, kPer);
+}
+
+TEST(Combining, OnlyHSynchTakesAGuardAndOncePerPass) {
+    // Every request is announced once and applied once; H-Synch's combiner
+    // takes its global lock once per pass, CC-Synch's takes none.  How many
+    // requests a pass batches depends on the interleaving, so it is not
+    // asserted.
+    constexpr std::uint64_t kOps = 4 * 20'000 * 2;
+    const auto contended_pairs = [](auto& q) {
+        const auto before = stats::global_snapshot();
+        test::run_threads(4, [&](int id) {
+            topo::set_current_cluster(id % 2);
+            for (std::uint64_t i = 0; i < 20'000; ++i) {
+                q.enqueue(test::tag(static_cast<unsigned>(id), i));
+                // This thread's own enqueue precedes it: never EMPTY.
+                EXPECT_TRUE(q.dequeue().has_value());
+            }
+            topo::set_current_cluster(0);
+        });
+        return stats::global_snapshot() - before;
+    };
+
+    CcQueue cc;
+    const auto c = contended_pairs(cc);
+    EXPECT_EQ(c[stats::Event::kSwap], kOps);
+    EXPECT_EQ(c[stats::Event::kCombine], kOps);
+    EXPECT_EQ(c[stats::Event::kTas], 0u);
+
+    QueueOptions opt;
+    opt.clusters = 2;
+    HQueue h(opt);
+    const auto d = contended_pairs(h);
+    EXPECT_EQ(d[stats::Event::kSwap], kOps);
+    EXPECT_EQ(d[stats::Event::kCombine], kOps);
+    EXPECT_EQ(d[stats::Event::kTas], d[stats::Event::kCombinerAcquire]);
 }
 
 // --- Flat combining ------------------------------------------------------

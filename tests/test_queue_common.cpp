@@ -6,9 +6,8 @@
 #include "arch/cacheline.hpp"
 #include "queues/blocking_queue.hpp"
 #include "queues/bounded_mpmc_queue.hpp"
-#include "queues/cc_queue.hpp"
+#include "queues/combining.hpp"
 #include "queues/fc_queue.hpp"
-#include "queues/h_queue.hpp"
 #include "queues/infinite_array_queue.hpp"
 #include "queues/kp_queue.hpp"
 #include "queues/lcrq.hpp"
@@ -67,7 +66,7 @@ TEST(QueueCommon, DefaultOptionsAreUsableEverywhere) {
     EXPECT_GE(opt.ring_order, 1u);
     EXPECT_LT(opt.ring_order, 63u);
     EXPECT_GT(opt.starvation_limit, 0u);
-    EXPECT_GT(opt.combiner_bound, 0u);
+    EXPECT_GT(kCombinerBound, 0u);
     EXPECT_GT(opt.cluster_timeout_ns, 0u);
 }
 

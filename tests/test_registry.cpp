@@ -201,6 +201,11 @@ TEST(Registry, EveryRowPaysExactlyItsAtomicsPerPair) {
         EXPECT_EQ(d[stats::Event::kCas2], want.cas2 * kPairs);
         EXPECT_EQ(d[stats::Event::kCasFailure], 0u);
         EXPECT_EQ(d[stats::Event::kCas2Failure], 0u);
+        // Each operation is counted once, by the adapter, whatever the
+        // queue does inside it.
+        EXPECT_EQ(d[stats::Event::kEnqueue], kPairs);
+        EXPECT_EQ(d[stats::Event::kDequeue], kPairs);
+        EXPECT_EQ(d[stats::Event::kDequeueEmpty], 0u);
     }
     EXPECT_EQ(kRmwPerPair.size(), queue_catalog().size()) << "a table row names no queue";
 }
