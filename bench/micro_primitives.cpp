@@ -94,7 +94,7 @@ struct Baton {
     }
     void await(std::uint64_t want) {
         while (seq.load(std::memory_order_acquire) < want) {
-            detail::WaiterGuard guard(ec);
+            detail::WaiterGuard guard(ec, detail::Waiter::kThread);
             const std::uint32_t observed = ec.prepare();
             if (seq.load(std::memory_order_acquire) >= want) break;
             ec.wait_slice(observed, 10'000'000);

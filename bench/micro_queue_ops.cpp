@@ -38,9 +38,9 @@ void BM_EnqueueDequeuePair(benchmark::State& state, AnyQueue* q) {
 }
 
 // One admission and one dequeue on a bounded BlockingQueue<LcrqQueue>
-// (R = 2^6) that holds range(0) items: every admission reads the capacity
-// watermark, approx_size(), so this is what that read costs as the
-// segment list grows (65,536 items = 1,025 segments).
+// (R = 2^6) that holds range(0) items: every admission checks the
+// capacity watermark, so this shows whether that check's cost grows with
+// the segment list (65,536 items = 1,025 segments).
 void BM_BoundedFacadePairAtDepth(benchmark::State& state) {
     QueueOptions opt;
     opt.ring_order = 6;

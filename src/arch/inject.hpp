@@ -91,10 +91,10 @@ enum class Point : std::uint8_t {
                            //   while parked)
     kBlockNotify,          // BlockingQueue (EventCount::signal), change
                            //   published, a waiter seen registered and the
-                           //   epoch bumped, the futex wake not yet issued
+                           //   epoch bumped, nobody woken or resumed yet
                            //   (a kill here models a producer dying between
-                           //   publish and notify — sleepers must still
-                           //   make progress via the sliced wait)
+                           //   publish and notify — sleeping threads must
+                           //   still progress via the sliced wait)
     kDrain,                // BlockingQueue::drain, one drain-loop pass (a
                            //   kill here models a consumer dying mid-drain)
     kCount

@@ -93,8 +93,8 @@ class HazardDomain {
 };
 
 // A thread's attachment to a domain: holds one HazardRecord for the
-// lifetime of the object.  Queues cache one per thread (see ThreadCache in
-// the queue headers); direct construction is for tests.
+// lifetime of the object.  Queues cache one per thread (hazard_threads_,
+// indexed by the dense thread id); direct construction is for tests.
 class HazardThread {
   public:
     explicit HazardThread(HazardDomain& domain)

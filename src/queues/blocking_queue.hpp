@@ -9,25 +9,28 @@
 // hot path: consumers only enter the futex slow path after the fast
 // dequeue misses, producers only bump the epoch and pay a wake syscall
 // when a waiter is registered, and (bounded mode) producers sleep on a
-// second eventcount that dequeues signal.
+// second eventcount that dequeues signal.  Suspended coroutine frames
+// (async_queue.hpp) register and park on the same eventcounts.
+//
+// The base is anything that meets FacadeBase below: a concrete list queue
+// or bounded ring, or a registry queue behind UniquePtrBase<AnyQueue>.
 //
 // Idle waiters write nothing shared.  A waiter makes one real dequeue
 // (or admission), then, for a spin window of kSpinWindowNs timed with the
 // TSC, polls the base's read-only looks_empty() peek and makes a real
-// attempt only when the peek says items arrived.  Bases without a peek
-// (and AnyQueue's default) answer "don't know", so their window is spent
-// on real attempts.  The window is one futex park->wake round trip, so
-// a wake that would come within that time is caught spinning instead of
-// paying for the park.
+// attempt only when the peek says items arrived.  A base without a real
+// peek answers "don't know" (false), so its window is spent on real
+// attempts.  The window is one futex park->wake round trip, so a wake
+// that would come within that time is caught spinning instead of paying
+// for the park.
 //
 // Semantics:
 //   try_enqueue(x)      — nonblocking admission: false when closed, at the
 //                         capacity watermark, or when a bounded base ring
 //                         is full.  A full refusal counts as a shed.
-//   try_admit(x)        — the same attempt as an Admission tri-state and
+//   try_admit(x)        — the same attempt answered as an EnqueueResult and
 //                         without the shed accounting, for layers that run
 //                         their own retry loop (the coroutine facade).
-//   enqueue(x)          — alias for try_enqueue (historical name).
 //   wait_enqueue[_for]  — bounded-mode producers sleep until space, close,
 //                         or the deadline; returns WaitStatus.
 //   try_dequeue()       — the base queue's nonblocking dequeue.
@@ -48,11 +51,10 @@
 //                         deadline; reports {drained, complete,
 //                         stragglers}.
 //
-// Capacity model: the watermark reads the base's approx_size() when it
-// has one (LCRQ/LSCQ/SCQ/wCQ all do); otherwise the facade maintains its
-// own enq/deq counters.  approx_size is approximate under concurrency by
-// design, so capacity is a watermark, not a hard invariant — transient
-// overshoot by the number of in-flight enqueuers is possible and fine for
+// Capacity model: the watermark reads the facade's own admitted/dequeued
+// counters, whatever the base.  They are approximate under concurrency,
+// so capacity is a watermark, not a hard invariant — transient overshoot
+// by the number of in-flight enqueuers is possible and fine for
 // backpressure (the server-side shed accounting is exact either way).
 //
 // Post-close drain: a single EMPTY observation after close() is not
@@ -65,6 +67,7 @@
 #include <algorithm>
 #include <atomic>
 #include <concepts>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -99,13 +102,6 @@ enum class WaitStatus : std::uint8_t {
     kClosed,   // queue closed (and, for dequeue, drained) — retrying cannot
 };
 
-// Outcome of one admission attempt.  kFull is *retryable* — the facade
-// watermark or the base's bounded ring refused, and a dequeue can free
-// space — while kClosed is final.  Layers that run their own retry/park
-// loop (wait_enqueue, the coroutine facade) branch on this tri-state;
-// try_enqueue collapses it to bool and counts the kFull as a shed.
-enum class Admission : std::uint8_t { kAccepted, kFull, kClosed };
-
 // Tri-state result of wait_dequeue_for: kOk carries the item; kTimeout and
 // kClosed are distinguishable so callers know whether to retry.
 struct WaitResult {
@@ -127,51 +123,115 @@ struct DrainReport {
     std::uint64_t stragglers = 0;  // approx items still inside at the deadline
 };
 
+// The base contract, written once: the paper's total queue plus what a
+// waiter needs.
+//   try_enqueue(x)  kOk; kFull when a bounded ring has no free slot
+//                   (retryable: a dequeue frees one); kClosed once the base
+//                   itself was closed (final)
+//   dequeue()       the first item, or EMPTY
+//   looks_empty()   read-only emptiness hint for idle waiters; false means
+//                   "don't know", and nothing sleeps on a true without a
+//                   real re-check
+//   capacity()      the base's own bound; 0 = unbounded
+template <typename B>
+concept FacadeBase = requires(B& b, const B& cb, value_t v) {
+    { b.try_enqueue(v) } -> std::same_as<EnqueueResult>;
+    { b.dequeue() } -> std::same_as<std::optional<value_t>>;
+    { b.looks_empty() } -> std::same_as<bool>;
+    { cb.capacity() } -> std::convertible_to<std::uint64_t>;
+};
+
 namespace detail {
 
-// 32-bit futex eventcount: epoch word sleepers wait on + waiter count so
-// a notifier with nobody registered writes nothing.  32-bit because
-// FUTEX_WAIT compares exactly 4 bytes; epoch wraparound after 2^32 bumps
-// is harmless (a sleeper whose observed epoch is re-reached after a full
-// wrap eats one spurious slice timeout and re-checks).
+// Registration units of an EventCount: sleeping threads count in the low
+// half of one 64-bit word, parked coroutine frames in the high half.
+enum class Waiter : std::uint64_t { kThread = 1, kFrame = std::uint64_t{1} << 32 };
+
+// Futex eventcount: an epoch word sleeping threads wait on, a stack of
+// parked coroutine frames, and the registration word, so a notifier with
+// nobody registered writes nothing.  The epoch is 32-bit because
+// FUTEX_WAIT compares exactly 4 bytes; wraparound after 2^32 bumps is
+// harmless (a sleeper whose observed epoch is re-reached after a full wrap
+// eats one spurious slice timeout and re-checks).
 //
-// The handshake (verify/notify_model.hpp enumerates its interleavings):
-//   waiter:   announce_waiter(); e = prepare(); re-check the condition;
-//             wait_slice(e, ...) if it still fails; retract_waiter().
+// The handshake, the same for both kinds of waiter
+// (verify/notify_model.hpp enumerates its interleavings):
+//   waiter:   announce(kind); e = prepare(); re-check the condition; if it
+//             still fails, park — a thread in wait_slice(e, ...), a frame
+//             by co_await park(e) — then retract(kind).
 //   notifier: publish the change; signal().
-// signal() is a fence and a load of the waiter count; it bumps and wakes
-// only when that count is nonzero.  The two seq_cst fences (after the
-// announce, before the count load) order the pair: either the notifier
-// sees the registration and bumps — so the sleeper's futex compare fails
-// or the wake finds it parked — or the waiter's re-check sees the
-// published change and never sleeps.
+// signal() is a fence and a load of the registration word.  Only when it
+// is nonzero does it bump the epoch; it then futex-wakes when a thread is
+// registered and, after a second fence, pops and resumes every parked
+// frame when a frame is.  The fences order the pair: either the notifier
+// sees the registration and bumps — so a sleeper's futex compare fails or
+// the wake finds it parked, and a frame either sees the bump after its
+// push or sits on the stack the notifier pops — or the waiter's re-check
+// sees the published change and never parks.
 class EventCount {
+    enum : int { kParked = 0, kResumed = 1, kAborted = 2 };
+
+    // One parked frame.  Two owners may touch it concurrently — the
+    // frame's await_suspend, which must run its abort CAS even when it
+    // loses the race, and the stack side (the signal or destructor that
+    // pops it) — and each drops one reference.  The state CAS decides who
+    // resumes the frame: the signal (kResumed) or the frame itself
+    // (kAborted, inline).
+    struct FrameNode {
+        std::coroutine_handle<> handle;
+        FrameNode* next = nullptr;
+        std::atomic<int> state{kParked};
+        std::atomic<int> refs{2};
+
+        bool claim(int to) noexcept {
+            int expected = kParked;
+            return state.compare_exchange_strong(expected, to, std::memory_order_acq_rel);
+        }
+        void release() noexcept {
+            if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+        }
+    };
+
   public:
-    // Snapshot the epoch after announce_waiter() and before the final
-    // condition re-check; pass it to wait_slice so a signal between
-    // re-check and sleep is never missed.
+    EventCount() = default;
+    EventCount(const EventCount&) = delete;
+    EventCount& operator=(const EventCount&) = delete;
+    // Frames still parked at destruction are abandoned; their nodes go.
+    ~EventCount() {
+        for (FrameNode* n = frames_.load(std::memory_order_acquire); n != nullptr;) {
+            FrameNode* const next = n->next;
+            n->release();
+            n = next;
+        }
+    }
+
+    // Snapshot the epoch after announce() and before the final condition
+    // re-check; pass it to wait_slice or park so a signal between re-check
+    // and parking is never missed.
     std::uint32_t prepare() const noexcept {
         return epoch_.load(std::memory_order_acquire);
     }
 
-    void announce_waiter() noexcept {
-        waiters_.fetch_add(1, std::memory_order_seq_cst);
+    void announce(Waiter w) noexcept {
+        registered_.fetch_add(static_cast<std::uint64_t>(w), std::memory_order_seq_cst);
         std::atomic_thread_fence(std::memory_order_seq_cst);
     }
-    void retract_waiter() noexcept { waiters_.fetch_sub(1, std::memory_order_seq_cst); }
-
-    // Unconditional epoch advance, for layers whose waiters watch the
-    // epoch without registering (the coroutine facade's awaiters).
-    void bump() noexcept { epoch_.fetch_add(1, std::memory_order_seq_cst); }
+    void retract(Waiter w) noexcept {
+        registered_.fetch_sub(static_cast<std::uint64_t>(w), std::memory_order_seq_cst);
+    }
 
     // Publish "the condition may have changed" to registered waiters.  The
-    // injection point sits in the bump-to-wake window.
+    // injection point sits between the bump and the wakes: a notifier
+    // killed there leaves sleeping threads to their slice timeout and
+    // parked frames to the next signal.
     void signal() LCRQ_INJECT_NOEXCEPT {
         std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (waiters_.load(std::memory_order_relaxed) == 0) return;
-        bump();
+        const std::uint64_t r = registered_.load(std::memory_order_relaxed);
+        if (r == 0) return;
+        epoch_.fetch_add(1, std::memory_order_seq_cst);
         LCRQ_INJECT_POINT(kBlockNotify);
-        wake_all();
+        if (static_cast<std::uint32_t>(r) != 0) wake_threads();
+        if (r >= static_cast<std::uint64_t>(Waiter::kFrame)) resume_frames();
     }
 
     // Sleep until the epoch moves past `observed` or roughly `slice_ns`
@@ -197,8 +257,48 @@ class EventCount {
 #endif
     }
 
+    // co_await park(observed): suspend the calling frame until a signal
+    // resumes it, unless the epoch has already moved past `observed`.
+    // Resumption runs on the signalling thread.
+    class Park {
+      public:
+        bool await_ready() const noexcept { return ec_.prepare() != observed_; }
+
+        // Once the node is on the stack a signal may claim it and resume —
+        // and so destroy — the frame this awaiter lives in, so everything
+        // needed after the push is copied into locals first.
+        bool await_suspend(std::coroutine_handle<> h) {
+            EventCount& ec = ec_;
+            const std::uint32_t observed = observed_;
+            auto* node = new FrameNode{h};
+            node->next = ec.frames_.load(std::memory_order_relaxed);
+            while (!ec.frames_.compare_exchange_weak(node->next, node,
+                                                     std::memory_order_release,
+                                                     std::memory_order_relaxed)) {
+            }
+            // Pairs with signal()'s fence after its bump: either the bump is
+            // visible here (abort the park, resume inline) or the push is
+            // visible to the signal's pop.
+            std::atomic_thread_fence(std::memory_order_seq_cst);
+            const bool aborted = ec.prepare() != observed && node->claim(kAborted);
+            node->release();
+            return !aborted;
+        }
+
+        void await_resume() const noexcept {}
+
+      private:
+        friend class EventCount;
+        Park(EventCount& ec, std::uint32_t observed) noexcept
+            : ec_(ec), observed_(observed) {}
+
+        EventCount& ec_;
+        std::uint32_t observed_;
+    };
+    Park park(std::uint32_t observed) noexcept { return Park(*this, observed); }
+
   private:
-    void wake_all() noexcept {
+    void wake_threads() noexcept {
 #if defined(__linux__)
         syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&epoch_),
                 FUTEX_WAKE_PRIVATE, INT_MAX, nullptr, nullptr, 0);
@@ -206,46 +306,55 @@ class EventCount {
         // Fallback sleepers poll on slice expiry; no wake needed.
     }
 
+    // Pop every parked frame and resume the ones no abort claimed first.
+    void resume_frames() {
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        FrameNode* n = frames_.exchange(nullptr, std::memory_order_acq_rel);
+        while (n != nullptr) {
+            FrameNode* const next = n->next;
+            const std::coroutine_handle<> h = n->handle;
+            const bool mine = n->claim(kResumed);
+            n->release();
+            if (mine) h.resume();
+            n = next;
+        }
+    }
+
     static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
     alignas(kCacheLineSize) std::atomic<std::uint32_t> epoch_{0};
-    alignas(kCacheLineSize) std::atomic<std::uint32_t> waiters_{0};
+    alignas(kCacheLineSize) std::atomic<std::uint64_t> registered_{0};
+    std::atomic<FrameNode*> frames_{nullptr};  // written only while a frame is registered
 };
 
-// Decrement-on-unwind guard: a waiter killed while parked (injection
-// harness) must not leave the waiter count stuck high, or producers would
-// pay wake syscalls forever.
+// Retract-on-unwind guard: a waiter killed while parked (injection
+// harness) must not leave the registration stuck, or notifiers would pay
+// wakes forever.  Frames hold one across their suspension.
 class WaiterGuard {
   public:
-    explicit WaiterGuard(EventCount& ec) noexcept : ec_(ec) { ec_.announce_waiter(); }
-    ~WaiterGuard() { ec_.retract_waiter(); }
+    WaiterGuard(EventCount& ec, Waiter w) noexcept : ec_(ec), w_(w) { ec_.announce(w_); }
+    ~WaiterGuard() { ec_.retract(w_); }
     WaiterGuard(const WaiterGuard&) = delete;
     WaiterGuard& operator=(const WaiterGuard&) = delete;
 
   private:
     EventCount& ec_;
+    const Waiter w_;
 };
 
 }  // namespace detail
 
 // Adapter so the facade composes over a registry-constructed backend:
 // BlockingQueue<UniquePtrBase<AnyQueue>> wraps any catalog queue picked at
-// runtime.  AnyQueue exposes the total enqueue/dequeue and the waiters'
-// peek, so the facade falls back to its own size counters for the
-// capacity watermark.
+// runtime.  It forwards the base contract and nothing else.
 template <typename Q>
 class UniquePtrBase {
   public:
     explicit UniquePtrBase(std::unique_ptr<Q> q) noexcept : q_(std::move(q)) {}
-    UniquePtrBase(UniquePtrBase&&) noexcept = default;
-    UniquePtrBase& operator=(UniquePtrBase&&) noexcept = default;
 
-    void enqueue(value_t x) { q_->enqueue(x); }
+    EnqueueResult try_enqueue(value_t x) { return q_->try_enqueue(x); }
     std::optional<value_t> dequeue() { return q_->dequeue(); }
-    bool looks_empty()
-        requires requires(Q& q) { { q.looks_empty() } -> std::same_as<bool>; }
-    {
-        return q_->looks_empty();
-    }
+    bool looks_empty() { return q_->looks_empty(); }
+    std::uint64_t capacity() const noexcept { return q_->capacity(); }
 
     Q& operator*() noexcept { return *q_; }
     Q* operator->() noexcept { return q_.get(); }
@@ -254,26 +363,11 @@ class UniquePtrBase {
     std::unique_ptr<Q> q_;
 };
 
-template <typename Base = LcrqQueue>
-class BlockingQueue {
-    static constexpr bool kBaseHasTryEnqueue =
-        requires(Base& b, value_t v) { { b.try_enqueue(v) } -> std::same_as<bool>; };
-    static constexpr bool kBaseHasApproxSize =
-        requires(Base& b) { { b.approx_size() } -> std::convertible_to<std::uint64_t>; };
-    // A closed() probe disambiguates a base-side try_enqueue refusal: full
-    // (retryable) vs closed (final).  Bases without one never close
-    // themselves (the bounded ring wrappers), so a refusal means full.
-    static constexpr bool kBaseHasClosedProbe =
-        requires(const Base& b) { { b.closed() } -> std::convertible_to<bool>; };
-    // A bounded base can refuse with kFull even when the facade itself is
-    // unbounded (capacity_ == 0); dequeues must then signal the space
-    // eventcount or wait_enqueue producers would only make slice-timeout
-    // progress.
-    static constexpr bool kBaseIsBounded =
-        requires(const Base& b) { { b.capacity() } -> std::convertible_to<std::uint64_t>; };
-    static constexpr bool kBaseHasPeek =
-        requires(Base& b) { { b.looks_empty() } -> std::same_as<bool>; };
+template <FacadeBase Base>
+class AsyncQueue;
 
+template <FacadeBase Base = LcrqQueue>
+class BlockingQueue {
   public:
     // capacity == 0 means unbounded (no watermark, no shedding).
     explicit BlockingQueue(const QueueOptions& opt = {}, std::size_t capacity = 0)
@@ -289,22 +383,31 @@ class BlockingQueue {
     // --- producer side -----------------------------------------------------
 
     // Nonblocking admission.  False when the facade is closed, when the
-    // base refused (full ring or closed directly via base().close()), or
+    // base refused (full ring, or closed directly via base().close()), or
     // when a bounded facade is at its watermark.  A full refusal counts as
     // a shed; a closed refusal does not.
     bool try_enqueue(value_t x) {
-        const Admission a = admit(x);
-        if (a == Admission::kFull) stats::count(stats::Event::kShed);
-        return a == Admission::kAccepted;
+        const EnqueueResult r = try_admit(x);
+        if (r == EnqueueResult::kFull) stats::count(stats::Event::kShed);
+        return r == EnqueueResult::kOk;
     }
-    bool enqueue(value_t x) { return try_enqueue(x); }
 
-    // Non-counting admission for layers that run their own retry/park loop
-    // (the coroutine facade): same attempt as try_enqueue, but a kFull is
-    // reported to the caller instead of being counted as a shed — one
-    // logical enqueue that parks and retries must record at most one final
-    // outcome, not one shed per retry.
-    Admission try_admit(value_t x) { return admit(x); }
+    // One admission attempt: closed check, watermark check, base insert,
+    // publish.  kFull is retryable (the watermark or a bounded base ring
+    // refused, and a dequeue frees space); kClosed is final.  Counts no
+    // shed: one logical enqueue that parks and retries (wait_enqueue, the
+    // coroutine facade) must record at most one final outcome.
+    EnqueueResult try_admit(value_t x) {
+        if (closed_.load(std::memory_order_acquire)) return EnqueueResult::kClosed;
+        if (capacity_ != 0 && approx_size() >= capacity_) return EnqueueResult::kFull;
+        const EnqueueResult r = base_.try_enqueue(x);
+        if (r != EnqueueResult::kOk) return r;
+        enq_count_.fetch_add(1, std::memory_order_relaxed);
+        // Only registered waiters cost this producer an epoch bump and a
+        // wake.
+        items_ec_.signal();
+        return r;
+    }
 
     WaitStatus wait_enqueue(value_t x) { return wait_enqueue_until(x, kNoDeadline); }
     WaitStatus wait_enqueue_for(value_t x, std::uint64_t timeout_ns) {
@@ -320,14 +423,8 @@ class BlockingQueue {
         bool counted_block = false;
         std::uint64_t spin_end = 0;  // opened by the first refusal
         for (;;) {
-            switch (admit(x)) {
-                case Admission::kAccepted:
-                    return WaitStatus::kOk;
-                case Admission::kClosed:
-                    return WaitStatus::kClosed;
-                case Admission::kFull:
-                    break;
-            }
+            EnqueueResult r = try_admit(x);
+            if (r != EnqueueResult::kFull) return admitted_status(r);
             if (spin_end == 0) spin_end = spin_window_end(deadline_ns);
             if (rdtsc() < spin_end) {
                 cpu_relax();
@@ -341,16 +438,10 @@ class BlockingQueue {
             // dequeue may have landed between the miss and registration),
             // then sleep one slice.
             {
-                detail::WaiterGuard guard(space_ec_);
+                detail::WaiterGuard guard(space_ec_, detail::Waiter::kThread);
                 const std::uint32_t observed = space_ec_.prepare();
-                switch (admit(x)) {
-                    case Admission::kAccepted:
-                        return WaitStatus::kOk;
-                    case Admission::kClosed:
-                        return WaitStatus::kClosed;
-                    case Admission::kFull:
-                        break;
-                }
+                r = try_admit(x);
+                if (r != EnqueueResult::kFull) return admitted_status(r);
                 if (!counted_block) {
                     stats::count(stats::Event::kBlockedEnq);
                     counted_block = true;
@@ -372,7 +463,13 @@ class BlockingQueue {
 
     std::optional<value_t> try_dequeue() {
         auto v = base_.dequeue();
-        if (v.has_value()) note_dequeued();
+        if (v.has_value()) {
+            deq_count_.fetch_add(1, std::memory_order_relaxed);
+            // Producers may be parked on the space eventcount whenever the
+            // facade or its base is bounded; with none registered, the
+            // signal is a fence and a load.
+            if (bounded_) space_ec_.signal();
+        }
         return v;
     }
 
@@ -401,7 +498,7 @@ class BlockingQueue {
             if (await_items(spin_end)) continue;
             if (now_ns() >= deadline_ns) return {WaitStatus::kTimeout, kBottom};
             {
-                detail::WaiterGuard guard(items_ec_);
+                detail::WaiterGuard guard(items_ec_, detail::Waiter::kThread);
                 const std::uint32_t observed = items_ec_.prepare();
                 if (auto v = try_dequeue()) return {WaitStatus::kOk, *v};
                 if (closed_.load(std::memory_order_acquire)) return drain_after_close();
@@ -467,34 +564,26 @@ class BlockingQueue {
 
     // --- introspection -----------------------------------------------------
 
-    // Items currently inside, approximately: the base's estimate when it
-    // has one (O(1) for the list queues), else the facade's own enq/deq
-    // counters.
-    std::uint64_t approx_size() {
-        if constexpr (kBaseHasApproxSize) {
-            return base_.approx_size();
-        } else {
-            const std::uint64_t enq = enq_count_.load(std::memory_order_relaxed);
-            const std::uint64_t deq = deq_count_.load(std::memory_order_relaxed);
-            return enq > deq ? enq - deq : 0;
-        }
+    // Items currently inside, approximately: admitted minus dequeued, from
+    // the facade's own counters.
+    std::uint64_t approx_size() const noexcept {
+        const std::uint64_t enq = enq_count_.load(std::memory_order_relaxed);
+        const std::uint64_t deq = deq_count_.load(std::memory_order_relaxed);
+        return enq > deq ? enq - deq : 0;
     }
 
     std::size_t capacity() const noexcept { return capacity_; }
     Base& base() noexcept { return base_; }
 
-    // Epoch snapshots and advances for layers that build their own waiters
-    // on the same words (the coroutine facade): capture before the final
-    // nonblocking re-check, compare after registering, exactly like
-    // wait_slice callers.  Such waiters are not counted, so the facade's
-    // own signals skip the bump for them: after publishing, a layer must
-    // advance the epoch its waiters watch before it looks for them.
+    // Epoch snapshots, for tests that witness which operations bump.
     std::uint32_t items_epoch() const noexcept { return items_ec_.prepare(); }
     std::uint32_t space_epoch() const noexcept { return space_ec_.prepare(); }
-    void advance_items_epoch() noexcept { items_ec_.bump(); }
-    void advance_space_epoch() noexcept { space_ec_.bump(); }
 
   private:
+    // The coroutine facade registers and parks its frames on items_ec_ and
+    // space_ec_.
+    friend class AsyncQueue<Base>;
+
     // How long a waiter spins before it parks: one cross-CPU futex
     // park->wake round trip, rounded up (bench/micro_primitives
     // BM_FutexParkWakeRoundTrip; on a 4-vCPU VM its mean is 15 us on a
@@ -513,6 +602,11 @@ class BlockingQueue {
         return timeout_ns > kNoDeadline - now ? kNoDeadline : now + timeout_ns;
     }
 
+    // A final (non-kFull) admission answer as a wait outcome.
+    static WaitStatus admitted_status(EnqueueResult r) noexcept {
+        return r == EnqueueResult::kOk ? WaitStatus::kOk : WaitStatus::kClosed;
+    }
+
     // TSC stamp at which a spin window opened now ends: kSpinWindowNs,
     // or less when the deadline comes first.
     std::uint64_t spin_window_end(std::uint64_t deadline_ns) const noexcept {
@@ -525,65 +619,13 @@ class BlockingQueue {
 
     // Spin on the read-only peek until it says items arrived (or the queue
     // closed) — true: make a real attempt — or the window ends — false.  A
-    // base without a peek answers "not empty", so its every pass is a real
-    // attempt.
+    // base that answers "don't know" makes its every pass a real attempt.
     bool await_items(std::uint64_t spin_end) {
         for (;;) {
             if (rdtsc() >= spin_end) return false;
             cpu_relax();
-            if (!looks_empty() || closed_.load(std::memory_order_acquire)) return true;
+            if (!base_.looks_empty() || closed_.load(std::memory_order_acquire)) return true;
         }
-    }
-
-    bool looks_empty() {
-        if constexpr (kBaseHasPeek) {
-            return base_.looks_empty();
-        } else {
-            return false;
-        }
-    }
-
-    // One admission attempt: closed check, watermark check, base insert,
-    // publish.  Does not count sheds — callers decide whether a kFull is
-    // final (try_enqueue) or retryable (wait_enqueue).
-    Admission admit(value_t x) {
-        if (closed_.load(std::memory_order_acquire)) return Admission::kClosed;
-        if (capacity_ != 0 && approx_size() >= capacity_) return Admission::kFull;
-        if constexpr (kBaseHasTryEnqueue) {
-            // A base-side refusal is either a full bounded ring (retryable:
-            // a dequeue frees a slot) or a base closed directly via
-            // base().close(), which our flag cannot see (final; the
-            // asserting base_.enqueue(x) would silently drop the item in
-            // release builds).  The closed() probe tells them apart; bases
-            // without one never close themselves, so their refusal is full.
-            if (!base_.try_enqueue(x)) {
-                if constexpr (kBaseHasClosedProbe) {
-                    return base_.closed() ? Admission::kClosed : Admission::kFull;
-                } else {
-                    return Admission::kFull;
-                }
-            }
-        } else {
-            base_.enqueue(x);
-        }
-        if constexpr (!kBaseHasApproxSize) {
-            enq_count_.fetch_add(1, std::memory_order_relaxed);
-        }
-        // Only consumers that already registered as waiters cost this
-        // producer an epoch bump and a futex syscall.
-        items_ec_.signal();
-        return Admission::kAccepted;
-    }
-
-    void note_dequeued() {
-        if constexpr (!kBaseHasApproxSize) {
-            deq_count_.fetch_add(1, std::memory_order_relaxed);
-        }
-        // Producers may be parked on the space eventcount: always when the
-        // facade is bounded, and even with capacity_ == 0 when the *base*
-        // ring is bounded (admit() reports its full as retryable kFull).
-        // With none registered, the signal is a fence and a load.
-        if (kBaseIsBounded || capacity_ != 0) space_ec_.signal();
     }
 
     // Closed observed on the dequeue path: deliver any remaining item.  One
@@ -601,12 +643,15 @@ class BlockingQueue {
 
     Base base_;
     const std::size_t capacity_;
+    // Dequeues signal the space eventcount only when a producer can be
+    // refused for want of space.
+    const bool bounded_ = capacity_ != 0 || base_.capacity() != 0;
     // The TSC rate, calibrated (~10 ms, once per process) at construction
     // rather than inside the first waiter's spin window.
     const double tsc_per_ns_ = tsc_per_ns();
-    detail::EventCount items_ec_;  // consumers sleep; enqueues signal
-    detail::EventCount space_ec_;  // bounded producers sleep; dequeues signal
-    // Watermark fallback when the base has no approx_size.
+    detail::EventCount items_ec_;  // consumers wait; admissions signal
+    detail::EventCount space_ec_;  // bounded producers wait; dequeues signal
+    // The watermark and approx_size(): items admitted and dequeued.
     alignas(kCacheLineSize) std::atomic<std::uint64_t> enq_count_{0};
     alignas(kCacheLineSize) std::atomic<std::uint64_t> deq_count_{0};
     alignas(kCacheLineSize) std::atomic<bool> closed_{false};

@@ -14,9 +14,8 @@
 // enqueue ticket is outstanding, waiting out mid-publish producers — the
 // linearizability test suite caught exactly this distinction.
 //
-// enqueue() returns false when the ring is full — callers in the common
-// harness treat that as a fatal misconfiguration (size the ring to the
-// workload) except where the bench exercises fullness deliberately.
+// try_enqueue() answers kFull when the ring is full; enqueue() spins
+// until a slot frees (benchmarks size the ring so it never does).
 #pragma once
 
 #include <atomic>
@@ -48,7 +47,7 @@ class BoundedMpmcQueue {
     BoundedMpmcQueue(const BoundedMpmcQueue&) = delete;
     BoundedMpmcQueue& operator=(const BoundedMpmcQueue&) = delete;
 
-    bool try_enqueue(value_t x) {
+    EnqueueResult try_enqueue(value_t x) {
         std::uint64_t pos = tail_->load(std::memory_order_relaxed);
         for (;;) {
             Cell& cell = cells_[pos & mask_];
@@ -62,22 +61,20 @@ class BoundedMpmcQueue {
                                                  std::memory_order_relaxed)) {
                     cell.value = x;
                     cell.seq.store(pos + 1, std::memory_order_release);
-                    return true;
+                    return EnqueueResult::kOk;
                 }
                 stats::count(stats::Event::kCasFailure);
             } else if (diff < 0) {
-                return false;  // full: the cell still holds a lap-old item
+                return EnqueueResult::kFull;  // the cell still holds a lap-old item
             } else {
                 pos = tail_->load(std::memory_order_relaxed);
             }
         }
     }
 
-    // Common-interface enqueue; spins when full (bounded queues cannot
-    // grow).  Benchmarks size the ring so this never spins.
     void enqueue(value_t x) {
         SpinWait waiter;
-        while (!try_enqueue(x)) waiter.spin();
+        while (try_enqueue(x) != EnqueueResult::kOk) waiter.spin();
     }
 
     std::optional<value_t> dequeue() {
@@ -117,6 +114,11 @@ class BoundedMpmcQueue {
     }
 
     std::size_t capacity() const noexcept { return size_; }
+    // The waiters' read-only peek: no enqueue ticket is outstanding.
+    bool looks_empty() const noexcept {
+        return tail_->load(std::memory_order_acquire) ==
+               head_->load(std::memory_order_acquire);
+    }
 
   private:
     struct alignas(kCacheLineSize) Cell {

@@ -121,26 +121,28 @@ class LinkedSegments {
     LinkedSegments& operator=(const LinkedSegments&) = delete;
 
     void enqueue(value_t x) {
-        [[maybe_unused]] const bool ok = try_enqueue(x);
-        assert(ok && "enqueue on a closed queue; use try_enqueue for shutdown");
+        [[maybe_unused]] const EnqueueResult r = try_enqueue(x);
+        assert(r == EnqueueResult::kOk &&
+               "enqueue on a closed queue; use try_enqueue for shutdown");
     }
 
     // Enqueue unless the queue has been close()d.  Identical to enqueue()
-    // on an open queue; returns false (dropping nothing) after close().
-    bool try_enqueue(value_t x) {
+    // on an open queue; answers kClosed (dropping nothing) after close(),
+    // and never kFull: a full segment is replaced, not reported.
+    EnqueueResult try_enqueue(value_t x) {
         // Checked up front so that an enqueue *starting* after close()
         // returns can never succeed, even if an in-flight appender slips a
         // fresh open segment in behind the close.  One read-shared cache
         // line per operation; in-flight enqueues concurrent with close()
         // may still complete, which linearizes them before the close.
-        if (closed_.load(std::memory_order_acquire)) return false;
+        if (closed_.load(std::memory_order_acquire)) return EnqueueResult::kClosed;
         for (;;) {
             Seg* seg = acquire_tail();
             hierarchy_.enter(*seg);
             const EnqueueResult r = seg->try_enqueue(x);
             if (r == EnqueueResult::kOk || append(seg, r, x)) {
                 release();
-                return true;
+                return EnqueueResult::kOk;
             }
         }
     }
@@ -194,6 +196,9 @@ class LinkedSegments {
     }
 
     bool closed() const noexcept { return closed_.load(std::memory_order_acquire); }
+
+    // Unbounded: the list grows a segment instead of refusing.
+    static constexpr std::uint64_t capacity() noexcept { return 0; }
 
     std::optional<value_t> dequeue() {
         for (;;) {

@@ -7,7 +7,7 @@
 //
 // Values: the paper reserves one value (⊥) that may never be enqueued; the
 // infinite-array queue reserves a second (⊤).  Both sentinels live at the
-// top of the value space.  user-facing typed queues (lcrq/typed_queue.hpp)
+// top of the value space.  user-facing typed queues (queues/typed_queue.hpp)
 // box arbitrary T behind pointers, which never collide with the sentinels.
 #pragma once
 

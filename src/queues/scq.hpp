@@ -680,8 +680,10 @@ using Scq = ScqValueQueue<ScqRing<Faa>>;
 
 // Standalone bounded MPMC queue over one ScqValueQueue, capacity
 // 2^bounded_order (the bounded-baseline knob, like BoundedMpmcQueue).
-// enqueue() applies backpressure by spinning on kFull; the ring is never
-// closed.  Registry names come from the ring: "scq" and "wcq".
+// try_enqueue passes the ring's answer through: kFull when no slot is
+// free, kClosed only after base().close() (the wrapper never closes it).
+// enqueue() applies backpressure by spinning.  Registry names come from
+// the ring: "scq" and "wcq".
 template <class Ring>
 class BasicScqQueue {
   public:
@@ -692,12 +694,10 @@ class BasicScqQueue {
 
     void enqueue(value_t x) {
         SpinWait waiter;
-        while (!try_enqueue(x)) waiter.spin();
+        while (try_enqueue(x) != EnqueueResult::kOk) waiter.spin();
     }
 
-    bool try_enqueue(value_t x) {
-        return q_.try_enqueue(x) == EnqueueResult::kOk;
-    }
+    EnqueueResult try_enqueue(value_t x) { return q_.try_enqueue(x); }
 
     std::optional<value_t> dequeue() { return q_.dequeue(); }
 
@@ -718,13 +718,9 @@ class BasicScqQueue {
         return q_.dequeue_bulk(out, max);
     }
 
-    // The wrapper never closes the ring itself, but base().close() can;
-    // the blocking facade probes this to tell a full refusal from a
-    // closed one.
-    bool closed() const noexcept { return q_.closed(); }
-
     std::uint64_t capacity() const noexcept { return q_.capacity(); }
-    std::uint64_t approx_size() const noexcept { return q_.approx_size(); }
+    // The waiters' read-only peek: the allocated ring's estimate is 0.
+    bool looks_empty() const noexcept { return q_.approx_size() == 0; }
     ScqValueQueue<Ring>& base() noexcept { return q_; }
 
   private:

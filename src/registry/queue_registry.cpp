@@ -36,6 +36,19 @@ class Adapter final : public AnyQueue {
         stats::count(stats::Event::kEnqueue);
     }
 
+    // A refusal is not an operation: only an admitted item counts.
+    EnqueueResult try_enqueue(value_t x) override {
+        assert(is_enqueueable(x));
+        EnqueueResult r = EnqueueResult::kOk;
+        if constexpr (requires { { q_.try_enqueue(x) } -> std::same_as<EnqueueResult>; }) {
+            r = q_.try_enqueue(x);
+        } else {
+            q_.enqueue(x);
+        }
+        if (r == EnqueueResult::kOk) stats::count(stats::Event::kEnqueue);
+        return r;
+    }
+
     std::optional<value_t> dequeue() override {
         auto v = q_.dequeue();
         stats::count(stats::Event::kDequeue);
@@ -66,6 +79,14 @@ class Adapter final : public AnyQueue {
             return q_.looks_empty();
         } else {
             return false;
+        }
+    }
+
+    std::uint64_t capacity() const noexcept override {
+        if constexpr (requires { { q_.capacity() } -> std::convertible_to<std::uint64_t>; }) {
+            return q_.capacity();
+        } else {
+            return 0;
         }
     }
 
@@ -277,15 +298,6 @@ const Entry* resolve_entry(const std::string& name, QueueOptions& opt) {
     return nullptr;
 }
 
-// The hierarchical variants were briefly catalogued as "lcrq+h"; the '+'
-// spelling stays resolvable (scripts, saved baselines) but is not listed.
-std::string canonical_name(const std::string& name) {
-    if (name.size() >= 2 && name.compare(name.size() - 2, 2, "+h") == 0) {
-        return name.substr(0, name.size() - 2) + "-h";
-    }
-    return name;
-}
-
 std::vector<std::string> tagged_set(unsigned bit) {
     std::vector<std::string> out;
     for (const auto& e : entries()) {
@@ -306,8 +318,7 @@ const std::vector<QueueInfo>& queue_catalog() {
 }
 
 const QueueInfo* find_queue_info(const std::string& raw) {
-    std::string name = canonical_name(raw);
-    if (const auto base = split_huge_knob(name)) name = *base;
+    const std::string name = split_huge_knob(raw).value_or(raw);
     QueueOptions scratch;
     if (const Entry* e = resolve_entry(name, scratch)) return &e->info;
     return nullptr;
@@ -322,13 +333,10 @@ std::vector<std::string> paper_multi_processor_set() {
 }
 
 std::unique_ptr<AnyQueue> make_queue(const std::string& raw, const QueueOptions& opt) {
-    std::string name = canonical_name(raw);
     QueueOptions resolved_opt = opt;
-    if (const auto base = split_huge_knob(name)) {
-        name = *base;
-        resolved_opt.huge_segments = true;
-    }
-    if (const Entry* e = resolve_entry(name, resolved_opt)) {
+    const auto base = split_huge_knob(raw);
+    if (base) resolved_opt.huge_segments = true;
+    if (const Entry* e = resolve_entry(base.value_or(raw), resolved_opt)) {
         return e->make(raw, resolved_opt);
     }
     return nullptr;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -22,37 +23,24 @@
 
 namespace lcrq {
 
+// The registry's one interface, implemented by its per-queue adapter.
+// try_enqueue answers kFull when a bounded ring (scq, wcq, bounded-mpmc)
+// has no free slot, kOk otherwise; capacity() is that ring's size, 0 for
+// unbounded queues.  The bulk operations follow the BulkConcurrentQueue
+// contract, natively where the queue has a batch path.  looks_empty() is
+// the waiters' peek: true only when the queue looks empty without a
+// single shared write — a hint that can be stale on return — and always
+// false ("don't know, poll for real") for queues without one.
 class AnyQueue {
   public:
     virtual ~AnyQueue() = default;
     virtual void enqueue(value_t x) = 0;
+    virtual EnqueueResult try_enqueue(value_t x) = 0;
     virtual std::optional<value_t> dequeue() = 0;
-
-    // Batch operations with the BulkConcurrentQueue contract: every item of
-    // `items` is appended in order; dequeue_bulk returns fewer than `max`
-    // only on an empty observation.  The defaults loop the single-item
-    // virtuals; the registry adapter overrides them with the queue's native
-    // batch path when it has one.
-    virtual void enqueue_bulk(std::span<const value_t> items) {
-        for (value_t v : items) enqueue(v);
-    }
-    virtual std::size_t dequeue_bulk(value_t* out, std::size_t max) {
-        std::size_t n = 0;
-        while (n < max) {
-            const auto v = dequeue();
-            if (!v.has_value()) break;
-            out[n++] = *v;
-        }
-        return n;
-    }
-
-    // Read-only emptiness hint for waiters: true only when the queue looks
-    // empty without a single shared write.  A hint, not an answer — a true
-    // can be stale on return, so a waiter still makes a real dequeue before
-    // it sleeps.  The default, false, means "don't know, poll for real";
-    // the registry adapter forwards the queue's own peek when it has one.
-    virtual bool looks_empty() { return false; }
-
+    virtual void enqueue_bulk(std::span<const value_t> items) = 0;
+    virtual std::size_t dequeue_bulk(value_t* out, std::size_t max) = 0;
+    virtual bool looks_empty() = 0;
+    virtual std::uint64_t capacity() const noexcept = 0;
     virtual const std::string& name() const noexcept = 0;
 };
 
@@ -82,8 +70,9 @@ struct QueueInfo {
 // Catalog of every registered queue, in canonical report order.
 const std::vector<QueueInfo>& queue_catalog();
 
-// Catalog entry by name, honoring the "-ml<N>" lane-count knob (the knob
-// resolves to its catalog base entry); nullptr for unknown names.
+// Catalog entry by name, honoring the knobs (a knob spelling resolves to
+// its catalog base entry: "lcrq-ml8" to lcrq-ml, "lscq-h250" to lscq-h,
+// "lcrq-huge" to lcrq); nullptr for unknown names.
 const QueueInfo* find_queue_info(const std::string& name);
 
 // The paper's Figure 6/7 line-ups (catalog entries tagged with the
@@ -91,9 +80,11 @@ const QueueInfo* find_queue_info(const std::string& name);
 std::vector<std::string> paper_single_processor_set();  // fig 6
 std::vector<std::string> paper_multi_processor_set();   // fig 7
 
-// Construct by name; returns nullptr for unknown names.  Catalog "-ml"
-// entries additionally accept a trailing lane count ("lcrq-ml8" = lcrq-ml
-// with QueueOptions::lanes = 8).
+// Construct by name; returns nullptr for unknown names.  Three knobs
+// override a QueueOptions field: a trailing lane count on the "-ml"
+// entries ("lcrq-ml8" = lcrq-ml with lanes = 8), a handoff timeout in µs
+// on the "-h" entries ("lcrq-h250" = cluster_timeout_ns 250'000), and a
+// final "-huge" on any name (huge_segments = true; "lcrq-ml8-huge").
 std::unique_ptr<AnyQueue> make_queue(const std::string& name,
                                      const QueueOptions& opt = {});
 

@@ -1,9 +1,10 @@
 // Multi-threaded cases of the blocking and coroutine facades, typed over
 // the base queue.  The facades' synchronization (eventcount handshake,
-// waiter stacks, close) is the same code whatever the base, so each case
+// frame parking, close) is the same code whatever the base, so each case
 // runs over LcrqQueue in test_shutdown_and_blocking / test_async_queue and
-// over LscqQueue in test_facade_threads — the CAS2-free instantiation that
-// the tsan build row can instrument.
+// over LscqQueue and the registry shape UniquePtrBase<AnyQueue> in
+// test_facade_threads — the CAS2-free instantiations that the tsan build
+// row can instrument.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -11,10 +12,12 @@
 #include <atomic>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "queues/async_queue.hpp"
 #include "queues/blocking_queue.hpp"
+#include "registry/queue_registry.hpp"
 #include "test_support.hpp"
 #include "util/timing.hpp"
 
@@ -27,6 +30,19 @@ inline QueueOptions facade_tiny() {
     return opt;
 }
 
+// A facade (BlockingQueue or AsyncQueue) over a case's base: a concrete
+// base is built from `opt` in place; the registry shape wraps a catalog
+// lscq built from `opt`, as perfbench's dispatch workload wraps its
+// backend.
+template <template <FacadeBase> class Facade, typename Base>
+Facade<Base> make_facade(const QueueOptions& opt = {}, std::size_t capacity = 0) {
+    if constexpr (std::is_same_v<Base, UniquePtrBase<AnyQueue>>) {
+        return Facade<Base>(Base(make_queue("lscq", opt)), capacity);
+    } else {
+        return Facade<Base>(opt, capacity);
+    }
+}
+
 // --- blocking facade -------------------------------------------------------
 
 template <typename Base>
@@ -34,10 +50,10 @@ struct BlockingThreads : ::testing::Test {};
 TYPED_TEST_SUITE_P(BlockingThreads);
 
 TYPED_TEST_P(BlockingThreads, WaitDequeueGetsItem) {
-    BlockingQueue<TypeParam> q;
+    auto q = make_facade<BlockingQueue, TypeParam>();
     std::thread producer([&] {
         spin_for_ns(2'000'000);
-        EXPECT_TRUE(q.enqueue(42));
+        EXPECT_TRUE(q.try_enqueue(42));
     });
     const auto v = q.wait_dequeue();  // blocks until the producer lands
     ASSERT_TRUE(v.has_value());
@@ -46,7 +62,7 @@ TYPED_TEST_P(BlockingThreads, WaitDequeueGetsItem) {
 }
 
 TYPED_TEST_P(BlockingThreads, CloseWakesSleepers) {
-    BlockingQueue<TypeParam> q;
+    auto q = make_facade<BlockingQueue, TypeParam>();
     std::atomic<int> woke{0};
     std::vector<std::thread> sleepers;
     for (int i = 0; i < 3; ++i) {
@@ -60,20 +76,20 @@ TYPED_TEST_P(BlockingThreads, CloseWakesSleepers) {
     q.close();
     for (auto& t : sleepers) t.join();
     EXPECT_EQ(woke.load(), 3);
-    EXPECT_FALSE(q.enqueue(1)) << "enqueue after close must be refused";
+    EXPECT_FALSE(q.try_enqueue(1)) << "enqueue after close must be refused";
 }
 
 TYPED_TEST_P(BlockingThreads, ProducerConsumerThroughputWithShutdown) {
     // The canonical lifecycle: producers produce, the last one out closes,
     // blocked consumers wake, drain, and see the closed signal.
-    BlockingQueue<TypeParam> q;
+    auto q = make_facade<BlockingQueue, TypeParam>();
     constexpr std::uint64_t kItems = 20'000;
     std::atomic<std::uint64_t> received{0};
     std::atomic<int> producers_left{2};
     run_threads(4, [&](int id) {
         if (id < 2) {
             for (std::uint64_t i = 0; i < kItems / 2; ++i) {
-                ASSERT_TRUE(q.enqueue(tag(static_cast<unsigned>(id), i)));
+                ASSERT_TRUE(q.try_enqueue(tag(static_cast<unsigned>(id), i)));
             }
             if (producers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
                 q.close();
@@ -90,10 +106,10 @@ TYPED_TEST_P(BlockingThreads, ProducerConsumerThroughputWithShutdown) {
 }
 
 TYPED_TEST_P(BlockingThreads, WaitForSeesConcurrentProducer) {
-    BlockingQueue<TypeParam> q;
+    auto q = make_facade<BlockingQueue, TypeParam>();
     std::thread producer([&] {
         spin_for_ns(1'000'000);
-        q.enqueue(77);
+        EXPECT_TRUE(q.try_enqueue(77));
     });
     const WaitResult r = q.wait_dequeue_for(2'000'000'000);
     ASSERT_TRUE(r.ok());
@@ -105,13 +121,13 @@ TYPED_TEST_P(BlockingThreads, ParkedConsumerWakesOnEveryAdmit) {
     // Each round the producer waits out the spin window, so the consumer
     // has parked (kBlockedDeq) before the admit that must wake it: the
     // gated signal sees the registered waiter every time.
-    BlockingQueue<TypeParam> q;
+    auto q = make_facade<BlockingQueue, TypeParam>();
     constexpr value_t kRounds = 20;
     stats::reset_all();
     std::thread producer([&] {
         for (value_t v = 1; v <= kRounds; ++v) {
             spin_for_ns(200'000);
-            ASSERT_TRUE(q.enqueue(v));
+            ASSERT_TRUE(q.try_enqueue(v));
         }
     });
     for (value_t v = 1; v <= kRounds; ++v) {
@@ -125,7 +141,7 @@ TYPED_TEST_P(BlockingThreads, ParkedConsumerWakesOnEveryAdmit) {
 }
 
 TYPED_TEST_P(BlockingThreads, WaitEnqueueBlocksUntilSpace) {
-    BlockingQueue<TypeParam> q(QueueOptions{}, /*capacity=*/4);
+    auto q = make_facade<BlockingQueue, TypeParam>(QueueOptions{}, /*capacity=*/4);
     for (value_t v = 1; v <= 4; ++v) ASSERT_TRUE(q.try_enqueue(v));
     std::thread consumer([&] {
         spin_for_ns(2'000'000);
@@ -137,7 +153,7 @@ TYPED_TEST_P(BlockingThreads, WaitEnqueueBlocksUntilSpace) {
 }
 
 TYPED_TEST_P(BlockingThreads, WaitEnqueueWakesOnClose) {
-    BlockingQueue<TypeParam> q(QueueOptions{}, /*capacity=*/1);
+    auto q = make_facade<BlockingQueue, TypeParam>(QueueOptions{}, /*capacity=*/1);
     ASSERT_TRUE(q.try_enqueue(1));
     std::thread closer([&] {
         spin_for_ns(2'000'000);
@@ -150,10 +166,10 @@ TYPED_TEST_P(BlockingThreads, WaitEnqueueWakesOnClose) {
 TYPED_TEST_P(BlockingThreads, DrainRacesConcurrentConsumersWithoutLoss) {
     // drain() and wait_dequeue consumers split the remainder; nothing is
     // lost and nothing is double-delivered.
-    BlockingQueue<TypeParam> q;
+    auto q = make_facade<BlockingQueue, TypeParam>();
     constexpr std::uint64_t kItems = 10'000;
     for (std::uint64_t i = 0; i < kItems; ++i) {
-        ASSERT_TRUE(q.enqueue(tag(1, i)));
+        ASSERT_TRUE(q.try_enqueue(tag(1, i)));
     }
     std::atomic<std::uint64_t> consumed{0};
     std::atomic<std::uint64_t> drained{0};
@@ -202,21 +218,36 @@ template <typename Base>
 struct AsyncThreads : ::testing::Test {};
 TYPED_TEST_SUITE_P(AsyncThreads);
 
-TYPED_TEST_P(AsyncThreads, ParkedDequeueResumesOnCrossThreadEnqueue) {
-    AsyncQueue<TypeParam> q(facade_tiny());
+TYPED_TEST_P(AsyncThreads, ParkedDequeueResumesOnBlockingSideAdmit) {
+    // Regression: frames used to park on a stack of their own that only the
+    // coroutine layer's wakers popped, so an item admitted through
+    // blocking() left a parked consumer frame asleep until close().  The
+    // wait is bounded, and closing on failure resumes the frame so the
+    // test fails instead of hanging.
+    auto q = make_facade<AsyncQueue, TypeParam>(facade_tiny());
     std::optional<value_t> got;
-    std::thread consumer([&] { got = sync_wait(q.dequeue()); });
-    spin_for_ns(2'000'000);  // give the frame time to park
-    ASSERT_TRUE(q.enqueue_sync(99));
+    std::atomic<bool> done{false};
+    std::thread consumer([&] {
+        got = sync_wait(q.dequeue());
+        done.store(true, std::memory_order_release);
+    });
+    spin_for_ns(20'000'000);  // give the frame time to park
+    ASSERT_TRUE(q.blocking().try_enqueue(57));
+    const std::uint64_t deadline = now_ns() + 5'000'000'000;
+    while (!done.load(std::memory_order_acquire) && now_ns() < deadline) {
+        std::this_thread::yield();
+    }
+    const bool resumed = done.load(std::memory_order_acquire);
+    if (!resumed) q.close();
     consumer.join();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, 99u);
+    EXPECT_TRUE(resumed) << "the parked frame slept through a blocking() admit";
+    EXPECT_EQ(got.value_or(0), 57u);
 }
 
 TYPED_TEST_P(AsyncThreads, ParkedDequeueResumesOnCoroutineEnqueue) {
-    // The waker here is itself a coroutine: co_await enqueue() must pop the
-    // consumer waiter stack just like the thread-side bridge does.
-    AsyncQueue<TypeParam> q(facade_tiny());
+    // The waker here is itself a coroutine: co_await enqueue() must resume
+    // the parked consumer frame just like a thread-side admission does.
+    auto q = make_facade<AsyncQueue, TypeParam>(facade_tiny());
     std::optional<value_t> got;
     std::thread consumer([&] { got = sync_wait(q.dequeue()); });
     spin_for_ns(2'000'000);
@@ -227,7 +258,7 @@ TYPED_TEST_P(AsyncThreads, ParkedDequeueResumesOnCoroutineEnqueue) {
 }
 
 TYPED_TEST_P(AsyncThreads, CloseWakesParkedConsumerToNullopt) {
-    AsyncQueue<TypeParam> q(facade_tiny());
+    auto q = make_facade<AsyncQueue, TypeParam>(facade_tiny());
     std::optional<value_t> got = 1;  // sentinel: must become nullopt
     std::thread consumer([&] { got = sync_wait(q.dequeue()); });
     spin_for_ns(2'000'000);
@@ -237,21 +268,21 @@ TYPED_TEST_P(AsyncThreads, CloseWakesParkedConsumerToNullopt) {
 }
 
 TYPED_TEST_P(AsyncThreads, BoundedEnqueueParksUntilSpaceFrees) {
-    AsyncQueue<TypeParam> q(facade_tiny(), /*capacity=*/1);
-    ASSERT_TRUE(q.enqueue_sync(1));
+    auto q = make_facade<AsyncQueue, TypeParam>(facade_tiny(), /*capacity=*/1);
+    ASSERT_TRUE(q.blocking().try_enqueue(1));
     std::atomic<int> result{-1};
     std::thread producer([&] { result.store(sync_wait(q.enqueue(2)) ? 1 : 0); });
     spin_for_ns(2'000'000);
     EXPECT_EQ(result.load(), -1) << "enqueue must park while the queue is full";
-    EXPECT_EQ(q.try_dequeue_sync().value_or(0), 1u);
+    EXPECT_EQ(q.blocking().try_dequeue().value_or(0), 1u);
     producer.join();
     EXPECT_EQ(result.load(), 1);
-    EXPECT_EQ(q.try_dequeue_sync().value_or(0), 2u);
+    EXPECT_EQ(q.blocking().try_dequeue().value_or(0), 2u);
 }
 
 TYPED_TEST_P(AsyncThreads, CloseFailsParkedBoundedProducer) {
-    AsyncQueue<TypeParam> q(facade_tiny(), /*capacity=*/1);
-    ASSERT_TRUE(q.enqueue_sync(1));
+    auto q = make_facade<AsyncQueue, TypeParam>(facade_tiny(), /*capacity=*/1);
+    ASSERT_TRUE(q.blocking().try_enqueue(1));
     std::atomic<int> result{-1};
     std::thread producer([&] { result.store(sync_wait(q.enqueue(2)) ? 1 : 0); });
     spin_for_ns(2'000'000);
@@ -266,12 +297,12 @@ TYPED_TEST_P(AsyncThreads, ParkingEnqueueDoesNotInflateShedCounter) {
     // that parked and then succeeded recorded many sheds.  The async path
     // never sheds: it parks on full and fails only on close.
     stats::reset_all();
-    AsyncQueue<TypeParam> q(facade_tiny(), /*capacity=*/1);
+    auto q = make_facade<AsyncQueue, TypeParam>(facade_tiny(), /*capacity=*/1);
     ASSERT_TRUE(sync_wait(q.enqueue(1)));
     std::atomic<int> result{-1};
     std::thread producer([&] { result.store(sync_wait(q.enqueue(2)) ? 1 : 0); });
     spin_for_ns(2'000'000);  // let the producer hit full and park
-    EXPECT_EQ(q.try_dequeue_sync().value_or(0), 1u);
+    EXPECT_EQ(q.blocking().try_dequeue().value_or(0), 1u);
     producer.join();
     EXPECT_EQ(result.load(), 1);
     const stats::Snapshot s = stats::global_snapshot();
@@ -280,7 +311,7 @@ TYPED_TEST_P(AsyncThreads, ParkingEnqueueDoesNotInflateShedCounter) {
 }
 
 TYPED_TEST_P(AsyncThreads, DetachedWorkersDrainEverythingAcrossThreads) {
-    AsyncQueue<TypeParam> q(facade_tiny());
+    auto q = make_facade<AsyncQueue, TypeParam>(facade_tiny());
     std::atomic<std::uint64_t> sum{0};
     std::atomic<int> live{4};
     for (int i = 0; i < 4; ++i) detached_consumer(q, sum, live);
@@ -289,7 +320,7 @@ TYPED_TEST_P(AsyncThreads, DetachedWorkersDrainEverythingAcrossThreads) {
     run_threads(2, [&](int id) {
         for (std::uint64_t i = 0; i < kPerProducer; ++i) {
             const value_t v = static_cast<value_t>(id * kPerProducer + i + 1);
-            while (!q.enqueue_sync(v)) std::this_thread::yield();
+            while (!q.blocking().try_enqueue(v)) std::this_thread::yield();
         }
     });
     q.close();
@@ -305,7 +336,7 @@ TYPED_TEST_P(AsyncThreads, ParkAbortWakeChurnStress) {
     // the node must stay alive until both parties are done).  Capacity 1
     // keeps the producer frames parking on nearly every item while two
     // dequeuing threads race the awaiters for the nodes.
-    AsyncQueue<TypeParam> q(facade_tiny(), /*capacity=*/1);
+    auto q = make_facade<AsyncQueue, TypeParam>(facade_tiny(), /*capacity=*/1);
     constexpr std::uint64_t kPer = 3'000;
     std::atomic<int> live{3};
     for (int i = 0; i < 3; ++i) detached_producer(q, i * kPer + 1, kPer, live);
@@ -313,24 +344,24 @@ TYPED_TEST_P(AsyncThreads, ParkAbortWakeChurnStress) {
     std::atomic<bool> stop{false};
     std::thread helper([&] {
         while (!stop.load(std::memory_order_acquire)) {
-            if (auto v = q.try_dequeue_sync()) {
+            if (auto v = q.blocking().try_dequeue()) {
                 sum.fetch_add(*v, std::memory_order_relaxed);
             }
         }
     });
     while (live.load(std::memory_order_acquire) != 0) {
-        if (auto v = q.try_dequeue_sync()) {
+        if (auto v = q.blocking().try_dequeue()) {
             sum.fetch_add(*v, std::memory_order_relaxed);
         }
     }
     stop.store(true, std::memory_order_release);
     helper.join();
-    while (auto v = q.try_dequeue_sync()) sum.fetch_add(*v, std::memory_order_relaxed);
+    while (auto v = q.blocking().try_dequeue()) sum.fetch_add(*v, std::memory_order_relaxed);
     const std::uint64_t n = 3 * kPer;
     EXPECT_EQ(sum.load(), n * (n + 1) / 2) << "items lost or duplicated";
 }
 
-REGISTER_TYPED_TEST_SUITE_P(AsyncThreads, ParkedDequeueResumesOnCrossThreadEnqueue,
+REGISTER_TYPED_TEST_SUITE_P(AsyncThreads, ParkedDequeueResumesOnBlockingSideAdmit,
                             ParkedDequeueResumesOnCoroutineEnqueue,
                             CloseWakesParkedConsumerToNullopt,
                             BoundedEnqueueParksUntilSpaceFrees, CloseFailsParkedBoundedProducer,

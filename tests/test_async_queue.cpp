@@ -1,10 +1,11 @@
 // AsyncQueue: co_await-able enqueue/dequeue over the blocking facade.
 //
 // Resumption threading: a parked coroutine frame resumes on whichever
-// thread performed the wake (an enqueue_sync, a dequeue, or close), so
-// everything a frame touches after a suspension point is atomics-only.
-// The multi-threaded cases live in facade_thread_cases.hpp, shared with
-// the LSCQ instantiation the tsan build row runs.
+// thread signalled (an admission, a dequeue freeing space, or close, from
+// a frame or through blocking()), so everything a frame touches after a
+// suspension point is atomics-only.  The multi-threaded cases live in
+// facade_thread_cases.hpp, shared with the instantiations the tsan build
+// row runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,7 +38,7 @@ TEST(AsyncTask, TasksComposeBySymmetricTransfer) {
 
 TEST(AsyncQueue, DequeueCompletesWithoutParkingWhenItemReady) {
     AsyncQueue<> q(facade_tiny());
-    ASSERT_TRUE(q.enqueue_sync(7));
+    ASSERT_TRUE(q.blocking().try_enqueue(7));
     const auto v = sync_wait(q.dequeue());
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, 7u);
@@ -59,7 +60,7 @@ TEST(AsyncQueue, EnqueueReturnsFalseAfterClose) {
 
 TEST(AsyncQueue, DequeueDrainsPrecloseItemsThenNullopt) {
     AsyncQueue<> q(facade_tiny());
-    for (value_t v = 1; v <= 20; ++v) ASSERT_TRUE(q.enqueue_sync(v));
+    for (value_t v = 1; v <= 20; ++v) ASSERT_TRUE(q.blocking().try_enqueue(v));
     q.close();
     for (value_t v = 1; v <= 20; ++v) {
         EXPECT_EQ(sync_wait(q.dequeue()).value_or(0), v);
@@ -67,24 +68,20 @@ TEST(AsyncQueue, DequeueDrainsPrecloseItemsThenNullopt) {
     EXPECT_FALSE(sync_wait(q.dequeue()).has_value());
 }
 
-TEST(AsyncQueue, WakerAdvancesTheEpochItsAwaitersWatch) {
-    // Awaiters are not counted waiters, so the facade's own signal leaves
-    // the epochs alone; every async waker must advance the epoch its side's
-    // awaiters snapshot, or an awaiter that read the old epoch and pushed
-    // after the waker's pop would park for good.
-    AsyncQueue<> q(facade_tiny(), /*capacity=*/4);
+TEST(AsyncQueue, IdleAsyncTrafficLeavesBothEpochsAlone) {
+    // With no frame or thread registered, a signal is a fence and a load:
+    // async admissions and dequeues, like blocking ones, bump neither
+    // epoch.  (The coroutine layer used to bump its side's epoch on every
+    // operation, parked frame or not.)  Bounded, so dequeues signal the
+    // space side too.
+    AsyncQueue<> q(facade_tiny(), /*capacity=*/4096);
     BlockingQueue<LcrqQueue>& bq = q.blocking();
     const std::uint32_t items0 = bq.items_epoch();
     const std::uint32_t space0 = bq.space_epoch();
-    ASSERT_TRUE(q.enqueue_sync(1));
-    EXPECT_NE(bq.items_epoch(), items0) << "enqueue must advance the items epoch";
-    EXPECT_EQ(bq.space_epoch(), space0);
-    ASSERT_TRUE(q.try_dequeue_sync().has_value());
-    EXPECT_NE(bq.space_epoch(), space0) << "dequeue must advance the space epoch";
-    // The blocking facade alone, with nobody registered, bumps nothing.
-    const std::uint32_t items1 = bq.items_epoch();
-    ASSERT_TRUE(bq.try_enqueue(2));
-    EXPECT_EQ(bq.items_epoch(), items1);
+    for (value_t v = 1; v <= 1000; ++v) ASSERT_TRUE(sync_wait(q.enqueue(v)));
+    for (value_t v = 1; v <= 1000; ++v) ASSERT_EQ(sync_wait(q.dequeue()).value_or(0), v);
+    EXPECT_EQ(bq.items_epoch(), items0) << "an async admit bumped with no waiter registered";
+    EXPECT_EQ(bq.space_epoch(), space0) << "an async dequeue bumped with no waiter registered";
 }
 }  // namespace
 }  // namespace lcrq

@@ -18,8 +18,8 @@ QueueOptions cap(unsigned order) {
 TEST(BoundedMpmc, FifoSingleThread) {
     BoundedMpmcQueue q(cap(4));
     EXPECT_EQ(q.capacity(), 16u);
-    for (value_t v = 1; v <= 16; ++v) EXPECT_TRUE(q.try_enqueue(v));
-    EXPECT_FALSE(q.try_enqueue(99)) << "ring must report full";
+    for (value_t v = 1; v <= 16; ++v) EXPECT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
+    EXPECT_EQ(q.try_enqueue(99), EnqueueResult::kFull) << "ring must report full";
     for (value_t v = 1; v <= 16; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
     EXPECT_FALSE(q.dequeue().has_value());
 }
@@ -27,17 +27,17 @@ TEST(BoundedMpmc, FifoSingleThread) {
 TEST(BoundedMpmc, WrapsManyLaps) {
     BoundedMpmcQueue q(cap(2));
     for (int lap = 0; lap < 200; ++lap) {
-        for (value_t v = 1; v <= 3; ++v) ASSERT_TRUE(q.try_enqueue(v));
+        for (value_t v = 1; v <= 3; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
         for (value_t v = 1; v <= 3; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
     }
 }
 
 TEST(BoundedMpmc, FullThenDrainThenReusable) {
     BoundedMpmcQueue q(cap(2));
-    for (value_t v = 1; v <= 4; ++v) ASSERT_TRUE(q.try_enqueue(v));
-    ASSERT_FALSE(q.try_enqueue(5));
+    for (value_t v = 1; v <= 4; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
+    ASSERT_EQ(q.try_enqueue(5), EnqueueResult::kFull);
     ASSERT_EQ(q.dequeue().value_or(0), 1u);
-    ASSERT_TRUE(q.try_enqueue(5));
+    ASSERT_EQ(q.try_enqueue(5), EnqueueResult::kOk);
     for (value_t v = 2; v <= 5; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
 }
 

@@ -68,7 +68,7 @@ TEST_F(InjectBlocking, KilledProducerAtNotifyDoesNotStrandSleeper) {
             // sleep, so the lost wake actually targets a sleeper.
             await([&] { return ctl().visits(0, Point::kBlockWait) >= 1; });
             try {
-                (void)q.enqueue(42);
+                (void)q.try_enqueue(42);
             } catch (const ThreadKilled&) {
                 victim_killed = true;
             }
@@ -82,7 +82,7 @@ TEST_F(InjectBlocking, KilledProducerAtNotifyDoesNotStrandSleeper) {
 }
 
 // The gated signal: with nobody registered, an admit is a fence and a
-// load of the waiter count — it never bumps, so it never reaches the
+// load of the registration word — it never bumps, so it never reaches the
 // bump-to-wake window.
 TEST_F(InjectBlocking, AdmitsWithNoWaiterSkipTheNotifyWindow) {
     BlockingQueue<LscqQueue> q(tiny());
@@ -125,7 +125,7 @@ TEST_F(InjectBlocking, OneAdmitWakesARegisteredConsumer) {
 TEST_F(InjectBlocking, KilledDrainerDoesNotBlockShutdown) {
     BlockingQueue<LscqQueue> q(tiny());
     constexpr value_t kItems = 20;
-    for (value_t v = 1; v <= kItems; ++v) ASSERT_TRUE(q.enqueue(v));
+    for (value_t v = 1; v <= kItems; ++v) ASSERT_TRUE(q.try_enqueue(v));
 
     ctl().kill_at(1, Point::kDrain, 3);  // dies after delivering 2 items
     ctl().arm();

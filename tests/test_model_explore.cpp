@@ -3,7 +3,7 @@
 // paper's §4.1.2 argument, covering the safe-bit corner cases real-thread
 // tests cannot reach deterministically), random sampling for larger ones,
 // and a differential check that the model matches the real Crq.  Also the
-// facades' notify handshakes (verify/notify_model.hpp), explored whole.
+// facade's notify handshake (verify/notify_model.hpp), explored whole.
 #include <gtest/gtest.h>
 
 #include "queues/crq.hpp"
@@ -863,8 +863,8 @@ TEST(ExploreWcq, RandomSamplingBlindRevertStaysBroken) {
 
 // --- notify handshakes ------------------------------------------------------
 
-TEST(NotifyModel, BlockingHandshakeNeverStrandsASleeper) {
-    const NotifyExploreResult r = explore_blocking_handshake();
+TEST(NotifyModel, ThreadHandshakeNeverStrandsASleeper) {
+    const NotifyExploreResult r = explore_handshake(WaiterKind::kThread);
     EXPECT_TRUE(r.ok()) << r.first_violation;
     // Both sides of the gate were explored: schedules where the notifier
     // skipped the bump (nobody registered yet) and ones where the waiter
@@ -873,27 +873,35 @@ TEST(NotifyModel, BlockingHandshakeNeverStrandsASleeper) {
     EXPECT_GT(r.sleeps, 0u);
 }
 
-TEST(NotifyModel, AsyncHandshakeNeverStrandsAnAwaiter) {
-    const NotifyExploreResult r = explore_async_handshake();
+TEST(NotifyModel, FrameHandshakeNeverStrandsAParkedFrame) {
+    // A frame is gated exactly like a thread: the notifier bumps and pops
+    // only for a registered frame, and some schedules skip both.
+    const NotifyExploreResult r = explore_handshake(WaiterKind::kFrame);
     EXPECT_TRUE(r.ok()) << r.first_violation;
-    EXPECT_GT(r.schedules, 0u);
-    EXPECT_GT(r.sleeps, 0u) << "no schedule parked the awaiter";
+    EXPECT_GT(r.skips, 0u);
+    EXPECT_GT(r.sleeps, 0u) << "no schedule parked the frame";
 }
 
 TEST(NotifyModel, CatchesANotifierThatReadsTheCountBeforePublishing) {
-    const NotifyExploreResult r =
-        explore_blocking_handshake(NotifyMutant::kCountBeforePublish);
-    EXPECT_GT(r.violations, 0u) << "the explorer missed the lost wakeup";
+    for (const WaiterKind kind : {WaiterKind::kThread, WaiterKind::kFrame}) {
+        const NotifyExploreResult r =
+            explore_handshake(kind, NotifyMutant::kCountBeforePublish);
+        EXPECT_GT(r.violations, 0u) << "the explorer missed the lost wakeup";
+    }
 }
 
 TEST(NotifyModel, CatchesAWaiterThatReadsTheEpochAfterItsRecheck) {
-    const NotifyExploreResult r = explore_blocking_handshake(NotifyMutant::kEpochAfterRecheck);
-    EXPECT_GT(r.violations, 0u) << "the explorer missed the lost wakeup";
+    for (const WaiterKind kind : {WaiterKind::kThread, WaiterKind::kFrame}) {
+        const NotifyExploreResult r =
+            explore_handshake(kind, NotifyMutant::kEpochAfterRecheck);
+        EXPECT_GT(r.violations, 0u) << "the explorer missed the lost wakeup";
+    }
 }
 
-TEST(NotifyModel, CatchesAnAsyncWakerThatSkipsItsBump) {
-    const NotifyExploreResult r = explore_async_handshake(NotifyMutant::kAsyncSkipBump);
-    EXPECT_GT(r.violations, 0u) << "the explorer missed the stranded awaiter";
+TEST(NotifyModel, CatchesAFrameThatParksWithoutRegistering) {
+    const NotifyExploreResult r =
+        explore_handshake(WaiterKind::kFrame, NotifyMutant::kUnregisteredFrame);
+    EXPECT_GT(r.violations, 0u) << "the explorer missed the stranded frame";
 }
 
 }  // namespace

@@ -125,8 +125,7 @@ TEST(Hierarchy, WaiterProceedsWhenClusterHandsOver) {
 
 TEST(Hierarchy, SuffixNames) {
     EXPECT_STREQ(NoHierarchy::suffix(), "");
-    // Canonical spelling is "-h" (the knob grammar: lcrq-h, lcrq-h200);
-    // the registry still resolves the paper's "+h" as an alias.
+    // The registry spelling is "-h" (the knob grammar: lcrq-h, lcrq-h200).
     EXPECT_STREQ(ClusterHierarchy::suffix(), "-h");
 }
 

@@ -1,6 +1,7 @@
 // Compile-time contracts: every queue models the ConcurrentQueue concept,
-// the reserved-value scheme is coherent, cache-line helpers have the
-// layout they promise, and QueueOptions defaults are sane.
+// the blocking facade's bases model its base contract, the reserved-value
+// scheme is coherent, cache-line helpers have the layout they promise, and
+// QueueOptions defaults are sane.
 #include <gtest/gtest.h>
 
 #include "arch/cacheline.hpp"
@@ -11,10 +12,14 @@
 #include "queues/infinite_array_queue.hpp"
 #include "queues/kp_queue.hpp"
 #include "queues/lcrq.hpp"
+#include "queues/lscq.hpp"
+#include "queues/lwcq.hpp"
 #include "queues/ms_queue.hpp"
 #include "queues/mutex_queue.hpp"
 #include "queues/queue_common.hpp"
 #include "queues/two_lock_queue.hpp"
+#include "queues/wcq.hpp"
+#include "registry/queue_registry.hpp"
 
 namespace lcrq {
 namespace {
@@ -35,6 +40,18 @@ static_assert(ConcurrentQueue<BoundedMpmcQueue>);
 static_assert(ConcurrentQueue<KpQueue>);
 static_assert(ConcurrentQueue<MutexQueue>);
 static_assert(ConcurrentQueue<InfiniteArrayQueue>);
+
+// The facade's base contract is met natively by the list queues and the
+// bounded rings, and by every registry queue through UniquePtrBase.
+static_assert(FacadeBase<LcrqQueue>);
+static_assert(FacadeBase<LcrqHQueue>);
+static_assert(FacadeBase<LscqQueue>);
+static_assert(FacadeBase<LwcqQueue>);
+static_assert(FacadeBase<ScqQueue>);
+static_assert(FacadeBase<WcqQueue>);
+static_assert(FacadeBase<BoundedMpmcQueue>);
+static_assert(FacadeBase<UniquePtrBase<AnyQueue>>);
+static_assert(!FacadeBase<MsQueue<>>);
 
 // Queues are pinned in memory: addresses escape into rings/lists/hazard
 // slots, so accidental copies/moves must not compile.

@@ -417,18 +417,6 @@ TEST(Registry, HugeKnobResolvesAndComposes) {
     }
 }
 
-TEST(Registry, PlusHAliasStillResolves) {
-    // The variants were briefly catalogued as "lcrq+h"; scripts and JSON
-    // artifacts carrying the old spelling must keep working.
-    const QueueInfo* info = find_queue_info("lcrq+h");
-    ASSERT_NE(info, nullptr);
-    EXPECT_EQ(info->name, "lcrq-h");
-    auto q = make_queue("lscq+h");
-    ASSERT_NE(q, nullptr);
-    q->enqueue(3);
-    EXPECT_EQ(q->dequeue().value_or(0), 3u);
-}
-
 TEST(Registry, LcrqVariantsAreDistinctObjects) {
     auto a = make_queue("lcrq");
     auto b = make_queue("lcrq-cas");

@@ -329,7 +329,7 @@ TEST(LscqTest, CloseIsAStickyBarrier) {
     q.enqueue(1);
     q.close();
     EXPECT_TRUE(q.closed());
-    EXPECT_FALSE(q.try_enqueue(2));
+    EXPECT_EQ(q.try_enqueue(2), EnqueueResult::kClosed);
     EXPECT_FALSE(q.try_enqueue_bulk(std::vector<value_t>{3, 4}));
     EXPECT_EQ(q.dequeue().value_or(0), 1u);
     EXPECT_FALSE(q.dequeue().has_value());

@@ -27,23 +27,23 @@ QueueOptions tiny() {
 
 TEST(LcrqShutdown, CloseStopsNewEnqueues) {
     LcrqQueue q(tiny());
-    EXPECT_TRUE(q.try_enqueue(1));
-    EXPECT_TRUE(q.try_enqueue(2));
+    EXPECT_EQ(q.try_enqueue(1), EnqueueResult::kOk);
+    EXPECT_EQ(q.try_enqueue(2), EnqueueResult::kOk);
     EXPECT_FALSE(q.closed());
     q.close();
     EXPECT_TRUE(q.closed());
-    EXPECT_FALSE(q.try_enqueue(3));
+    EXPECT_EQ(q.try_enqueue(3), EnqueueResult::kClosed);
     // Pre-close items drain in order; then EMPTY forever.
     EXPECT_EQ(q.dequeue().value_or(0), 1u);
     EXPECT_EQ(q.dequeue().value_or(0), 2u);
     EXPECT_FALSE(q.dequeue().has_value());
-    EXPECT_FALSE(q.try_enqueue(4));
+    EXPECT_EQ(q.try_enqueue(4), EnqueueResult::kClosed);
 }
 
 TEST(LcrqShutdown, CloseOnEmptyQueue) {
     LcrqQueue q(tiny());
     q.close();
-    EXPECT_FALSE(q.try_enqueue(1));
+    EXPECT_EQ(q.try_enqueue(1), EnqueueResult::kClosed);
     EXPECT_FALSE(q.dequeue().has_value());
 }
 
@@ -57,7 +57,7 @@ TEST(LcrqShutdown, CloseIsIdempotent) {
 
 TEST(LcrqShutdown, CloseAcrossManySegments) {
     LcrqQueue q(tiny());
-    for (value_t v = 1; v <= 200; ++v) ASSERT_TRUE(q.try_enqueue(v));
+    for (value_t v = 1; v <= 200; ++v) ASSERT_EQ(q.try_enqueue(v), EnqueueResult::kOk);
     q.close();
     for (value_t v = 1; v <= 200; ++v) ASSERT_EQ(q.dequeue().value_or(0), v);
     EXPECT_FALSE(q.dequeue().has_value());
@@ -79,7 +79,8 @@ TEST(LcrqShutdown, ConcurrentCloseNothingLostOrLate) {
             } else {
                 for (int i = 0; i < 2'000; ++i) {
                     if (q.try_enqueue(test::tag(static_cast<unsigned>(id),
-                                                static_cast<std::uint64_t>(i)))) {
+                                                static_cast<std::uint64_t>(i))) ==
+                        EnqueueResult::kOk) {
                         accepted.fetch_add(1, std::memory_order_relaxed);
                     } else {
                         break;  // closed: all later attempts must also fail
@@ -88,7 +89,7 @@ TEST(LcrqShutdown, ConcurrentCloseNothingLostOrLate) {
             }
         });
         // A try_enqueue starting now must fail.
-        EXPECT_FALSE(q.try_enqueue(12345));
+        EXPECT_EQ(q.try_enqueue(12345), EnqueueResult::kClosed);
         std::uint64_t drained = 0;
         while (q.dequeue().has_value()) ++drained;
         EXPECT_EQ(drained, accepted.load()) << "round " << round;
@@ -96,15 +97,15 @@ TEST(LcrqShutdown, ConcurrentCloseNothingLostOrLate) {
 }
 
 TEST(BlockingQueue, BaseClosedDirectlyEnqueueRefusesInsteadOfLosing) {
-    // Regression: enqueue() used to call the asserting base_.enqueue() —
+    // Regression: admission used to call the asserting base_.enqueue() —
     // closing the *base* queue via base().close() (bypassing the facade's
     // flag) silently lost the item in release builds and aborted in debug.
     // It must route through try_enqueue and propagate the refusal.
     BlockingQueue<> q;
-    EXPECT_TRUE(q.enqueue(1));
+    EXPECT_TRUE(q.try_enqueue(1));
     q.base().close();
     EXPECT_FALSE(q.closed()) << "facade flag untouched by base().close()";
-    EXPECT_FALSE(q.enqueue(2)) << "base refused; facade must report it";
+    EXPECT_FALSE(q.try_enqueue(2)) << "base refused; facade must report it";
     // The pre-close item is still there, and nothing after it.
     EXPECT_EQ(q.try_dequeue().value_or(0), 1u);
     EXPECT_FALSE(q.try_dequeue().has_value());
@@ -113,13 +114,13 @@ TEST(BlockingQueue, BaseClosedDirectlyEnqueueRefusesInsteadOfLosing) {
 TEST(BlockingQueue, TryDequeueNeverBlocks) {
     BlockingQueue<> q;
     EXPECT_FALSE(q.try_dequeue().has_value());
-    q.enqueue(7);
+    q.try_enqueue(7);
     EXPECT_EQ(q.try_dequeue().value_or(0), 7u);
 }
 
 TEST(BlockingQueue, DrainsBeforeReportingClosed) {
     BlockingQueue<> q;
-    for (value_t v = 1; v <= 10; ++v) EXPECT_TRUE(q.enqueue(v));
+    for (value_t v = 1; v <= 10; ++v) EXPECT_TRUE(q.try_enqueue(v));
     q.close();
     for (value_t v = 1; v <= 10; ++v) {
         const auto r = q.wait_dequeue();
@@ -140,7 +141,7 @@ TEST(BlockingQueue, WaitForTimesOutWhenIdle) {
 
 TEST(BlockingQueue, WaitForReturnsEarlyWithItem) {
     BlockingQueue<> q;
-    q.enqueue(9);
+    q.try_enqueue(9);
     const auto t0 = now_ns();
     const WaitResult r = q.wait_dequeue_for(1'000'000'000);  // 1 s budget
     ASSERT_TRUE(r.ok());
@@ -150,7 +151,7 @@ TEST(BlockingQueue, WaitForReturnsEarlyWithItem) {
 
 TEST(BlockingQueue, WaitForAfterCloseDrainsThenClosed) {
     BlockingQueue<> q;
-    q.enqueue(5);
+    q.try_enqueue(5);
     q.close();
     const WaitResult first = q.wait_dequeue_for(1'000'000);
     ASSERT_TRUE(first.ok());
@@ -205,7 +206,7 @@ TEST(BlockingQueue, WaitEnqueueTimesOutWhenFull) {
 
 TEST(BlockingQueue, DrainDeliversRemainderAndReportsComplete) {
     BlockingQueue<> q;
-    for (value_t v = 1; v <= 50; ++v) ASSERT_TRUE(q.enqueue(v));
+    for (value_t v = 1; v <= 50; ++v) ASSERT_TRUE(q.try_enqueue(v));
     std::vector<value_t> got;
     const DrainReport rep =
         q.drain(1'000'000'000, [&](value_t v) { got.push_back(v); });
@@ -226,9 +227,8 @@ TEST(BlockingQueue, DrainOnEmptyClosedQueueIsComplete) {
 }
 
 TEST(BlockingQueue, ComposesOverRegistryBackend) {
-    // The production shape: facade over a runtime-selected backend.
-    // AnyQueue has no approx_size, so the watermark runs on the facade's
-    // own counters.
+    // The production shape: facade over a runtime-selected backend.  The
+    // watermark runs on the facade's own counters, as for every base.
     auto base = make_queue("lscq");
     ASSERT_NE(base, nullptr);
     BlockingQueue<UniquePtrBase<AnyQueue>> q(
@@ -246,10 +246,10 @@ TEST(BlockingQueue, ComposesOverRegistryBackend) {
 }
 
 TEST(BlockingQueue, BoundedBaseFullIsRetryableNotClosed) {
-    // Regression: a full bounded base ring used to map to
-    // Admission::kClosed, so wait_enqueue_for reported kClosed ("retrying
-    // cannot succeed") for a transiently full *open* queue and producers
-    // gave up instead of blocking for space.
+    // Regression: a full bounded base ring used to read as closed, so
+    // wait_enqueue_for reported kClosed ("retrying cannot succeed") for a
+    // transiently full *open* queue and producers gave up instead of
+    // blocking for space.
     QueueOptions opt;
     opt.bounded_order = 2;  // ring capacity 4
     BlockingQueue<ScqQueue> q(opt);
@@ -269,8 +269,8 @@ TEST(BlockingQueue, BoundedBaseFullIsRetryableNotClosed) {
 }
 
 TEST(BlockingQueue, BoundedBaseClosedDirectlyReportsClosed) {
-    // The closed() probe keeps the final refusal final: closing the inner
-    // ring via base().base().close() must not read as retryable full.
+    // The ring's own kClosed keeps the final refusal final: closing the
+    // inner ring via base().base().close() must not read as retryable full.
     QueueOptions opt;
     opt.bounded_order = 2;
     BlockingQueue<ScqQueue> q(opt);
@@ -286,7 +286,7 @@ TEST(BlockingQueue, DrainDeadlineHoldsAgainstSlowSink) {
     // a backlog fed to a slow sink overran the deadline by the whole
     // backlog (50 items x 2 ms here = 100 ms against a 10 ms deadline).
     BlockingQueue<> q;
-    for (value_t v = 1; v <= 50; ++v) ASSERT_TRUE(q.enqueue(v));
+    for (value_t v = 1; v <= 50; ++v) ASSERT_TRUE(q.try_enqueue(v));
     const std::uint64_t start = now_ns();
     const DrainReport rep =
         q.drain(10'000'000, [](value_t) { spin_for_ns(2'000'000); });
