@@ -21,11 +21,10 @@ using namespace lcrq;
 
 void BM_HazardProtectClear(benchmark::State& state) {
     HazardDomain domain;
-    HazardThread ht(domain);
     std::atomic<int*> shared{new int(7)};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(ht.protect(shared, 0));
-        ht.clear(0);
+        benchmark::DoNotOptimize(domain.protect(shared, 0));
+        domain.clear(0);
     }
     delete shared.load();
 }
@@ -33,9 +32,8 @@ BENCHMARK(BM_HazardProtectClear);
 
 void BM_HazardRetireScanAmortized(benchmark::State& state) {
     HazardDomain domain;
-    HazardThread ht(domain);
     for (auto _ : state) {
-        ht.retire(new int(1));  // amortized scan kicks in at the threshold
+        domain.retire(new int(1));  // amortized scan kicks in at the threshold
     }
 }
 BENCHMARK(BM_HazardRetireScanAmortized);

@@ -23,23 +23,6 @@ using namespace lcrq::bench;
 
 namespace {
 
-// Hardware-event cell: the per-op rate when the event counted, else
-// "n/a (<why>)" so the hole names its cause (perf_event_paranoid,
-// seccomp, ...) instead of leaving the reader to guess which events the
-// kernel refused.
-std::string hw_cell(const HwCounts& hw, double ops, HwEvent e, int precision = 2) {
-    const auto v = hw.get(e);
-    if (v.has_value() && ops > 0) {
-        return format_double(static_cast<double>(*v) / ops, precision);
-    }
-    const auto& why = hw.reason[static_cast<std::size_t>(e)];
-    if (why.empty()) return "n/a";
-    // The errno text is the informative part; drop the syscall prefix.
-    static constexpr const char kPrefix[] = "perf_event_open: ";
-    static constexpr std::size_t kPrefixLen = sizeof(kPrefix) - 1;
-    return "n/a (" + (why.rfind(kPrefix, 0) == 0 ? why.substr(kPrefixLen) : why) + ")";
-}
-
 struct Row {
     std::string queue;
     double ns_per_op;
@@ -138,15 +121,7 @@ int main(int argc, char** argv) {
                  "retries; LCRQ-CAS/MS pay CAS failures, combining queues pay "
                  "serial combiner instructions",
                  cfg);
-
-    {
-        PerfCounters probe;
-        if (!probe.any_available()) {
-            std::printf("hardware PMU rows: n/a on this host (%s); software-counter "
-                        "rows below are exact\n\n",
-                        probe.unavailable_reason().c_str());
-        }
-    }
+    print_pmu_note();
 
     JsonReport report("table2_stats");
     report.set_config(cfg);

@@ -8,7 +8,6 @@
 // (CC-Queue ~16-18k) and H-Queue's L3 misses triple when prefilled
 // (0.34 -> 0.95), dropping its throughput ~40%.
 #include <cstdio>
-#include <optional>
 #include <thread>
 
 #include "bench_framework/json_report.hpp"
@@ -20,20 +19,6 @@ using namespace lcrq;
 using namespace lcrq::bench;
 
 namespace {
-
-// Hardware-event cell: the per-op rate when the event counted, else
-// "n/a (<why>)" carrying the kernel's per-event denial reason.
-std::string hw_cell(const HwCounts& hw, double ops, HwEvent e, int precision = 2) {
-    const auto v = hw.get(e);
-    if (v.has_value() && ops > 0) {
-        return format_double(static_cast<double>(*v) / ops, precision);
-    }
-    const auto& why = hw.reason[static_cast<std::size_t>(e)];
-    if (why.empty()) return "n/a";
-    static constexpr const char kPrefix[] = "perf_event_open: ";
-    static constexpr std::size_t kPrefixLen = sizeof(kPrefix) - 1;
-    return "n/a (" + (why.rfind(kPrefix, 0) == 0 ? why.substr(kPrefixLen) : why) + ")";
-}
 
 void print_block(const char* title, const char* mode,
                  const std::vector<std::string>& queues, const QueueOptions& qopt,
@@ -105,14 +90,7 @@ int main(int argc, char** argv) {
                  "LCRQ(+H) hold 2 atomic ops/op at 80 threads; LCRQ-CAS ~2.9 and 2x "
                  "latency; combining queues run 5-18k instructions per op",
                  cfg);
-    {
-        PerfCounters probe;
-        if (!probe.any_available()) {
-            std::printf("hardware PMU rows: n/a on this host (%s); software-counter "
-                        "rows are exact\n\n",
-                        probe.unavailable_reason().c_str());
-        }
-    }
+    print_pmu_note();
 
     JsonReport report("table3_stats");
     report.set_config(cfg);

@@ -49,7 +49,7 @@ enum class Point : std::uint8_t {
     kListHeadSwing,        // LinkedSegments, before the head-swing CAS
     kApproxSizeWalk,       // LinkedSegments::segment_count walk, next segment
                            //   protected (approx_size no longer walks)
-    kHazardRetire,         // HazardThread::retire_impl, object handed over
+    kHazardRetire,         // HazardDomain::retire, object handed over
     kHazardScan,           // HazardDomain::drain, reclamation pass starting
     kScqEnqAfterFaa,       // ScqRing/WcqRing::enqueue, ticket obtained
     kScqAfterCycleLoad,    // SCQ-family put_at/take_at, entry loaded, not yet acted on

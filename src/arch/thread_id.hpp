@@ -2,11 +2,11 @@
 //
 // Several algorithms need per-thread state tied to a queue instance: the
 // combining queues (CC/H/FC) keep a publication or list node per thread,
-// and the hazard-pointer queues cache a HazardThread.  Indexing those
-// arrays by a dense thread id — handed out on first use and *recycled when
-// the thread exits* — lets tests spawn thousands of short-lived threads
-// without growing per-queue state, which is sized for kMaxThreads
-// concurrent threads.
+// and a hazard domain keeps one record per thread.  Indexing those arrays
+// by a dense thread id — handed out on first use and *recycled when the
+// thread exits* — lets tests spawn thousands of short-lived threads without
+// growing per-queue state, which is sized for kMaxThreads concurrent
+// threads.
 #pragma once
 
 #include <atomic>

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "topology/topology.hpp"
+#include "util/perf_events.hpp"
 #include "util/table.hpp"
 
 namespace lcrq::bench {
@@ -92,6 +93,28 @@ std::vector<std::string> split_names(const std::string& csv) {
 std::string throughput_cell(const RunResult& r) {
     return format_si(r.mean_ops_per_sec(), 2) + "ops/s (cv " +
            format_double(100.0 * r.throughput.cv(), 1) + "%)";
+}
+
+std::string hw_cell(const HwCounts& hw, double ops, HwEvent e, int precision) {
+    const auto v = hw.get(e);
+    if (v.has_value() && ops > 0) {
+        return format_double(static_cast<double>(*v) / ops, precision);
+    }
+    const auto& why = hw.reason[static_cast<std::size_t>(e)];
+    if (why.empty()) return "n/a";
+    // The errno text is the informative part; drop the syscall prefix.
+    static constexpr const char kPrefix[] = "perf_event_open: ";
+    static constexpr std::size_t kPrefixLen = sizeof(kPrefix) - 1;
+    return "n/a (" + (why.rfind(kPrefix, 0) == 0 ? why.substr(kPrefixLen) : why) + ")";
+}
+
+void print_pmu_note() {
+    PerfCounters probe;
+    if (!probe.any_available()) {
+        std::printf("hardware PMU rows: n/a on this host (%s); software-counter "
+                    "rows below are exact\n\n",
+                    probe.unavailable_reason().c_str());
+    }
 }
 
 }  // namespace lcrq::bench

@@ -30,6 +30,16 @@ void print_banner(const std::string& experiment_id, const std::string& paper_cla
 
 std::string throughput_cell(const RunResult& r);  // "12.34 Mops/s (cv 2%)"
 
+// Hardware-event cell of the per-op tables (Tables 2/3): the per-op rate
+// when the event counted, else "n/a (<why>)" so the hole names its cause
+// (perf_event_paranoid, seccomp, ...) instead of leaving the reader to
+// guess which events the kernel refused.
+std::string hw_cell(const HwCounts& hw, double ops, HwEvent e, int precision = 2);
+
+// One line saying the hardware PMU rows are n/a on this host, and why;
+// prints nothing where any event can be counted.
+void print_pmu_note();
+
 // "a,b,c" -> {"a","b","c"}; empty string -> empty vector.
 std::vector<std::string> split_names(const std::string& csv);
 

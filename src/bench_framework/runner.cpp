@@ -1,10 +1,12 @@
 #include "bench_framework/runner.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "arch/backoff.hpp"
+#include "arch/thread_id.hpp"
 #include "util/timing.hpp"
 #include "util/xorshift.hpp"
 
@@ -183,6 +185,13 @@ topo::Topology effective_topology(const RunConfig& cfg) {
 
 RunResult run_pairs(const QueueFactory& factory, const RunConfig& cfg) {
     RunResult result;
+    // Past max_threads() live threads, a worker waits in ThreadIdPool::acquire
+    // for an earlier one to exit, so the run would not measure cfg.threads.
+    if (static_cast<std::size_t>(cfg.threads) > max_threads()) {
+        std::fprintf(stderr, "run_pairs: %d threads exceed max_threads() = %zu\n",
+                     cfg.threads, max_threads());
+        return result;
+    }
     // The TSC/ns ratio is calibrated lazily (~10 ms); force it here so no
     // worker pays it inside the measured loop.
     (void)tsc_per_ns();

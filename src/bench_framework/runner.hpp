@@ -80,7 +80,9 @@ struct RunResult {
 
 using QueueFactory = std::function<std::unique_ptr<AnyQueue>()>;
 
-// Run the pairs workload; constructs a fresh queue per run.
+// Run the pairs workload; constructs a fresh queue per run.  More than
+// max_threads() threads is refused with a stderr message and an empty
+// result (ns_per_op NaN), before any queue or thread exists.
 RunResult run_pairs(const QueueFactory& factory, const RunConfig& cfg);
 
 // Convenience: resolve by registry name with shared options.

@@ -13,59 +13,48 @@ namespace lcrq {
     std::abort();
 }
 
+// Visit every record a scan must see: the ids below the high-water mark
+// whose owner has attached.  seq_cst, to pair with attach (below).
+template <typename F>
+void HazardDomain::for_each_record(F&& f) const {
+    const std::size_t n = high_water_.load(std::memory_order_seq_cst);
+    for (std::size_t i = 0; i < n; ++i) {
+        detail::HazardRecord* rec = records_[i].load(std::memory_order_seq_cst);
+        if (rec != nullptr) f(*rec);
+    }
+}
+
 HazardDomain::~HazardDomain() {
     // No concurrent users may remain.  Free everything still retired, then
-    // the record list itself.
-    detail::HazardRecord* rec = head_.load(std::memory_order_acquire);
-    while (rec != nullptr) {
-        for (const auto& obj : rec->retired) obj.deleter(obj.ptr, obj.ctx);
-        detail::HazardRecord* next = rec->next.load(std::memory_order_relaxed);
-        delete rec;
-        rec = next;
-    }
+    // the records themselves.
+    for_each_record([](detail::HazardRecord& rec) {
+        for (const auto& obj : rec.retired) obj.deleter(obj.ptr, obj.ctx);
+        delete &rec;
+    });
 }
 
-detail::HazardRecord* HazardDomain::acquire_record() {
-    // Reuse an inactive record if one exists.
-    for (detail::HazardRecord* rec = head_.load(std::memory_order_acquire); rec != nullptr;
-         rec = rec->next.load(std::memory_order_acquire)) {
-        if (!rec->active.load(std::memory_order_relaxed)) {
-            bool expected = false;
-            if (rec->active.compare_exchange_strong(expected, true,
-                                                    std::memory_order_acq_rel)) {
-                return rec;
-            }
-        }
-    }
-    // Otherwise push a fresh one.
+detail::HazardRecord& HazardDomain::attach(std::size_t id) {
     auto* rec = check_alloc(new (std::nothrow) detail::HazardRecord);
-    rec->active.store(true, std::memory_order_relaxed);
-    detail::HazardRecord* old_head = head_.load(std::memory_order_relaxed);
-    do {
-        rec->next.store(old_head, std::memory_order_relaxed);
-    } while (!head_.compare_exchange_weak(old_head, rec, std::memory_order_release,
-                                          std::memory_order_relaxed));
-    record_estimate_.fetch_add(1, std::memory_order_relaxed);
-    return rec;
-}
-
-void HazardDomain::release_record(detail::HazardRecord* rec) {
-    for (auto& s : rec->slots) s.store(nullptr, std::memory_order_release);
-    // Best-effort drain so an idle record does not pin memory; leftovers
-    // stay with the record for the next owner or the destructor.
-    drain(rec->retired);
-    rec->active.store(false, std::memory_order_release);
+    // Raise the high-water mark, then publish the record, both seq_cst and
+    // both before this thread's first slot store: a scan that follows an
+    // unlink then visits every slot that could protect the unlinked
+    // pointer.  Plain atomics, so no event counter moves.
+    std::size_t hw = high_water_.load(std::memory_order_seq_cst);
+    while (hw <= id && !high_water_.compare_exchange_weak(hw, id + 1,
+                                                          std::memory_order_seq_cst)) {
+    }
+    records_[id].store(rec, std::memory_order_seq_cst);
+    return *rec;
 }
 
 void HazardDomain::collect_protected(std::vector<void*>& out) const {
     out.clear();
-    for (detail::HazardRecord* rec = head_.load(std::memory_order_acquire); rec != nullptr;
-         rec = rec->next.load(std::memory_order_acquire)) {
-        for (const auto& s : rec->slots) {
+    for_each_record([&](const detail::HazardRecord& rec) {
+        for (const auto& s : rec.slots) {
             void* p = s.load(std::memory_order_acquire);
             if (p != nullptr) out.push_back(p);
         }
-    }
+    });
     std::sort(out.begin(), out.end());
 }
 
@@ -85,42 +74,35 @@ void HazardDomain::drain(std::vector<detail::RetiredObject>& objs) {
     objs.resize(kept);
 }
 
-void HazardThread::retire_impl(void* ptr, void (*deleter)(void*, void*),
-                               void* ctx) {
-    record_->retired.push_back({ptr, deleter, ctx});
+void HazardDomain::retire(void* ptr, void (*deleter)(void*, void*), void* ctx) {
+    std::vector<detail::RetiredObject>& retired = my_record().retired;
+    retired.push_back({ptr, deleter, ctx});
     LCRQ_INJECT_POINT(kHazardRetire);
     const std::size_t threshold =
         2 * detail::HazardRecord::kSlots *
-            std::max<std::size_t>(domain_->record_estimate_.load(std::memory_order_relaxed),
-                                  1) +
+            std::max<std::size_t>(high_water_.load(std::memory_order_relaxed), 1) +
         8;
-    if (record_->retired.size() >= threshold) {
-        domain_->drain(record_->retired);
-    }
+    if (retired.size() >= threshold) drain(retired);
 }
 
-void HazardThread::drain_now() { domain_->drain(record_->retired); }
+void HazardDomain::drain_now() { drain(my_record().retired); }
 
 void HazardDomain::scan() {
     // Quiescent-only (see header): touching every record's retired list is
     // safe because no owner is concurrently retiring.
-    for (detail::HazardRecord* rec = head_.load(std::memory_order_acquire); rec != nullptr;
-         rec = rec->next.load(std::memory_order_acquire)) {
-        drain(rec->retired);
-    }
+    for_each_record([&](detail::HazardRecord& rec) { drain(rec.retired); });
 }
 
 std::size_t HazardDomain::retired_count() const {
     std::size_t n = 0;
-    for (detail::HazardRecord* rec = head_.load(std::memory_order_acquire); rec != nullptr;
-         rec = rec->next.load(std::memory_order_acquire)) {
-        n += rec->retired.size();
-    }
+    for_each_record([&](const detail::HazardRecord& rec) { n += rec.retired.size(); });
     return n;
 }
 
 std::size_t HazardDomain::record_count() const {
-    return record_estimate_.load(std::memory_order_relaxed);
+    std::size_t n = 0;
+    for_each_record([&](const detail::HazardRecord&) { ++n; });
+    return n;
 }
 
 }  // namespace lcrq

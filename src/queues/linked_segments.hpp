@@ -39,14 +39,12 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 
 #include "arch/cacheline.hpp"
 #include "arch/faa_policy.hpp"
 #include "arch/inject.hpp"
-#include "arch/thread_id.hpp"
 #include "hazard/hazard_pointers.hpp"
 #include "queues/hierarchy.hpp"
 #include "queues/queue_common.hpp"
@@ -372,9 +370,8 @@ class LinkedSegments {
     // ring reset the recycle saves.  Without a pool there is nothing to
     // hurry for, so the amortized scan stays.
     void retire_segment(Seg* seg) {
-        HazardThread& hp = my_hazard();
-        hp.retire_impl(seg, &retire_to_pool, &pool_);
-        if (pool_.capacity() != 0) hp.drain_now();
+        domain_.retire(seg, &retire_to_pool, &pool_);
+        if (pool_.capacity() != 0) domain_.drain_now();
     }
 
     static void retire_to_pool(void* p, void* ctx) {
@@ -388,13 +385,13 @@ class LinkedSegments {
     // from the same thread's record.
     Seg* acquire(const std::atomic<Seg*>& src, std::size_t slot = 0) {
         if constexpr (Protected) {
-            return my_hazard().protect(src, slot);
+            return domain_.protect(src, slot);
         } else {
             return src.load(std::memory_order_acquire);
         }
     }
     void release(std::size_t slot = 0) {
-        if constexpr (Protected) my_hazard().clear(slot);
+        if constexpr (Protected) domain_.clear(slot);
     }
 
     // Count the live list.
@@ -418,17 +415,16 @@ class LinkedSegments {
             }
             return n;
         } else {
-            HazardThread& hp = my_hazard();
             for (;;) {
                 std::size_t n = 0;
-                Seg* const anchor = hp.protect(*head_, 1);
+                Seg* const anchor = domain_.protect(*head_, 1);
                 Seg* cur = anchor;
                 std::size_t slot = 2;
                 bool restart = false;
                 for (;;) {
                     ++n;
                     if (cur->next.load(std::memory_order_acquire) == nullptr) break;
-                    Seg* next = hp.protect(cur->next, slot);
+                    Seg* next = domain_.protect(cur->next, slot);
                     if (next == nullptr) break;
                     LCRQ_INJECT_POINT(kApproxSizeWalk);
                     if (head_->load(std::memory_order_seq_cst) != anchor) {
@@ -438,30 +434,20 @@ class LinkedSegments {
                     cur = next;
                     slot = (slot == 2) ? 3 : 2;
                 }
-                hp.clear(1);
-                hp.clear(2);
-                hp.clear(3);
+                domain_.clear(1);
+                domain_.clear(2);
+                domain_.clear(3);
                 if (!restart) return n;
             }
         }
-    }
-
-    HazardThread& my_hazard() {
-        const std::size_t id = thread_index();
-        auto& slot = hazard_threads_[id];
-        if (slot == nullptr) {
-            slot = std::make_unique<HazardThread>(domain_);
-        }
-        return *slot;
     }
 
     QueueOptions opt_;
     const std::uint64_t seg_capacity_ = std::uint64_t{1} << opt_.ring_order;
     Hierarchy hierarchy_;
     // Declared before domain_: retire-to-pool deleters run from hazard
-    // drains as late as ~HazardDomain (and the per-thread record releases
-    // in hazard_threads_'s destructors), all of which must find the pool
-    // alive.  Members destroy in reverse order, so the pool outlives both.
+    // drains as late as ~HazardDomain, which must find the pool alive.
+    // Members destroy in reverse order, so the pool outlives the domain.
     SegmentPool<Seg> pool_;
     HazardDomain domain_;
     // Construction-time segment; anchors the destructor when unprotected.
@@ -470,9 +456,6 @@ class LinkedSegments {
     std::atomic<bool> closed_{false};
     CacheAligned<std::atomic<Seg*>, kDestructivePairSize> head_{nullptr};
     CacheAligned<std::atomic<Seg*>, kDestructivePairSize> tail_{nullptr};
-    // Lazily constructed per-thread hazard attachments, indexed by the
-    // dense thread id; a slot is only touched by the thread owning that id.
-    std::unique_ptr<HazardThread> hazard_threads_[kMaxThreads];
 };
 
 }  // namespace lcrq

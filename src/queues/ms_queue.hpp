@@ -13,13 +13,11 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <optional>
 
 #include "arch/backoff.hpp"
 #include "arch/cacheline.hpp"
 #include "arch/faa_policy.hpp"
-#include "arch/thread_id.hpp"
 #include "hazard/hazard_pointers.hpp"
 #include "queues/queue_common.hpp"
 
@@ -52,10 +50,9 @@ class MsQueue {
     void enqueue(value_t x) {
         auto* node = check_alloc(new (std::nothrow) Node{});
         node->value = x;
-        HazardThread& hp = my_hazard();
         ExponentialBackoff backoff;
         for (;;) {
-            Node* tail = hp.protect(*tail_, 0);
+            Node* tail = domain_.protect(*tail_, 0);
             Node* next = tail->next.load(std::memory_order_seq_cst);
             if (tail != tail_->load(std::memory_order_seq_cst)) continue;
             if (next != nullptr) {
@@ -68,7 +65,7 @@ class MsQueue {
             if (tail->next.compare_exchange_strong(expected, node,
                                                    std::memory_order_seq_cst)) {
                 counted_cas_ptr(*tail_, tail, node);
-                hp.clear(0);
+                domain_.clear(0);
                 return;
             }
             stats::count(stats::Event::kCasFailure);
@@ -77,16 +74,15 @@ class MsQueue {
     }
 
     std::optional<value_t> dequeue() {
-        HazardThread& hp = my_hazard();
         ExponentialBackoff backoff;
         for (;;) {
-            Node* head = hp.protect(*head_, 0);
+            Node* head = domain_.protect(*head_, 0);
             Node* tail = tail_->load(std::memory_order_seq_cst);
             // head is protected, so &head->next stays valid inside protect.
-            Node* next = hp.protect(head->next, 1);
+            Node* next = domain_.protect(head->next, 1);
             if (head != head_->load(std::memory_order_seq_cst)) continue;
             if (next == nullptr) {
-                hp.clear_all();
+                domain_.clear_all();
                 return std::nullopt;  // empty: head == dummy with no next
             }
             if (head == tail) {
@@ -96,8 +92,8 @@ class MsQueue {
             }
             const value_t v = next->value;
             if (counted_cas_ptr(*head_, head, next)) {
-                hp.clear_all();
-                hp.retire(head);
+                domain_.clear_all();
+                domain_.retire(head);
                 return v;
             }
             if constexpr (UseBackoff) backoff.backoff();
@@ -112,17 +108,9 @@ class MsQueue {
         value_t value{kBottom};
     };
 
-    HazardThread& my_hazard() {
-        const std::size_t id = thread_index();
-        auto& slot = hazard_threads_[id];
-        if (slot == nullptr) slot = std::make_unique<HazardThread>(domain_);
-        return *slot;
-    }
-
     HazardDomain domain_;
     CacheAligned<std::atomic<Node*>, kDestructivePairSize> head_{nullptr};
     CacheAligned<std::atomic<Node*>, kDestructivePairSize> tail_{nullptr};
-    std::unique_ptr<HazardThread> hazard_threads_[kMaxThreads];
 };
 
 using MsQueueDefault = MsQueue<true>;

@@ -245,7 +245,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     static constexpr std::uint64_t kMaxTicket = (std::uint64_t{1} << 45) - 1;
 
     // Owner-mediated record lifecycle (see the header comment):
-    //   kStIdle    — unowned; the only state acquire_record accepts.
+    //   kStIdle    — unowned; the only state acquire_help_record accepts.
     //   kStClaimed — acquired, request words not yet published; helpers
     //                ignore it (and a kill here retires the slot).
     //   kStPending — published; any thread may help and finish it.
@@ -420,7 +420,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     std::optional<EnqueueResult> enqueue_slow(std::uint64_t idx) {
         const std::size_t s = my_slot();
         std::uint64_t g;
-        if (!acquire_record(s, kKindEnq, g)) return std::nullopt;
+        if (!acquire_help_record(s, kKindEnq, g)) return std::nullopt;
         HelpRecord& rec = records_[s];
         rec.val.store(pack_tagged(g, idx), std::memory_order_seq_cst);
         rec.arg.store(pack_tagged(g, kNonePayload), std::memory_order_seq_cst);
@@ -439,7 +439,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
         const std::uint64_t a = rec.arg.load(std::memory_order_seq_cst);
         assert(tag_of(a) == g && "arg is frozen until the owner releases");
         const std::uint64_t pl = payload_of(a);
-        release_record(s, g, kKindEnq);
+        release_help_record(s, g, kKindEnq);
         return pl == kClosedPayload ? EnqueueResult::kClosed : EnqueueResult::kOk;
     }
 
@@ -447,7 +447,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     bool dequeue_slow(std::optional<std::uint64_t>& out) {
         const std::size_t s = my_slot();
         std::uint64_t g;
-        if (!acquire_record(s, kKindDeq, g)) return false;
+        if (!acquire_help_record(s, kKindDeq, g)) return false;
         HelpRecord& rec = records_[s];
         rec.val.store(pack_tagged(g, kNonePayload), std::memory_order_seq_cst);
         rec.arg.store(pack_tagged(g, kNonePayload), std::memory_order_seq_cst);
@@ -468,7 +468,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
             assert(tag_of(vw) == g && "val is frozen until the owner releases");
             out = payload_of(vw);
         }
-        release_record(s, g, kKindDeq);
+        release_help_record(s, g, kKindDeq);
         return true;
     }
 
@@ -480,7 +480,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     // CLAIMED also means two threads sharing the slot can never both win
     // the acquisition (a bare tag bump from IDLE could be observed and
     // re-bumped by a racing peer before our publish).
-    bool acquire_record(std::size_t s, ReqKind kind, std::uint64_t& g) {
+    bool acquire_help_record(std::size_t s, ReqKind kind, std::uint64_t& g) {
         HelpRecord& rec = records_[s];
         const std::uint64_t r = rec.req.load(std::memory_order_seq_cst);
         if (req_state(r) != kStIdle) return false;  // slot collision
@@ -491,7 +491,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     // The owner's DONE -> IDLE handback, after copying the result out.
     // Nothing else writes a DONE record (helpers require PENDING, acquire
     // requires IDLE), so a plain store suffices.
-    void release_record(std::size_t s, std::uint64_t g, ReqKind kind) {
+    void release_help_record(std::size_t s, std::uint64_t g, ReqKind kind) {
         records_[s].req.store(pack_req(g, kind, kStIdle, 0),
                               std::memory_order_seq_cst);
     }

@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
+#include "arch/thread_id.hpp"
 #include "bench_framework/json_report.hpp"
 #include "bench_framework/report.hpp"
 #include "bench_framework/runner.hpp"
@@ -159,6 +161,24 @@ TEST(Runner, MixWorkloadBalances) {
     EXPECT_GT(enq, 0u);
     const auto total = 2u * 3u * cfg.pairs_per_thread;
     EXPECT_EQ(r.total_ops, total);
+}
+
+TEST(Runner, RefusesMoreThreadsThanThreadIds) {
+    // Refused before any queue is built or thread started.  A run that got
+    // as far as the factory stops there: it throws before any worker exists.
+    RunConfig cfg = quick_config();
+    cfg.threads = static_cast<int>(max_threads()) + 1;
+    int factory_calls = 0;
+    const RunResult r = run_pairs(
+        [&]() -> std::unique_ptr<AnyQueue> {
+            ++factory_calls;
+            throw std::runtime_error("run_pairs built a queue");
+        },
+        cfg);
+    EXPECT_EQ(factory_calls, 0);
+    EXPECT_EQ(r.total_ops, 0u);
+    EXPECT_EQ(r.throughput.count(), 0u);
+    EXPECT_TRUE(std::isnan(r.ns_per_op(cfg.threads)));
 }
 
 TEST(Runner, FailedRunReportsNaNNotZero) {

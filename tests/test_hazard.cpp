@@ -1,11 +1,13 @@
 // Hazard-pointer domain tests: protection blocks reclamation, retirement
-// frees unprotected objects, records are recycled across threads, and the
-// domain destructor drains leftovers.
+// frees unprotected objects, records are recycled across threads (with
+// their retired backlog), and the domain destructor drains leftovers.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <thread>
 
+#include "arch/thread_id.hpp"
 #include "hazard/hazard_pointers.hpp"
 #include "test_support.hpp"
 
@@ -24,8 +26,7 @@ TEST(Hazard, RetireWithoutProtectionFreesOnScan) {
     ASSERT_EQ(Tracked::live.load(), 0);
     {
         HazardDomain domain;
-        HazardThread ht(domain);
-        for (int i = 0; i < 100; ++i) ht.retire(new Tracked(i));
+        for (int i = 0; i < 100; ++i) domain.retire(new Tracked(i));
         domain.scan();
     }
     EXPECT_EQ(Tracked::live.load(), 0);
@@ -34,19 +35,20 @@ TEST(Hazard, RetireWithoutProtectionFreesOnScan) {
 TEST(Hazard, ProtectedObjectSurvivesScan) {
     HazardDomain domain;
     std::atomic<Tracked*> shared{new Tracked(1)};
-    HazardThread ht(domain);
-    Tracked* p = ht.protect(shared, 0);
+    Tracked* p = domain.protect(shared, 0);
     ASSERT_EQ(p->payload, 1);
 
-    {
-        HazardThread other(domain);
-        other.retire(p);
+    // Another thread retires and scans while this one holds its slot.
+    int live_after_scan = -1;
+    std::thread([&] {
+        domain.retire(p);
         domain.scan();
-        EXPECT_EQ(Tracked::live.load(), 1) << "protected object was freed";
-        EXPECT_GE(domain.retired_count(), 1u);
-    }
+        live_after_scan = Tracked::live.load();
+    }).join();
+    EXPECT_EQ(live_after_scan, 1) << "protected object was freed";
+    EXPECT_GE(domain.retired_count(), 1u);
 
-    ht.clear(0);
+    domain.clear(0);
     domain.scan();
     EXPECT_EQ(Tracked::live.load(), 0);
     shared.store(nullptr);
@@ -57,12 +59,11 @@ TEST(Hazard, ProtectFollowsRacingUpdates) {
     auto* a = new Tracked(1);
     auto* b = new Tracked(2);
     std::atomic<Tracked*> shared{a};
-    HazardThread ht(domain);
     // Single-threaded: protect returns the current pointer.
-    EXPECT_EQ(ht.protect(shared, 0), a);
+    EXPECT_EQ(domain.protect(shared, 0), a);
     shared.store(b);
-    EXPECT_EQ(ht.protect(shared, 1), b);
-    ht.clear_all();
+    EXPECT_EQ(domain.protect(shared, 1), b);
+    domain.clear_all();
     delete a;
     delete b;
 }
@@ -70,8 +71,7 @@ TEST(Hazard, ProtectFollowsRacingUpdates) {
 TEST(Hazard, DomainDestructorDrainsLeftovers) {
     {
         HazardDomain domain;
-        HazardThread ht(domain);
-        ht.retire(new Tracked(7));  // below threshold: not yet freed
+        domain.retire(new Tracked(7));  // below threshold: not yet freed
     }
     EXPECT_EQ(Tracked::live.load(), 0);
 }
@@ -79,10 +79,46 @@ TEST(Hazard, DomainDestructorDrainsLeftovers) {
 TEST(Hazard, RecordsAreRecycledAcrossThreads) {
     HazardDomain domain;
     for (int round = 0; round < 20; ++round) {
-        std::thread([&] { HazardThread ht(domain); }).join();
+        std::thread([&] {
+            std::atomic<Tracked*> shared{nullptr};
+            domain.protect(shared, 0);
+            domain.clear(0);
+        }).join();
     }
-    // Sequential attach/detach must reuse one record, not grow the list.
+    // Sequential threads recycle one thread id, and with it one record.
     EXPECT_LE(domain.record_count(), 2u);
+}
+
+// A thread that exits below the retire threshold leaves its backlog on its
+// record; the next owner of its thread id drains it.
+TEST(Hazard, ExitedThreadsBacklogPassesToNextOwner) {
+    HazardDomain domain;
+    std::size_t first_id = 0;
+    std::size_t next_id = 0;
+    std::thread([&] {
+        first_id = thread_index();
+        for (int i = 0; i < 3; ++i) domain.retire(new Tracked(i));
+    }).join();
+    EXPECT_EQ(Tracked::live.load(), 3);
+    EXPECT_EQ(domain.retired_count(), 3u);
+    std::thread([&] {
+        next_id = thread_index();
+        domain.drain_now();
+    }).join();
+    ASSERT_EQ(next_id, first_id) << "the exited thread's id is the lowest free one";
+    EXPECT_EQ(Tracked::live.load(), 0);
+    EXPECT_EQ(domain.retired_count(), 0u);
+}
+
+TEST(Hazard, ExitedThreadsBacklogFreedByDomainDestructor) {
+    {
+        HazardDomain domain;
+        std::thread([&] {
+            for (int i = 0; i < 3; ++i) domain.retire(new Tracked(i));
+        }).join();
+        EXPECT_EQ(Tracked::live.load(), 3);
+    }
+    EXPECT_EQ(Tracked::live.load(), 0);
 }
 
 TEST(Hazard, ConcurrentRetireStress) {
@@ -90,8 +126,7 @@ TEST(Hazard, ConcurrentRetireStress) {
     constexpr int kThreads = 4;
     constexpr int kObjects = 2'000;
     test::run_threads(kThreads, [&](int) {
-        HazardThread ht(domain);
-        for (int i = 0; i < kObjects; ++i) ht.retire(new Tracked(i));
+        for (int i = 0; i < kObjects; ++i) domain.retire(new Tracked(i));
     });
     domain.scan();
     EXPECT_EQ(Tracked::live.load(), 0);
@@ -110,20 +145,19 @@ TEST(Hazard, ConcurrentProtectRetireStress) {
     std::atomic<int> writers_left{kWriters};
 
     test::run_threads(kWriters + kReaders, [&](int id) {
-        HazardThread ht(domain);
         if (id < kWriters) {
             for (int i = 0; i < kUpdates; ++i) {
                 auto* fresh = new Tracked(i);
                 Tracked* old = shared.exchange(fresh, std::memory_order_acq_rel);
-                if (old != nullptr) ht.retire(old);
+                if (old != nullptr) domain.retire(old);
             }
             if (writers_left.fetch_sub(1) == 1) stop.store(true);
         } else {
             std::uint64_t checksum = 0;
             while (!stop.load(std::memory_order_acquire)) {
-                Tracked* p = ht.protect(shared, 0);
+                Tracked* p = domain.protect(shared, 0);
                 if (p != nullptr) checksum += static_cast<std::uint64_t>(p->payload);
-                ht.clear(0);
+                domain.clear(0);
             }
             EXPECT_GE(checksum, 0u);
         }
@@ -135,23 +169,24 @@ TEST(Hazard, ConcurrentProtectRetireStress) {
 
 TEST(Hazard, MultipleSlotsProtectIndependently) {
     HazardDomain domain;
-    HazardThread ht(domain);
     auto* a = new Tracked(1);
     auto* b = new Tracked(2);
     std::atomic<Tracked*> sa{a}, sb{b};
-    EXPECT_EQ(ht.protect(sa, 0), a);
-    EXPECT_EQ(ht.protect(sb, 1), b);
-    {
-        HazardThread other(domain);
-        other.retire(a);
-        other.retire(b);
+    EXPECT_EQ(domain.protect(sa, 0), a);
+    EXPECT_EQ(domain.protect(sb, 1), b);
+    // Another thread retires and scans while this one holds both slots.
+    int live_after_scan = -1;
+    std::thread([&] {
+        domain.retire(a);
+        domain.retire(b);
         domain.scan();
-        EXPECT_EQ(Tracked::live.load(), 2) << "both slots must hold";
-    }
-    ht.clear(0);  // release a only
+        live_after_scan = Tracked::live.load();
+    }).join();
+    EXPECT_EQ(live_after_scan, 2) << "both slots must hold";
+    domain.clear(0);  // release a only
     domain.scan();
     EXPECT_EQ(Tracked::live.load(), 1);
-    ht.clear(1);
+    domain.clear(1);
     domain.scan();
     EXPECT_EQ(Tracked::live.load(), 0);
 }
@@ -159,25 +194,22 @@ TEST(Hazard, MultipleSlotsProtectIndependently) {
 TEST(Hazard, DomainsAreIsolated) {
     HazardDomain d1, d2;
     std::atomic<Tracked*> shared{new Tracked(5)};
-    HazardThread t1(d1);
-    Tracked* p = t1.protect(shared, 0);
+    Tracked* p = d1.protect(shared, 0);
     // Retiring into a *different* domain must free immediately on scan:
     // d2 does not see d1's slots.
-    HazardThread t2(d2);
-    t2.retire(p);
+    d2.retire(p);
     d2.scan();
     EXPECT_EQ(Tracked::live.load(), 0)
         << "protection in d1 must not leak into d2";
-    t1.clear(0);
+    d1.clear(0);
     shared.store(nullptr);
 }
 
 TEST(Hazard, RetiredBacklogStaysBoundedUnderChurn) {
     HazardDomain domain;
-    HazardThread ht(domain);
     std::size_t max_backlog = 0;
     for (int i = 0; i < 10'000; ++i) {
-        ht.retire(new Tracked(i));
+        domain.retire(new Tracked(i));
         max_backlog = std::max(max_backlog, domain.retired_count());
     }
     // Amortized scanning keeps the backlog near the threshold, not O(n).
