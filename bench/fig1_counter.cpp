@@ -13,6 +13,7 @@
 #include "arch/backoff.hpp"
 #include "arch/cacheline.hpp"
 #include "arch/faa_policy.hpp"
+#include "arch/thread_id.hpp"
 #include "bench_framework/json_report.hpp"
 #include "topology/pinning.hpp"
 #include "util/cli.hpp"
@@ -79,6 +80,17 @@ int main(int argc, char** argv) {
     cli.flag("csv", "false", "CSV output");
     cli.flag("json", "", "also write a machine-readable report to this path");
     if (!cli.parse(argc, argv)) return cli.failed() ? 1 : 0;
+    // Every counting thread holds a dense thread id (its counter block's
+    // index), so a sweep point past max_threads() would wait in the id
+    // pool instead of measuring.  Refuse before starting any thread.
+    for (std::int64_t t : cli.get_int_list("threads")) {
+        if (t < 1 || static_cast<std::size_t>(t) > max_threads()) {
+            std::fprintf(stderr,
+                         "--threads entries must be in [1, max_threads() = %zu] (got %lld)\n",
+                         max_threads(), static_cast<long long>(t));
+            return 1;
+        }
+    }
 
     topo::Topology topology = topo::discover();
     const int clusters = static_cast<int>(cli.get_int("clusters"));

@@ -4,8 +4,14 @@
 // counts and CAS-failure behaviour; Figure 1's right axis reports CASes per
 // successful increment.  Hardware PMUs are usually unavailable inside
 // containers, so the library maintains these counts in software: each
-// thread increments its own thread-local block (never shared for writing)
-// and registered blocks are summed on demand.
+// thread increments its own block (never shared for writing), and a
+// snapshot sums the blocks on demand.
+//
+// The blocks live in one process-wide ThreadTable (arch/thread_id.hpp),
+// one per dense thread id.  A block outlives its thread and passes with
+// the id to the next owner, so exited threads' counts stay in every
+// snapshot and no thread start or exit takes a lock.  The table is never
+// destroyed, so a count made late in process exit stays defined.
 //
 // The counters are always compiled in.  The per-thread slots are relaxed
 // std::atomic so aggregation may read them *while the owner is counting*
@@ -13,18 +19,17 @@
 // unlocked load/add/store as a plain uint64_t on x86 — no lock prefix —
 // on a cache line the owning thread already holds exclusive, which is
 // noise next to the contended lock-prefixed instruction being counted.
-// Plain uint64_t slots would make Registry::total() a data race (UB,
+// Plain uint64_t slots would make a snapshot a data race (UB,
 // TSan-flagged) against the owner's `+=`.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string_view>
-#include <vector>
 
 #include "arch/cacheline.hpp"
+#include "arch/thread_id.hpp"
 
 namespace lcrq::stats {
 
@@ -125,70 +130,26 @@ struct Snapshot {
 namespace detail {
 
 struct alignas(kCacheLineSize) ThreadBlock {
-    // Written only by the owning thread; read concurrently by aggregation.
+    // Written only by the thread holding the block's id; read concurrently
+    // by aggregation.
     // Relaxed ordering everywhere: each slot is an independent monotonic
     // counter and a snapshot only promises per-slot atomicity.
     std::array<std::atomic<std::uint64_t>, kEventCount> counts{};
 };
 
-class Registry {
-  public:
-    static Registry& instance() {
-        static Registry r;
-        return r;
-    }
-
-    void attach(ThreadBlock* b) {
-        std::lock_guard lock(mu_);
-        blocks_.push_back(b);
-    }
-
-    // Blocks of exited threads must survive until read: they are moved to
-    // the graveyard rather than freed.
-    void detach(ThreadBlock* b) {
-        std::lock_guard lock(mu_);
-        graveyard_ += sum_one(*b);
-        std::erase(blocks_, b);
-    }
-
-    Snapshot total() const {
-        std::lock_guard lock(mu_);
-        Snapshot s = graveyard_;
-        for (const ThreadBlock* b : blocks_) s += sum_one(*b);
-        return s;
-    }
-
-    void reset() {
-        std::lock_guard lock(mu_);
-        graveyard_ = Snapshot{};
-        for (ThreadBlock* b : blocks_) {
-            for (auto& slot : b->counts) slot.store(0, std::memory_order_relaxed);
-        }
-    }
-
-  private:
-    static Snapshot sum_one(const ThreadBlock& b) {
-        Snapshot s;
-        for (std::size_t i = 0; i < kEventCount; ++i) {
-            s.counts[i] = b.counts[i].load(std::memory_order_relaxed);
-        }
-        return s;
-    }
-
-    mutable std::mutex mu_;
-    std::vector<ThreadBlock*> blocks_;
-    Snapshot graveyard_;
-};
-
-struct ThreadHandle {
-    ThreadBlock block;
-    ThreadHandle() { Registry::instance().attach(&block); }
-    ~ThreadHandle() { Registry::instance().detach(&block); }
-};
+// Allocated on first use and never destroyed (see the header comment).
+inline ThreadTable<ThreadBlock>& blocks() {
+    static ThreadTable<ThreadBlock>* const table = new ThreadTable<ThreadBlock>;
+    return *table;
+}
 
 inline ThreadBlock& local_block() {
-    thread_local ThreadHandle handle;
-    return handle.block;
+    // Constant-initialized and trivially destructible, so reading it costs
+    // no guard check and the thread's exit runs nothing for it; the first
+    // count fills it from the table.
+    thread_local ThreadBlock* block = nullptr;
+    if (block == nullptr) block = &blocks().local();
+    return *block;
 }
 
 }  // namespace detail
@@ -202,9 +163,21 @@ inline void count(Event e, std::uint64_t n = 1) noexcept {
 }
 
 // Sum over all threads that ever counted (including exited ones).
-inline Snapshot global_snapshot() { return detail::Registry::instance().total(); }
+inline Snapshot global_snapshot() {
+    Snapshot s;
+    detail::blocks().for_each([&](const detail::ThreadBlock& b) {
+        for (std::size_t i = 0; i < kEventCount; ++i) {
+            s.counts[i] += b.counts[i].load(std::memory_order_relaxed);
+        }
+    });
+    return s;
+}
 
 // Zero all counters.  Only call while no instrumented code is running.
-inline void reset_all() { detail::Registry::instance().reset(); }
+inline void reset_all() {
+    detail::blocks().for_each([](detail::ThreadBlock& b) {
+        for (auto& slot : b.counts) slot.store(0, std::memory_order_relaxed);
+    });
+}
 
 }  // namespace lcrq::stats

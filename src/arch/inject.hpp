@@ -4,7 +4,7 @@
 // the *modeled* algorithms, but the production CRQ/LCRQ/hazard code is only
 // exercised by whatever schedules the OS happens to produce — on a small
 // host the narrow windows (ring close racing a bulk claim, hazard
-// retirement racing a segment walk, the starvation→tantrum transition) are
+// retirement racing a head swing, the starvation→tantrum transition) are
 // hit by luck, not by construction.  This header plants *named points* at
 // those windows; verify/schedule_injection.hpp drives them with seeded
 // delays, targeted holds, and thread kills so the windows are reachable on
@@ -47,8 +47,6 @@ enum class Point : std::uint8_t {
     kListEmptyObserved,    // LinkedSegments::dequeue[_bulk], segment reported EMPTY
     kListAppend,           // LinkedSegments, fresh segment linked (append CAS succeeded)
     kListHeadSwing,        // LinkedSegments, before the head-swing CAS
-    kApproxSizeWalk,       // LinkedSegments::segment_count walk, next segment
-                           //   protected (approx_size no longer walks)
     kHazardRetire,         // HazardDomain::retire, object handed over
     kHazardScan,           // HazardDomain::drain, reclamation pass starting
     kScqEnqAfterFaa,       // ScqRing/WcqRing::enqueue, ticket obtained
@@ -108,8 +106,8 @@ constexpr std::string_view point_name(Point p) noexcept {
         "deq_after_faa",         "deq_before_cas2",  "deq_before_empty_cas2",
         "deq_before_unsafe_cas2", "ring_close_cas",  "bulk_enq_after_faa",
         "bulk_deq_after_faa",    "bulk_ticket_return", "list_empty_observed",
-        "list_append",           "list_head_swing",  "approx_size_walk",
-        "hazard_retire",         "hazard_scan",      "scq_enq_after_faa",
+        "list_append",           "list_head_swing",  "hazard_retire",
+        "hazard_scan",           "scq_enq_after_faa",
         "scq_after_cycle_load",  "scq_before_entry_cas", "scq_enq_published",
         "scq_deq_after_faa",     "scq_threshold_decrement", "scq_catchup",
         "lane_enq_pending",      "lane_scan",        "lane_certify",

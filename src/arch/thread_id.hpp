@@ -1,16 +1,18 @@
-// Dense, reusable thread indices.
+// Dense, reusable thread indices, and the one per-thread table over them.
 //
-// Several algorithms need per-thread state tied to a queue instance: the
-// combining queues (CC/H/FC) keep a publication or list node per thread,
-// and a hazard domain keeps one record per thread.  Indexing those arrays
-// by a dense thread id — handed out on first use and *recycled when the
-// thread exits* — lets tests spawn thousands of short-lived threads without
-// growing per-queue state, which is sized for kMaxThreads concurrent
-// threads.
+// Per-thread state is indexed by a dense thread id — handed out on first
+// use and *recycled when the thread exits* — so tests can spawn thousands
+// of short-lived threads without growing it: it is sized for kMaxThreads
+// concurrent threads.  The combining queues (CC/H/FC), multilane presence
+// slots and wCQ help slots index their own arrays by it; ThreadTable below
+// holds the state that must outlive its thread, for its two users: a
+// hazard domain's records (hazard/hazard_pointers.hpp) and the event
+// counters' blocks (arch/counters.hpp).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <new>
 
 #include "arch/cacheline.hpp"
 
@@ -68,5 +70,65 @@ inline std::size_t thread_index() noexcept {
 // holds, so per-thread arrays and modular lane mappings (multilane.hpp) can
 // size against it instead of hardcoding kMaxThreads.
 constexpr std::size_t max_threads() noexcept { return kMaxThreads; }
+
+// One T per dense thread id, made by its thread on first use.  An entry
+// outlives its thread and passes with the id to the id's next owner, so
+// ThreadIdPool's one-owner-per-id rule keeps it single-writer and an
+// exited thread's state stays visible.  for_each visits the entries below
+// the high-water mark, concurrently with their owners.
+template <typename T>
+class ThreadTable {
+  public:
+    ThreadTable() = default;
+    ~ThreadTable() {
+        for_each([](T& e) { delete &e; });
+    }
+
+    ThreadTable(const ThreadTable&) = delete;
+    ThreadTable& operator=(const ThreadTable&) = delete;
+
+    // The calling thread's entry.
+    T& local() {
+        const std::size_t id = thread_index();
+        // Only this id's owners ever store here, and ThreadIdPool orders
+        // each owner after the last, so a relaxed load sees the entry.
+        T* e = entries_[id].load(std::memory_order_relaxed);
+        return e != nullptr ? *e : attach(id);
+    }
+
+    // Visit every entry made so far.  seq_cst, to pair with attach: a
+    // visit that follows a store the owner made through its entry sees
+    // the entry.
+    template <typename F>
+    void for_each(F&& f) const {
+        const std::size_t n = high_water_.load(std::memory_order_seq_cst);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (T* e = entries_[i].load(std::memory_order_seq_cst)) f(*e);
+        }
+    }
+
+    // One past the highest id that has made an entry.
+    std::size_t high_water() const noexcept {
+        return high_water_.load(std::memory_order_relaxed);
+    }
+
+  private:
+    // At most once per thread id, so kept out of the callers' hot paths.
+    [[gnu::noinline]] T& attach(std::size_t id) {
+        T* e = check_alloc(new (std::nothrow) T);
+        // Raise the high-water mark, then publish the entry, both seq_cst
+        // and both before the owner first uses it.  Plain atomics, so no
+        // event counter moves.
+        std::size_t hw = high_water_.load(std::memory_order_seq_cst);
+        while (hw <= id && !high_water_.compare_exchange_weak(hw, id + 1,
+                                                              std::memory_order_seq_cst)) {
+        }
+        entries_[id].store(e, std::memory_order_seq_cst);
+        return *e;
+    }
+
+    std::atomic<T*> entries_[kMaxThreads] = {};
+    std::atomic<std::size_t> high_water_{0};
+};
 
 }  // namespace lcrq

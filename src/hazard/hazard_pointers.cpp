@@ -13,43 +13,17 @@ namespace lcrq {
     std::abort();
 }
 
-// Visit every record a scan must see: the ids below the high-water mark
-// whose owner has attached.  seq_cst, to pair with attach (below).
-template <typename F>
-void HazardDomain::for_each_record(F&& f) const {
-    const std::size_t n = high_water_.load(std::memory_order_seq_cst);
-    for (std::size_t i = 0; i < n; ++i) {
-        detail::HazardRecord* rec = records_[i].load(std::memory_order_seq_cst);
-        if (rec != nullptr) f(*rec);
-    }
-}
-
 HazardDomain::~HazardDomain() {
-    // No concurrent users may remain.  Free everything still retired, then
-    // the records themselves.
-    for_each_record([](detail::HazardRecord& rec) {
+    // No concurrent users may remain.  Free everything still retired; the
+    // table then deletes the records.
+    records_.for_each([](detail::HazardRecord& rec) {
         for (const auto& obj : rec.retired) obj.deleter(obj.ptr, obj.ctx);
-        delete &rec;
     });
-}
-
-detail::HazardRecord& HazardDomain::attach(std::size_t id) {
-    auto* rec = check_alloc(new (std::nothrow) detail::HazardRecord);
-    // Raise the high-water mark, then publish the record, both seq_cst and
-    // both before this thread's first slot store: a scan that follows an
-    // unlink then visits every slot that could protect the unlinked
-    // pointer.  Plain atomics, so no event counter moves.
-    std::size_t hw = high_water_.load(std::memory_order_seq_cst);
-    while (hw <= id && !high_water_.compare_exchange_weak(hw, id + 1,
-                                                          std::memory_order_seq_cst)) {
-    }
-    records_[id].store(rec, std::memory_order_seq_cst);
-    return *rec;
 }
 
 void HazardDomain::collect_protected(std::vector<void*>& out) const {
     out.clear();
-    for_each_record([&](const detail::HazardRecord& rec) {
+    records_.for_each([&](const detail::HazardRecord& rec) {
         for (const auto& s : rec.slots) {
             void* p = s.load(std::memory_order_acquire);
             if (p != nullptr) out.push_back(p);
@@ -58,7 +32,8 @@ void HazardDomain::collect_protected(std::vector<void*>& out) const {
     std::sort(out.begin(), out.end());
 }
 
-void HazardDomain::drain(std::vector<detail::RetiredObject>& objs) {
+void HazardDomain::drain(detail::HazardRecord& rec) {
+    std::vector<detail::RetiredObject>& objs = rec.retired;
     if (objs.empty()) return;
     LCRQ_INJECT_POINT(kHazardScan);
     std::vector<void*> protected_ptrs;
@@ -72,36 +47,39 @@ void HazardDomain::drain(std::vector<detail::RetiredObject>& objs) {
         }
     }
     objs.resize(kept);
+    rec.retired_tally.store(kept, std::memory_order_relaxed);
 }
 
 void HazardDomain::retire(void* ptr, void (*deleter)(void*, void*), void* ctx) {
-    std::vector<detail::RetiredObject>& retired = my_record().retired;
-    retired.push_back({ptr, deleter, ctx});
+    detail::HazardRecord& rec = records_.local();
+    rec.retired.push_back({ptr, deleter, ctx});
+    rec.retired_tally.store(rec.retired.size(), std::memory_order_relaxed);
     LCRQ_INJECT_POINT(kHazardRetire);
     const std::size_t threshold =
-        2 * detail::HazardRecord::kSlots *
-            std::max<std::size_t>(high_water_.load(std::memory_order_relaxed), 1) +
+        2 * detail::HazardRecord::kSlots * std::max<std::size_t>(records_.high_water(), 1) +
         8;
-    if (retired.size() >= threshold) drain(retired);
+    if (rec.retired.size() >= threshold) drain(rec);
 }
 
-void HazardDomain::drain_now() { drain(my_record().retired); }
+void HazardDomain::drain_now() { drain(records_.local()); }
 
 void HazardDomain::scan() {
     // Quiescent-only (see header): touching every record's retired list is
     // safe because no owner is concurrently retiring.
-    for_each_record([&](detail::HazardRecord& rec) { drain(rec.retired); });
+    records_.for_each([&](detail::HazardRecord& rec) { drain(rec); });
 }
 
 std::size_t HazardDomain::retired_count() const {
     std::size_t n = 0;
-    for_each_record([&](const detail::HazardRecord& rec) { n += rec.retired.size(); });
+    records_.for_each([&](const detail::HazardRecord& rec) {
+        n += rec.retired_tally.load(std::memory_order_relaxed);
+    });
     return n;
 }
 
 std::size_t HazardDomain::record_count() const {
     std::size_t n = 0;
-    for_each_record([&](const detail::HazardRecord&) { ++n; });
+    records_.for_each([&](const detail::HazardRecord&) { ++n; });
     return n;
 }
 

@@ -8,11 +8,11 @@
 // protects.
 //
 // Design notes:
-//  * A domain holds one record per dense thread id (arch/thread_id.hpp),
-//    made by its thread on first use.  A record outlives its thread and
-//    passes with the id to the id's next owner, so short-lived threads
-//    (tests spawn thousands) reuse records, and ThreadIdPool's
-//    one-owner-per-id rule keeps each record single-writer.
+//  * A domain holds one record per dense thread id in a ThreadTable
+//    (arch/thread_id.hpp), made by its thread on first use.  A record
+//    outlives its thread and passes with the id to the id's next owner, so
+//    short-lived threads (tests spawn thousands) reuse records, and
+//    ThreadIdPool's one-owner-per-id rule keeps each record single-writer.
 //  * Protection uses the publish / fence / revalidate protocol.  The
 //    publishing store is seq_cst so it is globally visible before the
 //    revalidating load.
@@ -54,6 +54,9 @@ struct alignas(kDestructivePairSize) HazardRecord {
 
     // Owned exclusively by the thread holding this record's thread id.
     std::vector<RetiredObject> retired;
+    // retired.size() as of the owner's last retire or drain: what
+    // retired_count() reads while the owner pushes and drains.
+    std::atomic<std::size_t> retired_tally{0};
 };
 
 }  // namespace detail
@@ -74,7 +77,7 @@ class HazardDomain {
     // pointer cannot be reclaimed until the slot is cleared.
     template <typename T>
     T* protect(const std::atomic<T*>& src, std::size_t slot) {
-        std::atomic<void*>& cell = my_record().slots[slot];
+        std::atomic<void*>& cell = records_.local().slots[slot];
         T* ptr = src.load(std::memory_order_acquire);
         for (;;) {
             cell.store(ptr, std::memory_order_seq_cst);
@@ -85,10 +88,10 @@ class HazardDomain {
     }
 
     void clear(std::size_t slot) {
-        my_record().slots[slot].store(nullptr, std::memory_order_release);
+        records_.local().slots[slot].store(nullptr, std::memory_order_release);
     }
     void clear_all() {
-        for (auto& s : my_record().slots) s.store(nullptr, std::memory_order_release);
+        for (auto& s : records_.local().slots) s.store(nullptr, std::memory_order_release);
     }
 
     // Retire an object: freed by a later scan, once unprotected.
@@ -113,29 +116,20 @@ class HazardDomain {
     // thread's own record when its list crosses the threshold.
     void scan();
 
-    // Diagnostics.
+    // Diagnostics.  retired_count() may run while threads retire and
+    // drain: it sums the records' tallies, a snapshot.
     std::size_t retired_count() const;
     std::size_t record_count() const;
 
   private:
-    detail::HazardRecord& my_record() {
-        const std::size_t id = thread_index();
-        // Only this id's owners ever store here, and ThreadIdPool orders
-        // each owner after the last, so a relaxed load sees the record.
-        detail::HazardRecord* rec = records_[id].load(std::memory_order_relaxed);
-        return rec != nullptr ? *rec : attach(id);
-    }
-    detail::HazardRecord& attach(std::size_t id);
-    template <typename F>
-    void for_each_record(F&& f) const;
     void collect_protected(std::vector<void*>& out) const;
-    // Free the unprotected entries of `objs`, keeping the rest.
-    void drain(std::vector<detail::RetiredObject>& objs);
+    // Free the unprotected entries of `rec`'s retired list, keeping the rest.
+    void drain(detail::HazardRecord& rec);
 
-    // records_[id] is written once, by id's first owner; scans visit the
-    // ids below high_water_.
-    std::atomic<detail::HazardRecord*> records_[kMaxThreads] = {};
-    std::atomic<std::size_t> high_water_{0};
+    // A record is made before its thread's first slot store, so a scan
+    // that follows an unlink visits every slot that could protect the
+    // unlinked pointer.
+    ThreadTable<detail::HazardRecord> records_;
 };
 
 }  // namespace lcrq

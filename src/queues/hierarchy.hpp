@@ -43,13 +43,7 @@ class ClusterHierarchy {
     static constexpr const char* suffix() noexcept { return "-h"; }
     explicit ClusterHierarchy(std::uint64_t timeout_ns = 100'000,
                               bool proceed_on_timeout = true)
-        : timeout_ns_(timeout_ns),
-          // Spin-count fallback for hosts where the TSC cannot be
-          // calibrated: each SpinWait pass costs at least one pause
-          // (~10 ns), so this bounds the wait in the right order of
-          // magnitude without a clock.
-          spin_bound_(timeout_ns / 16 + 1),
-          proceed_on_timeout_(proceed_on_timeout) {}
+        : timeout_ns_(timeout_ns), proceed_on_timeout_(proceed_on_timeout) {}
 
     std::uint64_t timeout_ns() const noexcept { return timeout_ns_; }
 
@@ -64,26 +58,17 @@ class ClusterHierarchy {
         // Deadline arithmetic stays in deltas (`rdtsc() - start < budget`)
         // so a TSC near wraparound cannot produce an already-expired or
         // never-expiring deadline the way an absolute `rdtsc() < deadline`
-        // comparison can.  A calibration failure (tsc_per_ns() == 0) falls
-        // back to the spin-count bound instead of dividing by zero into an
-        // unbounded wait.
-        const double tpn = tsc_per_ns();
+        // comparison can.
         const std::uint64_t start = rdtsc();
         const std::uint64_t budget = static_cast<std::uint64_t>(
-            static_cast<double>(timeout_ns_) * tpn);
-        std::uint64_t spins = 0;
+            static_cast<double>(timeout_ns_) * tsc_per_ns());
         SpinWait waiter;
         for (;;) {
             LCRQ_INJECT_POINT(kClusterWait);
             cur = crq.cluster.load(std::memory_order_relaxed);
             if (cur == mine) return;  // the tag came to us: no claim needed
-            if (proceed_on_timeout_) {
-                const bool expired =
-                    tpn > 0.0 ? (rdtsc() - start >= budget) : (spins >= spin_bound_);
-                if (expired) break;
-            }
+            if (proceed_on_timeout_ && rdtsc() - start >= budget) break;
             waiter.spin();
-            ++spins;
         }
         // Timed out: claim the CRQ for our cluster and enter even if the
         // CAS loses to another claimant (paper: "even if the CAS fails" —
@@ -100,7 +85,6 @@ class ClusterHierarchy {
 
   private:
     std::uint64_t timeout_ns_;
-    std::uint64_t spin_bound_;
     bool proceed_on_timeout_;
 };
 

@@ -251,12 +251,15 @@ class LinkedSegments {
         return n;
     }
 
-    // Live segments, by walking the list.  In the protected configuration
-    // the walk takes hazard slots, so it is safe concurrent with
-    // dequeue-driven segment retirement; unprotected builds keep the plain
-    // walk (nothing is reclaimed before destruction).  O(live segments):
-    // for tests, benches and monitoring, never for a per-operation path.
-    std::size_t segment_count() { return walk_segments(); }
+    // Live segments in O(1): the ordinal span from head to tail, plus the
+    // successor an appender may have linked before swinging tail.  Only a
+    // snapshot under concurrency.
+    std::size_t segment_count() {
+        return with_ends([](Seg* h, Seg* t) -> std::size_t {
+            return ordinal_span(h, t) + 1 +
+                   (t->next.load(std::memory_order_acquire) != nullptr ? 1 : 0);
+        });
+    }
 
     // Item-count estimate in O(1): the head and tail segments' own
     // estimates plus R items for every segment between them (the
@@ -266,19 +269,11 @@ class LinkedSegments {
     // tickets a closed head wasted make it over-count, never under-count
     // when quiescent.  Cheap enough for a per-admit watermark.
     std::uint64_t approx_size() {
-        Seg* const h = acquire(*head_, 1);
-        std::uint64_t n = h->approx_size();
-        // head_ never passes tail_ (swing_head), so a tail read after h is
-        // h or a later segment; only a later one needs its own slot.
-        if (tail_->load(std::memory_order_acquire) != h) {
-            Seg* const t = acquire(*tail_, 2);
-            const std::uint64_t span = t->ordinal.load(std::memory_order_relaxed) -
-                                       h->ordinal.load(std::memory_order_relaxed);
-            n += t->approx_size() + (span - 1) * seg_capacity_;
-            release(2);
-        }
-        release(1);
-        return n;
+        return with_ends([this](Seg* h, Seg* t) {
+            std::uint64_t n = h->approx_size();
+            if (t != h) n += t->approx_size() + (ordinal_span(h, t) - 1) * seg_capacity_;
+            return n;
+        });
     }
 
     // Read-only emptiness peek for waiters: true when the head segment's
@@ -380,9 +375,7 @@ class LinkedSegments {
 
     // Read a list pointer for use: publish-fence-reread under hazard
     // protection, or a plain acquire load in the unprotected
-    // (leak-until-destruction) specialization.  Operations use slot 0;
-    // introspection uses slots 1-3 so it can run concurrently with them
-    // from the same thread's record.
+    // (leak-until-destruction) specialization.
     Seg* acquire(const std::atomic<Seg*>& src, std::size_t slot = 0) {
         if constexpr (Protected) {
             return domain_.protect(src, slot);
@@ -394,52 +387,25 @@ class LinkedSegments {
         if constexpr (Protected) domain_.clear(slot);
     }
 
-    // Count the live list.
-    //
-    // Safety of the protected walk: segments are retired strictly front to
-    // back, and only after head_ swings past them.  Each step publishes
-    // the next pointer into a spare slot and then revalidates that head_
-    // still equals the anchor read at the start of the attempt.  If it
-    // does, no segment at or behind the anchor has been retired yet — in
-    // particular the just-published one — and (seq_cst publish before the
-    // revalidating load, which precedes the retiring head-swing in the
-    // total order) any future scan must see our slot, so the segment stays
-    // live while we hold it.  If head_ moved, the chain may be stale: the
-    // attempt restarts from the new head.
-    std::size_t walk_segments() {
-        if constexpr (!Protected) {
-            std::size_t n = 0;
-            for (Seg* s = head_->load(std::memory_order_acquire); s != nullptr;
-                 s = s->next.load(std::memory_order_acquire)) {
-                ++n;
-            }
-            return n;
-        } else {
-            for (;;) {
-                std::size_t n = 0;
-                Seg* const anchor = domain_.protect(*head_, 1);
-                Seg* cur = anchor;
-                std::size_t slot = 2;
-                bool restart = false;
-                for (;;) {
-                    ++n;
-                    if (cur->next.load(std::memory_order_acquire) == nullptr) break;
-                    Seg* next = domain_.protect(cur->next, slot);
-                    if (next == nullptr) break;
-                    LCRQ_INJECT_POINT(kApproxSizeWalk);
-                    if (head_->load(std::memory_order_seq_cst) != anchor) {
-                        restart = true;
-                        break;
-                    }
-                    cur = next;
-                    slot = (slot == 2) ? 3 : 2;
-                }
-                domain_.clear(1);
-                domain_.clear(2);
-                domain_.clear(3);
-                if (!restart) return n;
-            }
-        }
+    // Call f(head, tail) with both segments protected.  Introspection
+    // uses slots 1-2, so it can run concurrently with this thread's own
+    // operations on slot 0.  head_ never passes tail_ (swing_head), so a
+    // tail read after the head is the head or a later segment; only a
+    // later one needs its own slot.
+    template <typename F>
+    auto with_ends(F f) {
+        Seg* const h = acquire(*head_, 1);
+        Seg* t = h;
+        if (tail_->load(std::memory_order_acquire) != h) t = acquire(*tail_, 2);
+        const auto r = f(h, t);
+        if (t != h) release(2);
+        release(1);
+        return r;
+    }
+
+    static std::uint64_t ordinal_span(const Seg* h, const Seg* t) {
+        return t->ordinal.load(std::memory_order_relaxed) -
+               h->ordinal.load(std::memory_order_relaxed);
     }
 
     QueueOptions opt_;

@@ -20,7 +20,6 @@
 namespace lcrq {
 
 using LscqQueue = LinkedSegments<Scq<HardwareFaa>>;
-using LscqCasQueue = LinkedSegments<Scq<CasLoopFaa>>;
 // LSCQ-H: the §4.1.1 cluster handoff over the SCQ segment backend — the
 // hierarchical variant that stays CAS2-free (the tag CAS is single-word).
 using LscqHQueue = LinkedSegments<Scq<HardwareFaa>, ClusterHierarchy>;

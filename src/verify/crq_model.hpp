@@ -53,16 +53,6 @@ struct CrqModelState {
 
     std::uint64_t R() const noexcept { return ring.size(); }
     bool closed() const noexcept { return (tail & kMsb) != 0; }
-
-
-    std::uint64_t hash() const noexcept {
-        std::uint64_t h = head * 0x9e3779b97f4a7c15ULL ^ tail;
-        for (const Cell& c : ring) {
-            h = (h ^ c.si) * 0x100000001b3ULL;
-            h = (h ^ c.val) * 0x100000001b3ULL;
-        }
-        return h;
-    }
 };
 
 // One queue operation as a resumable step machine.  Each step() performs
@@ -84,16 +74,6 @@ class CrqModelOp {
     value_t arg() const noexcept { return arg_; }
 
     friend bool operator==(const CrqModelOp&, const CrqModelOp&) = default;
-
-    std::uint64_t hash() const noexcept {
-        std::uint64_t h = static_cast<std::uint64_t>(pc_);
-        h = h * 31 + t_;
-        h = h * 31 + val_;
-        h = h * 31 + si_;
-        h = h * 31 + tries_;
-        h = h * 31 + static_cast<std::uint64_t>(done_);
-        return h;
-    }
 
     // CLOSED marker for enqueue results.
     static constexpr value_t kClosedResult = kTop;

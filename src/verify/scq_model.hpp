@@ -80,17 +80,6 @@ struct ScqModelState {
     std::uint64_t cycle_of_ticket(std::uint64_t t) const noexcept {
         return t / N();
     }
-
-    std::uint64_t hash() const noexcept {
-        std::uint64_t h = head * 0x9e3779b97f4a7c15ULL ^ tail;
-        h = (h ^ static_cast<std::uint64_t>(threshold)) * 0x100000001b3ULL;
-        for (const Cell& c : ring) {
-            h = (h ^ c.cycle) * 0x100000001b3ULL;
-            h = (h ^ (c.safe ? 1u : 0u)) * 0x100000001b3ULL;
-            h = (h ^ c.idx) * 0x100000001b3ULL;
-        }
-        return h;
-    }
 };
 
 // One ring operation as a resumable step machine; shares the Kind/Status
@@ -113,16 +102,6 @@ class ScqModelOp {
     value_t arg() const noexcept { return arg_; }
 
     friend bool operator==(const ScqModelOp&, const ScqModelOp&) = default;
-
-    std::uint64_t hash() const noexcept {
-        std::uint64_t h = static_cast<std::uint64_t>(pc_);
-        h = h * 31 + t_;
-        h = h * 31 + cyc_;
-        h = h * 31 + idx_;
-        h = h * 31 + static_cast<std::uint64_t>(safe_);
-        h = h * 31 + static_cast<std::uint64_t>(done_);
-        return h;
-    }
 
   private:
     Status finish(value_t r) {

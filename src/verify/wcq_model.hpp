@@ -136,24 +136,6 @@ struct WcqModelState {
     std::uint64_t cycle_of_ticket(std::uint64_t t) const noexcept {
         return t / N();
     }
-
-    std::uint64_t hash() const noexcept {
-        std::uint64_t h = head * 0x9e3779b97f4a7c15ULL ^ tail;
-        h = (h ^ static_cast<std::uint64_t>(threshold)) * 0x100000001b3ULL;
-        for (const Cell& c : ring) {
-            h = (h ^ c.cycle) * 0x100000001b3ULL;
-            h = (h ^ (c.safe ? 1u : 0u) ^ (c.note ? 2u : 0u) ^
-                 (c.note_deq ? 4u : 0u)) *
-                0x100000001b3ULL;
-            h = (h ^ c.idx ^ c.rec) * 0x100000001b3ULL;
-        }
-        for (const Rec& r : recs) {
-            h = (h ^ r.ticket ^ (r.pending ? 8u : 0u) ^ (r.deq ? 16u : 0u)) *
-                0x100000001b3ULL;
-            h = (h ^ r.arg ^ r.val) * 0x100000001b3ULL;
-        }
-        return h;
-    }
 };
 
 // One wCQ operation as a resumable step machine.  Program counters:
@@ -189,21 +171,6 @@ class WcqModelOp {
     value_t arg() const noexcept { return arg_; }
 
     friend bool operator==(const WcqModelOp&, const WcqModelOp&) = default;
-
-    std::uint64_t hash() const noexcept {
-        std::uint64_t h = static_cast<std::uint64_t>(pc_);
-        h = h * 31 + t_;
-        h = h * 31 + cand_;
-        h = h * 31 + ct_;
-        h = h * 31 + tsnap_;
-        h = h * 31 + rec_;
-        h = h * 31 + rounds_;
-        h = h * 31 + rs_rec_;
-        h = h * 31 + rs_t_;
-        h = h * 31 + static_cast<std::uint64_t>(rs_ret_);
-        h = h * 31 + (placed_ ? 1u : 0u) + (done_ ? 2u : 0u);
-        return h;
-    }
 
   private:
     using Cell = WcqModelState::Cell;

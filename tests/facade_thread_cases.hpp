@@ -118,15 +118,21 @@ TYPED_TEST_P(BlockingThreads, WaitForSeesConcurrentProducer) {
 }
 
 TYPED_TEST_P(BlockingThreads, ParkedConsumerWakesOnEveryAdmit) {
-    // Each round the producer waits out the spin window, so the consumer
-    // has parked (kBlockedDeq) before the admit that must wake it: the
-    // gated signal sees the registered waiter every time.
+    // Each round the producer admits only once the consumer has parked
+    // for the item (kBlockedDeq is counted once per sleeping wait, after
+    // the waiter registers), so every admit must wake a sleeper: the gated
+    // signal sees the registered waiter every time.  Waiting out a fixed
+    // spin instead let a loaded host run every round without a park.
     auto q = make_facade<BlockingQueue, TypeParam>();
     constexpr value_t kRounds = 20;
     stats::reset_all();
     std::thread producer([&] {
         for (value_t v = 1; v <= kRounds; ++v) {
-            spin_for_ns(200'000);
+            const std::uint64_t deadline = now_ns() + 5'000'000'000;
+            while (stats::global_snapshot()[stats::Event::kBlockedDeq] < v &&
+                   now_ns() < deadline) {
+                std::this_thread::yield();
+            }
             ASSERT_TRUE(q.try_enqueue(v));
         }
     });

@@ -387,7 +387,7 @@ TEST(LscqBulk, MpmcBulkExchangeAllVariantsAndBoundedScq) {
         run(q);
     }
     {
-        LscqCasQueue q(small_ring());
+        LinkedSegments<Scq<CasLoopFaa>> q(small_ring());
         run(q);
     }
     {

@@ -1,5 +1,7 @@
 // Software event-counter tests: per-thread accumulation, aggregation
-// across live and exited threads, reset, and snapshot arithmetic.
+// across live and exited threads (whose blocks pass with their thread ids),
+// snapshots concurrent with counting and with threads starting and
+// exiting, reset, and snapshot arithmetic.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,7 +39,7 @@ TEST(Counters, SumAcrossThreads) {
     lcrq::test::run_threads(4, [](int) {
         for (int i = 0; i < 100; ++i) count(Event::kCas2);
     });
-    // Exited threads' counts must persist via the graveyard.
+    // Exited threads' counts persist: their blocks outlive them.
     EXPECT_EQ(global_snapshot()[Event::kCas2], 400u);
 }
 
@@ -100,7 +102,7 @@ TEST(Counters, ThreadsDoNotShareBlocks) {
     EXPECT_EQ(s[Event::kSwap], 1'000u);
 }
 
-TEST(Counters, ManyWavesAccumulateThroughGraveyard) {
+TEST(Counters, ManyWavesAccumulateOnRecycledBlocks) {
     reset_all();
     for (int wave = 0; wave < 10; ++wave) {
         lcrq::test::run_threads(4, [](int) { count(Event::kTas, 5); });
@@ -135,6 +137,48 @@ TEST(Counters, LiveSnapshotWhileOwnersIncrement) {
     }
     for (auto& w : workers) w.join();
     EXPECT_EQ(global_snapshot()[Event::kFaa], kThreads * kPerThread);
+}
+
+TEST(Counters, SnapshotWhileThreadsStartCountAndExit) {
+    // Waves of short-lived threads count and exit while the main thread
+    // snapshots.  Wave w runs w + 1 threads that stay until all of them
+    // have counted, so each wave holds one thread id more than the last:
+    // it reuses the blocks earlier threads left, and once past the ids
+    // earlier tests used it makes a block above the high-water mark.
+    // Both must be defined reads (TSan matrix), and no count may drop out
+    // or appear twice on the way, so mid-run totals never decrease and
+    // the final total is exact.
+    reset_all();
+    constexpr int kWaves = 16;
+    constexpr std::uint64_t kPerThread = 1'000;
+    constexpr std::uint64_t kTotal = kWaves * (kWaves + 1) / 2 * kPerThread;
+    std::atomic<bool> done{false};
+    std::thread churn([&] {
+        for (int wave = 0; wave < kWaves; ++wave) {
+            const int n = wave + 1;
+            std::atomic<int> counted{0};
+            std::vector<std::thread> ts;
+            ts.reserve(static_cast<std::size_t>(n));
+            for (int t = 0; t < n; ++t) {
+                ts.emplace_back([&] {
+                    for (std::uint64_t i = 0; i < kPerThread; ++i) count(Event::kSwap);
+                    counted.fetch_add(1);
+                    while (counted.load() < n) std::this_thread::yield();
+                });
+            }
+            for (auto& t : ts) t.join();
+        }
+        done.store(true, std::memory_order_release);
+    });
+    std::uint64_t last = 0;
+    do {
+        const std::uint64_t now = global_snapshot()[Event::kSwap];
+        EXPECT_GE(now, last);
+        EXPECT_LE(now, kTotal);
+        last = now;
+    } while (!done.load(std::memory_order_acquire));
+    churn.join();
+    EXPECT_EQ(global_snapshot()[Event::kSwap], kTotal);
 }
 
 }  // namespace

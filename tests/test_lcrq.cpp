@@ -210,11 +210,12 @@ TEST(Lcrq, LooksEmptyFollowsTheHeadSegmentAndItsSuccessor) {
 }
 
 TEST(Lcrq, ApproxSizeDuringRetirementStress) {
-    // approx_size walks the segment list under hazard protection, so it
-    // must be safe to hammer concurrently with dequeue-driven segment
-    // retirement (tiny rings retire constantly).  Run under ASan this is
-    // the use-after-free probe for the protected walk; the value checks
-    // are deliberately weak (it is an estimate), the liveness ones are not.
+    // approx_size and segment_count protect the head and tail segments and
+    // read them, so they must be safe to hammer concurrently with
+    // dequeue-driven segment retirement (tiny rings retire constantly).
+    // Run under ASan this is the use-after-free probe for those reads; the
+    // value checks are deliberately weak (it is an estimate), the liveness
+    // ones are not.
     LcrqQueue q(tiny());
     constexpr int kProducers = 2;
     constexpr int kConsumers = 2;
@@ -240,8 +241,8 @@ TEST(Lcrq, ApproxSizeDuringRetirementStress) {
             done.store(true, std::memory_order_release);
         } else {
             // do-while: on a 1-CPU host the consumers can finish before an
-            // observer is ever scheduled, so at least one walk is forced
-            // (over a drained queue it still exercises the protected walk).
+            // observer is ever scheduled, so at least one read is forced
+            // (over a drained queue it still exercises the protected reads).
             std::uint64_t walks = 0;
             do {
                 const std::uint64_t size = q.approx_size();

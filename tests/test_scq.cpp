@@ -30,7 +30,7 @@ static_assert(sizeof(ScqRing<>::Entry) == 8);
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
 static_assert(BulkConcurrentQueue<ScqQueue>);
 static_assert(BulkConcurrentQueue<LscqQueue>);
-static_assert(BulkConcurrentQueue<LscqCasQueue>);
+static_assert(BulkConcurrentQueue<LinkedSegments<Scq<CasLoopFaa>>>);
 static_assert(BulkConcurrentQueue<LscqNoReclaimQueue>);
 
 TEST(ScqEntry, AtomicEntryIsLockFreeAtRuntime) {
@@ -365,7 +365,7 @@ TEST(LscqTest, MpmcExchangeAllVariants) {
         test::expect_exchange_valid(test::mpmc_exchange(q, 3, 3, 3'000), 3, 3'000);
     }
     {
-        LscqCasQueue q(opt);
+        LinkedSegments<Scq<CasLoopFaa>> q(opt);
         test::expect_exchange_valid(test::mpmc_exchange(q, 3, 3, 3'000), 3, 3'000);
     }
     {

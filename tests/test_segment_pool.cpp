@@ -3,7 +3,7 @@
 // segment reset, home-cluster recording and hugepage slabs (typed over
 // the SCQ family's two segments, Scq and Wcq), and end-to-end recycling
 // through the list queues (reuse typed over LCRQ, LSCQ and LwCQ; the
-// rest through LSCQ).
+// rest, including the retired backlog read mid-run, through LSCQ).
 //
 // Deliberately TSan-eligible: every multi-threaded case here is dummy
 // nodes or the CAS2-free SCQ family.  LCRQ appears only in the
@@ -11,6 +11,7 @@
 // test_lcrq and the injection suites, which run under ASan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -466,6 +467,44 @@ TEST(LscqSegmentPool, MpmcChurnWithRecyclingKeepsFifo) {
     test::expect_exchange_valid(received, 2, 3000);
     const auto after = stats::global_snapshot();
     EXPECT_GT(after[stats::Event::kSegmentReuse], 0u);
+}
+
+TEST(LscqSegmentPool, RetiredCountIsARaceFreeSmallReadingMidRun) {
+    // hazard_domain().retired_count() is read while the queue runs
+    // (perfbench's traced backlog probe polls it), so it must be a defined
+    // read while the owners retire and drain (TSan matrix), and a real
+    // figure.  Two threads run enqueue/dequeue pairs in bursts of five, so
+    // every burst closes a capacity-4 segment; the retiring thread drains
+    // eagerly, so each of the two records holds at most the segment the
+    // other thread protects plus the one just retired.
+    const auto before = stats::global_snapshot();
+    LscqQueue q(tiny_rings());
+    constexpr int kBursts = 2'000;
+    constexpr int kBurst = 5;
+    std::atomic<int> running{2};
+    std::size_t peak = 0;
+    std::uint64_t readings = 0;
+    test::run_threads(3, [&](int id) {
+        if (id == 2) {
+            do {
+                peak = std::max(peak, q.hazard_domain().retired_count());
+                ++readings;
+            } while (running.load() > 0);
+            return;
+        }
+        for (int b = 0; b < kBursts; ++b) {
+            for (int i = 0; i < kBurst; ++i) {
+                q.enqueue(test::tag(static_cast<unsigned>(id),
+                                    static_cast<std::uint64_t>(b * kBurst + i)));
+            }
+            for (int i = 0; i < kBurst; ++i) (void)q.dequeue();
+        }
+        running.fetch_sub(1);
+    });
+    const auto d = stats::global_snapshot() - before;
+    ASSERT_GT(d[stats::Event::kSegmentReuse], 0u) << "no segment went through retire";
+    EXPECT_GT(readings, 0u);
+    EXPECT_LE(peak, 4u);
 }
 
 // --- NUMA-local substrate ---------------------------------------------------
