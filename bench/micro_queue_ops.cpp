@@ -38,9 +38,10 @@ void BM_EnqueueDequeuePair(benchmark::State& state, AnyQueue* q) {
 }
 
 // One admission and one dequeue on a bounded BlockingQueue<LcrqQueue>
-// (R = 2^6) that holds range(0) items: every admission checks the
-// capacity watermark, so this shows whether that check's cost grows with
-// the segment list (65,536 items = 1,025 segments).
+// (R = 2^6, capacity 2^22) that holds range(0) items (65,536 items =
+// 1,025 segments): the single-thread price of the facade's size
+// accounting — the per-thread tally lookup on both sides plus the
+// admission's fast watermark check — on top of the list queue's own pair.
 void BM_BoundedFacadePairAtDepth(benchmark::State& state) {
     QueueOptions opt;
     opt.ring_order = 6;

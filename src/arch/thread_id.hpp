@@ -5,9 +5,10 @@
 // of short-lived threads without growing it: it is sized for kMaxThreads
 // concurrent threads.  The combining queues (CC/H/FC), multilane presence
 // slots and wCQ help slots index their own arrays by it; ThreadTable below
-// holds the state that must outlive its thread, for its two users: a
-// hazard domain's records (hazard/hazard_pointers.hpp) and the event
-// counters' blocks (arch/counters.hpp).
+// holds the state that must outlive its thread, for its three users: a
+// hazard domain's records (hazard/hazard_pointers.hpp), the event
+// counters' blocks (arch/counters.hpp) and a blocking facade's size
+// tallies (queues/blocking_queue.hpp).
 #pragma once
 
 #include <atomic>

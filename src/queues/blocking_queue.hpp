@@ -51,11 +51,26 @@
 //                         deadline; reports {drained, complete,
 //                         stragglers}.
 //
-// Capacity model: the watermark reads the facade's own admitted/dequeued
-// counters, whatever the base.  They are approximate under concurrency,
-// so capacity is a watermark, not a hard invariant — transient overshoot
-// by the number of in-flight enqueuers is possible and fine for
-// backpressure (the server-side shed accounting is exact either way).
+// Capacity model: every thread that uses the facade counts its own
+// admits and dequeues in a facade-owned ThreadTable entry (monotonic
+// tallies only their owner writes), whatever the base, so no admit or
+// dequeue makes a contended RMW.  approx_size() is the exact sum of the
+// tallies.  A bounded facade also keeps one shared estimate: a thread
+// folds +kFoldBatch into it each time its admitted tally reaches a
+// multiple of kFoldBatch (before publishing the tally) and -kFoldBatch
+// each time its dequeued tally does (after publishing it), so the
+// estimate only errs high and each tally holds fewer than kFoldBatch
+// unfolded admits.  Admission therefore admits at once while
+// estimate + high_water() * kFoldBatch < capacity (the fast check, a
+// bound on the sum from above).  Within that slack of capacity it sums
+// the tallies — O(threads) reads — and refuses only when the exact sum
+// is >= capacity.  The sum is exact at quiescence and approximate under
+// concurrency, so capacity is a watermark, not a hard invariant —
+// transient overshoot by the number of in-flight enqueuers is possible
+// and fine for backpressure (the server-side shed accounting is exact
+// either way).  An unbounded facade never folds: none of its admits or
+// dequeues writes a shared line.  Facade operations take a dense thread
+// id (arch/thread_id.hpp).
 //
 // Post-close drain: a single EMPTY observation after close() is not
 // conclusive — enqueuers admitted before the close may still be
@@ -88,6 +103,7 @@
 #include "arch/backoff.hpp"
 #include "arch/counters.hpp"
 #include "arch/inject.hpp"
+#include "arch/thread_id.hpp"
 #include "queues/lcrq.hpp"
 #include "queues/queue_common.hpp"
 #include "util/timing.hpp"
@@ -326,6 +342,14 @@ class EventCount {
     std::atomic<FrameNode*> frames_{nullptr};  // written only while a frame is registered
 };
 
+// One thread's share of a facade's size: the items it admitted and
+// dequeued.  Only the entry's owner writes it (store of load + 1, as
+// stats::count does), on a line of its own.
+struct alignas(kCacheLineSize) SizeTally {
+    std::atomic<std::uint64_t> admitted{0};
+    std::atomic<std::uint64_t> dequeued{0};
+};
+
 // Retract-on-unwind guard: a waiter killed while parked (injection
 // harness) must not leave the registration stuck, or notifiers would pay
 // wakes forever.  Frames hold one across their suspension.
@@ -399,10 +423,15 @@ class BlockingQueue {
     // coroutine facade) must record at most one final outcome.
     EnqueueResult try_admit(value_t x) {
         if (closed_.load(std::memory_order_acquire)) return EnqueueResult::kClosed;
-        if (capacity_ != 0 && approx_size() >= capacity_) return EnqueueResult::kFull;
+        if (capacity_ != 0 && !below_capacity()) return EnqueueResult::kFull;
         const EnqueueResult r = base_.try_enqueue(x);
         if (r != EnqueueResult::kOk) return r;
-        enq_count_.fetch_add(1, std::memory_order_relaxed);
+        auto& admitted = tallies_.local().admitted;
+        const std::uint64_t n = admitted.load(std::memory_order_relaxed) + 1;
+        if (n % kFoldBatch == 0 && capacity_ != 0) {
+            estimate_.fetch_add(kFoldBatch, std::memory_order_relaxed);
+        }
+        admitted.store(n, std::memory_order_relaxed);
         // Only registered waiters cost this producer an epoch bump and a
         // wake.
         items_ec_.signal();
@@ -464,7 +493,12 @@ class BlockingQueue {
     std::optional<value_t> try_dequeue() {
         auto v = base_.dequeue();
         if (v.has_value()) {
-            deq_count_.fetch_add(1, std::memory_order_relaxed);
+            auto& dequeued = tallies_.local().dequeued;
+            const std::uint64_t n = dequeued.load(std::memory_order_relaxed) + 1;
+            dequeued.store(n, std::memory_order_relaxed);
+            if (n % kFoldBatch == 0 && capacity_ != 0) {
+                estimate_.fetch_sub(kFoldBatch, std::memory_order_relaxed);
+            }
             // Producers may be parked on the space eventcount whenever the
             // facade or its base is bounded; with none registered, the
             // signal is a fence and a load.
@@ -564,11 +598,16 @@ class BlockingQueue {
 
     // --- introspection -----------------------------------------------------
 
-    // Items currently inside, approximately: admitted minus dequeued, from
-    // the facade's own counters.
+    // Items currently inside: admitted minus dequeued, summed over the
+    // per-thread tallies.  Exact at quiescence; O(threads that used the
+    // facade).
     std::uint64_t approx_size() const noexcept {
-        const std::uint64_t enq = enq_count_.load(std::memory_order_relaxed);
-        const std::uint64_t deq = deq_count_.load(std::memory_order_relaxed);
+        std::uint64_t enq = 0;
+        std::uint64_t deq = 0;
+        tallies_.for_each([&](const detail::SizeTally& t) {
+            enq += t.admitted.load(std::memory_order_relaxed);
+            deq += t.dequeued.load(std::memory_order_relaxed);
+        });
         return enq > deq ? enq - deq : 0;
     }
 
@@ -596,6 +635,21 @@ class BlockingQueue {
     // Cap on any single sleep; the recovery bound after a lost notify.
     static constexpr std::uint64_t kMaxSliceNs = 10'000'000;
     static constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
+    // A tally folds into the shared estimate once per this many counts.
+    static constexpr std::int64_t kFoldBatch = 64;
+
+    // The bounded admission check (see the file comment): admit at once
+    // while the estimate plus kFoldBatch per table entry (more than any
+    // entry's unfolded admits) stays below capacity; otherwise decide on
+    // the exact sum.
+    bool below_capacity() const noexcept {
+        const auto slack = static_cast<std::int64_t>(tallies_.high_water()) * kFoldBatch;
+        if (estimate_.load(std::memory_order_relaxed) + slack <
+            static_cast<std::int64_t>(capacity_)) {
+            return true;
+        }
+        return approx_size() < capacity_;
+    }
 
     static std::uint64_t saturating_deadline(std::uint64_t timeout_ns) noexcept {
         const std::uint64_t now = now_ns();
@@ -651,9 +705,10 @@ class BlockingQueue {
     const double tsc_per_ns_ = tsc_per_ns();
     detail::EventCount items_ec_;  // consumers wait; admissions signal
     detail::EventCount space_ec_;  // bounded producers wait; dequeues signal
-    // The watermark and approx_size(): items admitted and dequeued.
-    alignas(kCacheLineSize) std::atomic<std::uint64_t> enq_count_{0};
-    alignas(kCacheLineSize) std::atomic<std::uint64_t> deq_count_{0};
+    // approx_size() and the watermark: per-thread admitted and dequeued
+    // tallies, and (bounded only) the folded estimate of their sum.
+    alignas(kCacheLineSize) ThreadTable<detail::SizeTally> tallies_;
+    alignas(kCacheLineSize) std::atomic<std::int64_t> estimate_{0};
     alignas(kCacheLineSize) std::atomic<bool> closed_{false};
 };
 

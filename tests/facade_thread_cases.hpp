@@ -190,11 +190,42 @@ TYPED_TEST_P(BlockingThreads, DrainRacesConcurrentConsumersWithoutLoss) {
     EXPECT_EQ(consumed.load() + drained.load(), kItems);
 }
 
+TYPED_TEST_P(BlockingThreads, ProducersOvershootCapacityByFewerThanTheirNumber) {
+    // No consumer; each producer admits until its first refusal.  A
+    // refusal is decided on the exact tally sum, so the total reaches
+    // capacity.  An admit passes its check only while the published sum
+    // is below capacity, so only the other producers' admits in flight
+    // (at most one each) can overshoot it.  The capacity is well above the
+    // fast check's slack, so both admission paths run.  The 2 * capacity
+    // cap turns a watermark that never refuses into a failure, not an
+    // unbounded queue.
+    constexpr std::size_t kCapacity = 10'000;
+    constexpr int kProducers = 4;
+    auto q = make_facade<BlockingQueue, TypeParam>(QueueOptions{}, kCapacity);
+    const std::uint64_t shed0 = stats::global_snapshot()[stats::Event::kShed];
+    std::atomic<std::uint64_t> total{0};
+    run_threads(kProducers, [&](int id) {
+        std::uint64_t mine = 0;
+        while (mine < 2 * kCapacity &&
+               q.try_enqueue(tag(static_cast<unsigned>(id), mine))) {
+            ++mine;
+        }
+        total.fetch_add(mine);
+    });
+    EXPECT_GE(total.load(), kCapacity);
+    EXPECT_LE(total.load(), kCapacity + kProducers - 1);
+    EXPECT_EQ(q.approx_size(), total.load());
+    EXPECT_EQ(stats::global_snapshot()[stats::Event::kShed] - shed0,
+              static_cast<std::uint64_t>(kProducers))
+        << "one shed per producer: its first and only refusal";
+}
+
 REGISTER_TYPED_TEST_SUITE_P(BlockingThreads, WaitDequeueGetsItem, CloseWakesSleepers,
                             ProducerConsumerThroughputWithShutdown,
                             WaitForSeesConcurrentProducer, ParkedConsumerWakesOnEveryAdmit,
                             WaitEnqueueBlocksUntilSpace, WaitEnqueueWakesOnClose,
-                            DrainRacesConcurrentConsumersWithoutLoss);
+                            DrainRacesConcurrentConsumersWithoutLoss,
+                            ProducersOvershootCapacityByFewerThanTheirNumber);
 
 // --- coroutine facade ------------------------------------------------------
 

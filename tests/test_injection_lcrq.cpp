@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "arch/counters.hpp"
-#include "queues/blocking_queue.hpp"
 #include "queues/lcrq.hpp"
 #include "test_support.hpp"
 #include "verify/history.hpp"
@@ -165,18 +164,6 @@ TEST_F(InjectLcrq, RingCloseStraddlesBulkClaim) {
     const auto history = verify::merge(logs);
     const auto r = verify::check_queue_fast(history);
     EXPECT_TRUE(r.ok) << r.error;
-}
-
-// The bounded facade's watermark reads approx_size() on every admit, so it
-// must not walk the list: over 100 segments it is still the head and tail
-// estimates plus R per full segment between them.
-TEST_F(InjectLcrq, WatermarkAdmitDoesNotWalkTheSegments) {
-    BlockingQueue<LcrqQueue> q(tiny_ring(2, 4), /*capacity=*/1 << 20);  // R = 4
-    for (value_t v = 1; v <= 400; ++v) ASSERT_TRUE(q.try_enqueue(v));
-    ASSERT_EQ(q.base().segment_count(), 100u);
-
-    ASSERT_TRUE(q.try_enqueue(401));
-    EXPECT_EQ(q.approx_size(), 401u);
 }
 
 // A thread killed mid-enqueue, pre-publish (acceptance (c)): its ticket is

@@ -193,6 +193,77 @@ TEST(BlockingQueue, BoundedTryEnqueueShedsAtWatermark) {
     EXPECT_TRUE(q.try_enqueue(9)) << "space freed: accepted again";
 }
 
+// Admission refuses at exactly capacity on both of its paths.  At 8 every
+// check sums the tallies (the fast check's slack is at least one fold
+// batch, 64); at 10,000 the fast check admits until the slack and the
+// exact sum decides the rest.  After k dequeues exactly k more get in,
+// with k on both sides of a fold boundary.
+TEST(BlockingQueue, RefusesAtExactlyCapacityOnBothAdmissionPaths) {
+    for (const std::size_t capacity : {std::size_t{8}, std::size_t{10'000}}) {
+        SCOPED_TRACE(capacity);
+        BlockingQueue<> q(QueueOptions{}, capacity);
+        value_t next = 1;
+        while (next <= 2 * capacity && q.try_enqueue(next)) ++next;
+        ASSERT_EQ(next - 1, capacity);
+        EXPECT_EQ(q.approx_size(), capacity);
+        value_t expect = 1;
+        for (const std::size_t k : {1, 3, 8, 63, 64, 65, 200}) {
+            if (k > capacity) continue;
+            SCOPED_TRACE(k);
+            for (std::size_t i = 0; i < k; ++i) {
+                ASSERT_EQ(q.try_dequeue().value_or(0), expect++);
+            }
+            for (std::size_t i = 0; i < k; ++i) ASSERT_TRUE(q.try_enqueue(next++));
+            EXPECT_FALSE(q.try_enqueue(next)) << "admitted past capacity";
+            EXPECT_EQ(q.approx_size(), capacity);
+        }
+    }
+}
+
+// A tally folds into the shared estimate once per 64 counts.  Churning
+// 10^5 admit/dequeue pairs over a standing depth of 37 crosses the fold
+// boundaries of both tallies at different phases, and a second thread's
+// dequeues fold into the estimate from a tally that admitted nothing: the
+// size stays exact, and so does the refusal point.
+TEST(BlockingQueue, FoldBoundaryChurnKeepsTheSizeExact) {
+    constexpr std::size_t kCapacity = 10'000;
+    constexpr value_t kDepth = 37;
+    BlockingQueue<> q(QueueOptions{}, kCapacity);
+    for (value_t v = 1; v <= kDepth; ++v) ASSERT_TRUE(q.try_enqueue(v));
+    value_t next = kDepth + 1;
+    for (int i = 0; i < 100'000; ++i) {
+        ASSERT_TRUE(q.try_enqueue(next++));
+        ASSERT_TRUE(q.try_dequeue().has_value());
+        ASSERT_EQ(q.approx_size(), kDepth) << "after pair " << i;
+    }
+    for (value_t more = 0; more <= kCapacity && q.try_enqueue(next); ++more) ++next;
+    ASSERT_EQ(q.approx_size(), kCapacity);
+
+    constexpr std::size_t kTaken = 5'000;
+    std::thread consumer([&] {
+        for (std::size_t i = 0; i < kTaken; ++i) ASSERT_TRUE(q.try_dequeue().has_value());
+    });
+    consumer.join();
+    EXPECT_EQ(q.approx_size(), kCapacity - kTaken);
+    for (std::size_t i = 0; i < kTaken; ++i) ASSERT_TRUE(q.try_enqueue(next++));
+    EXPECT_FALSE(q.try_enqueue(next)) << "admitted past capacity";
+    EXPECT_EQ(q.approx_size(), kCapacity);
+}
+
+// Over 100 segments of R = 4 the watermark counts admits, not segments:
+// at capacity 401 the 401st admit gets in and the 402nd is refused, and
+// the facade's tally sum and the base's own O(1) estimate (head and tail
+// estimates plus R per segment between them) both read 401.
+TEST(BlockingQueue, WatermarkIsExactOverAHundredSegments) {
+    BlockingQueue<LcrqQueue> q(tiny(), /*capacity=*/401);  // R = 4
+    for (value_t v = 1; v <= 400; ++v) ASSERT_TRUE(q.try_enqueue(v));
+    ASSERT_EQ(q.base().segment_count(), 100u);
+    EXPECT_TRUE(q.try_enqueue(401));
+    EXPECT_FALSE(q.try_enqueue(402)) << "admitted past capacity";
+    EXPECT_EQ(q.approx_size(), 401u);
+    EXPECT_EQ(q.base().approx_size(), 401u);
+}
+
 TEST(BlockingQueue, WaitEnqueueTimesOutWhenFull) {
     BlockingQueue<> q(QueueOptions{}, /*capacity=*/2);
     ASSERT_TRUE(q.try_enqueue(1));
@@ -228,7 +299,7 @@ TEST(BlockingQueue, DrainOnEmptyClosedQueueIsComplete) {
 
 TEST(BlockingQueue, ComposesOverRegistryBackend) {
     // The production shape: facade over a runtime-selected backend.  The
-    // watermark runs on the facade's own counters, as for every base.
+    // watermark runs on the facade's own tallies, as for every base.
     auto base = make_queue("lscq");
     ASSERT_NE(base, nullptr);
     BlockingQueue<UniquePtrBase<AnyQueue>> q(
