@@ -1,13 +1,17 @@
 // google-benchmark microbenchmarks of single queue operations: the cost
 // of an enqueue/dequeue pair on every registered queue, single-threaded
 // (pure instruction cost, no contention) and multi-threaded — plus the
-// same pair through a bounded blocking facade at a standing depth.
+// same pair through a bounded blocking facade at a standing depth, and
+// through wCQ's helping slow path alone.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "queues/blocking_queue.hpp"
 #include "queues/lcrq.hpp"
+#include "queues/wcq.hpp"
 #include "registry/queue_registry.hpp"
 
 namespace {
@@ -57,7 +61,31 @@ void BM_BoundedFacadePairAtDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundedFacadePairAtDepth)->Arg(0)->Arg(4096)->Arg(65536);
 
+// One wCQ ring of order 3 seeded with its 8 indices, every operation
+// forced onto the helping slow path (as WcqRing.ConcurrentSlowPathCirculation
+// drives it): the price of the help-record layout when concurrent slow
+// paths publish, help and release side by side.  Built in main, before
+// any benchmark thread runs; each thread returns the index it took, so the
+// ring holds at least 8 - threads indices and a dequeue never sees EMPTY.
+WcqRing<>& slow_path_ring() {
+    static WcqRing<> ring(3, 0, 8);
+    return ring;
+}
+
+void BM_WcqAllSlowPath(benchmark::State& state) {
+    WcqRing<>& r = slow_path_ring();
+    for (auto _ : state) {
+        std::optional<std::uint64_t> idx;
+        if (!r.debug_dequeue_slow(idx) || !idx.has_value()) continue;
+        if (!r.debug_enqueue_slow(*idx)) r.enqueue(*idx);  // slot collision
+    }
+    state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_WcqAllSlowPath)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
+
 void register_all() {
+    slow_path_ring();
+
     for (const auto& info : queue_catalog()) {
         // Deferred-reclamation baselines would grow without bound under
         // google-benchmark's open-ended iteration counts.

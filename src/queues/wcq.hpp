@@ -12,7 +12,8 @@
 // portability story.
 //
 // Helping protocol (the part beyond SCQ):
-//   * 64 cache-aligned records per ring; a slow-path thread claims the
+//   * 64 packed records per ring (24 B each, the slots of 8 consecutive
+//     thread ids on 8 different line pairs); a slow-path thread claims the
 //     record for thread_index()%64 and publishes three tagged words:
 //       req = (tag | kind | state | candidate ticket)
 //       arg = (tag | commit payload)   — the arbitration word
@@ -218,7 +219,11 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     // 0 = idle, 1 = pending, 2 = done, 3 = claimed (see ReqState).
     unsigned debug_record_state(std::size_t s) const {
         return static_cast<unsigned>(
-            req_state(records_[s].req.load(std::memory_order_seq_cst)));
+            req_state(record(s).req.load(std::memory_order_seq_cst)));
+    }
+    // Where slot s's record lives (tests pin the packed, spread layout).
+    const void* debug_record_address(std::size_t s) const noexcept {
+        return &record(s);
     }
 
     std::uint64_t debug_take_enqueue_ticket() {
@@ -259,11 +264,32 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     };
     enum ReqKind : std::uint64_t { kKindEnq = 0, kKindDeq = 1 };
 
-    struct alignas(kDestructivePairSize) HelpRecord {
+    // Records are packed, not padded to a line pair each: the slow path
+    // runs only past patience, and padded, 64 records take 8 KiB a ring,
+    // two rings a segment, 80% of an lwcq segment at R = 2^6.
+    // record(s) spreads them instead, as remap() spreads ring entries:
+    // slot s lives at array position ((s << 3) | (s >> 3)) & 63, so slots
+    // 0..7 start 192 B apart and the records of any 8 consecutive slots
+    // touch 8 disjoint line pairs.  Concurrent slow paths keep the
+    // isolation the padding gave them; packed in slot order, neighbours
+    // would share lines (EXPERIMENTS.md, "Packed, spread wCQ help
+    // records").  The array is pair-aligned, so no record shares a line
+    // with cfg_, slow_count_ or whatever follows the ring.
+    struct HelpRecord {
         std::atomic<std::uint64_t> req{0};
         std::atomic<std::uint64_t> arg{0};
         std::atomic<std::uint64_t> val{0};
     };
+
+    static constexpr std::size_t record_position(std::size_t s) noexcept {
+        return ((s << 3) | (s >> 3)) & (kWcqSlots - 1);
+    }
+    HelpRecord& record(std::size_t s) noexcept {
+        return records_[record_position(s)];
+    }
+    const HelpRecord& record(std::size_t s) const noexcept {
+        return records_[record_position(s)];
+    }
 
     static constexpr std::uint64_t pack_req(std::uint64_t tag, ReqKind kind,
                                             ReqState state,
@@ -421,7 +447,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
         const std::size_t s = my_slot();
         std::uint64_t g;
         if (!acquire_help_record(s, kKindEnq, g)) return std::nullopt;
-        HelpRecord& rec = records_[s];
+        HelpRecord& rec = record(s);
         rec.val.store(pack_tagged(g, idx), std::memory_order_seq_cst);
         rec.arg.store(pack_tagged(g, kNonePayload), std::memory_order_seq_cst);
         // Count before publishing: a thread killed in between only leaves
@@ -448,7 +474,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
         const std::size_t s = my_slot();
         std::uint64_t g;
         if (!acquire_help_record(s, kKindDeq, g)) return false;
-        HelpRecord& rec = records_[s];
+        HelpRecord& rec = record(s);
         rec.val.store(pack_tagged(g, kNonePayload), std::memory_order_seq_cst);
         rec.arg.store(pack_tagged(g, kNonePayload), std::memory_order_seq_cst);
         slow_count_.fetch_add(1, std::memory_order_seq_cst);
@@ -481,7 +507,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     // the acquisition (a bare tag bump from IDLE could be observed and
     // re-bumped by a racing peer before our publish).
     bool acquire_help_record(std::size_t s, ReqKind kind, std::uint64_t& g) {
-        HelpRecord& rec = records_[s];
+        HelpRecord& rec = record(s);
         const std::uint64_t r = rec.req.load(std::memory_order_seq_cst);
         if (req_state(r) != kStIdle) return false;  // slot collision
         g = (req_tag(r) + 1) & ((std::uint64_t{1} << kTagBits) - 1);
@@ -492,15 +518,15 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     // Nothing else writes a DONE record (helpers require PENDING, acquire
     // requires IDLE), so a plain store suffices.
     void release_help_record(std::size_t s, std::uint64_t g, ReqKind kind) {
-        records_[s].req.store(pack_req(g, kind, kStIdle, 0),
-                              std::memory_order_seq_cst);
+        record(s).req.store(pack_req(g, kind, kStIdle, 0),
+                            std::memory_order_seq_cst);
     }
 
     void wait_done(std::size_t s, [[maybe_unused]] std::uint64_t g) {
         SpinWait waiter;
         for (;;) {
             help_slot(s);
-            const std::uint64_t r = records_[s].req.load(std::memory_order_seq_cst);
+            const std::uint64_t r = record(s).req.load(std::memory_order_seq_cst);
             assert(req_tag(r) == g && "record reuse is owner-mediated");
             if (req_state(r) == kStDone) return;
             waiter.spin();
@@ -508,7 +534,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     }
 
     void help_slot(std::size_t s) {
-        const std::uint64_t r = records_[s].req.load(std::memory_order_seq_cst);
+        const std::uint64_t r = record(s).req.load(std::memory_order_seq_cst);
         if (req_state(r) != kStPending) return;
         stats::count(stats::Event::kWcqHelp);
         if (req_kind(r) == kKindEnq) {
@@ -521,7 +547,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     // Transition req (g, pending) -> (g, done); the winner of that CAS
     // also retires the request from the pending count.
     void finish_req(std::size_t s, std::uint64_t g) {
-        HelpRecord& rec = records_[s];
+        HelpRecord& rec = record(s);
         for (;;) {
             const std::uint64_t r = rec.req.load(std::memory_order_seq_cst);
             if (req_tag(r) != g || req_state(r) != kStPending) return;
@@ -562,7 +588,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
 
     // Drive the request in slot s (tag g, kind enqueue) until resolved.
     void help_enqueue(std::size_t s, std::uint64_t g) {
-        HelpRecord& rec = records_[s];
+        HelpRecord& rec = record(s);
         for (;;) {
             const std::uint64_t a = rec.arg.load(std::memory_order_seq_cst);
             if (tag_of(a) != g) return;  // request finished and slot reused
@@ -653,7 +679,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
 
     // Drive the request in slot s (tag g, kind dequeue) until resolved.
     void help_dequeue(std::size_t s, std::uint64_t g) {
-        HelpRecord& rec = records_[s];
+        HelpRecord& rec = record(s);
         for (;;) {
             const std::uint64_t a = rec.arg.load(std::memory_order_seq_cst);
             if (tag_of(a) != g) return;
@@ -794,7 +820,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
                 cycle_of(e) != cycle_of_ticket(T)) {
                 break;  // already consumed; val was published first
             }
-            counted_cas(records_[s].val, pack_tagged(g, kNonePayload),
+            counted_cas(record(s).val, pack_tagged(g, kNonePayload),
                         pack_tagged(g, index_of(e)));
             if (counted_cas(entry, e,
                             pack(cycle_of_ticket(T), is_safe(e), bottom_))) {
@@ -828,7 +854,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
         const std::size_t s = note_slot(e);
         const std::uint64_t g = note_tag(e);
         const std::uint64_t t = ticket_of(u, cycle_of(e));
-        HelpRecord& rec = records_[s];
+        HelpRecord& rec = record(s);
         Entry& entry = entries_[u];
         for (;;) {
             if (entry.load(std::memory_order_seq_cst) != e) return;
@@ -868,7 +894,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
 
     WcqConfig cfg_;
     std::atomic<std::uint64_t> slow_count_{0};
-    HelpRecord records_[kWcqSlots];
+    alignas(kDestructivePairSize) HelpRecord records_[kWcqSlots];
 };
 
 // The wCQ value queue and its bounded registry queue ("wcq"): scq.hpp's

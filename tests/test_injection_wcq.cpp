@@ -11,6 +11,7 @@
 // false in the progress test below and it fails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <thread>
@@ -168,6 +169,34 @@ TEST_F(InjectWcq, CompletedDeadRequestersRecordRefusesReuse) {
     EXPECT_EQ(successes.load(), 1);
     EXPECT_EQ(r.dequeue().value_or(99), 1u);
     EXPECT_FALSE(r.dequeue().has_value());
+
+    // Recycling the ring (what the segment pool does) scrubs every record,
+    // wherever record(s) places it: the retired slot is usable again, so
+    // the same two dense ids now both get through.
+    r.reset();
+    for (std::size_t s = 0; s < kWcqSlots; ++s) {
+        EXPECT_EQ(r.debug_record_state(s), 0u) << "slot " << s;  // kStIdle
+    }
+    collisions = 0;
+    successes = 0;
+    finished = 0;
+    run_threads(2, [&](int id) {
+        const auto res = r.debug_enqueue_slow(static_cast<std::uint64_t>(2 + id));
+        if (!res.has_value()) {
+            collisions.fetch_add(1);
+        } else {
+            EXPECT_EQ(*res, EnqueueResult::kOk);
+            successes.fetch_add(1);
+        }
+        finished.fetch_add(1);
+        while (finished.load() < 2) std::this_thread::yield();
+    });
+    EXPECT_EQ(collisions.load(), 0) << "reset must release the dead slot";
+    EXPECT_EQ(successes.load(), 2);
+    std::vector<std::uint64_t> got;
+    while (auto v = r.dequeue()) got.push_back(*v);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, (std::vector<std::uint64_t>{2, 3}));
 }
 
 // Window 0 — counted but not yet published: the requester dies between

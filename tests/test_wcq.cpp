@@ -11,10 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "arch/cacheline.hpp"
 #include "arch/counters.hpp"
 #include "queues/lwcq.hpp"
 #include "queues/wcq.hpp"
@@ -135,6 +138,30 @@ TEST(WcqRing, ConcurrentSlowPathCirculation) {
         ++count;
     }
     EXPECT_EQ(count, 8u);
+}
+
+TEST(WcqRing, HelpRecordsArePackedAndSpread) {
+    // The 64 help records cost the ring their 24 B each plus at most two
+    // line pairs of alignment, not a padded line pair each (8 KiB a ring).
+    EXPECT_LE(sizeof(WcqRing<>) - sizeof(ScqRing<>),
+              kWcqSlots * 3 * sizeof(std::uint64_t) + 2 * kDestructivePairSize);
+
+    // Packed, they still keep concurrent slow paths apart: the records of
+    // slots 0-7 (the first 8 thread ids) touch 8 disjoint line pairs.
+    WcqRing<> r(3);
+    std::set<std::uintptr_t> pairs;
+    std::size_t touched = 0;
+    for (std::size_t s = 0; s < 8; ++s) {
+        const auto first = reinterpret_cast<std::uintptr_t>(r.debug_record_address(s));
+        const auto last = first + 3 * sizeof(std::uint64_t) - 1;
+        for (auto p = first / kDestructivePairSize; p <= last / kDestructivePairSize;
+             ++p) {
+            pairs.insert(p);
+            ++touched;
+        }
+    }
+    EXPECT_EQ(touched, 8u) << "a record of slots 0-7 straddles two line pairs";
+    EXPECT_EQ(pairs.size(), 8u) << "two of slots 0-7 share a line pair";
 }
 
 // --- the bounded registry queue --------------------------------------------
