@@ -3,10 +3,13 @@
 // honest here so a regression in a substrate is not misread as an
 // algorithmic effect:
 //   hazard-pointer protect/clear and retire/scan, event-counter bumps,
-//   thread-id lookup, histogram recording, RNG draw, rdtsc.
+//   thread-id lookup, histogram recording, RNG draw, rdtsc, and one TSC
+//   calibration.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <thread>
+#include <vector>
 
 #include "arch/counters.hpp"
 #include "arch/thread_id.hpp"
@@ -38,10 +41,52 @@ void BM_HazardRetireScanAmortized(benchmark::State& state) {
 }
 BENCHMARK(BM_HazardRetireScanAmortized);
 
-void BM_CounterBump(benchmark::State& state) {
-    for (auto _ : state) {
-        stats::count(stats::Event::kFaa);
+// What a segment retire costs the list layer: it drains at once, so each
+// retire pays a full scan of the published slots.  A few other threads
+// hold slots published meanwhile, as a live queue's do.
+void BM_HazardRetireDrainNow(benchmark::State& state) {
+    constexpr int kForeign = 3;
+    HazardDomain domain;
+    int pinned[kForeign] = {};
+    std::atomic<int> published{0};
+    std::atomic<bool> done{false};
+    std::vector<std::thread> foreign;
+    for (int i = 0; i < kForeign; ++i) {
+        foreign.emplace_back([&, i] {
+            const std::atomic<int*> src{&pinned[i]};
+            domain.protect(src, 0);
+            published.fetch_add(1);
+            done.wait(false);
+            domain.clear(0);
+        });
     }
+    while (published.load() < kForeign) std::this_thread::yield();
+    for (auto _ : state) {
+        domain.retire(new int(1));
+        domain.drain_now();
+    }
+    done.store(true);
+    done.notify_all();
+    for (auto& t : foreign) t.join();
+}
+BENCHMARK(BM_HazardRetireDrainNow);
+
+// A fixed rotation of 8 events per iteration: 8 independent load/add/store
+// chains through 8 slots, so the time is the count path's, not one store
+// forwarding into the next load of the same address.  Items are counts.
+void BM_CounterBump(benchmark::State& state) {
+    using stats::Event;
+    for (auto _ : state) {
+        stats::count(Event::kFaa);
+        stats::count(Event::kSwap);
+        stats::count(Event::kCas);
+        stats::count(Event::kCasFailure);
+        stats::count(Event::kCas2);
+        stats::count(Event::kEnqueue);
+        stats::count(Event::kDequeue);
+        stats::count(Event::kDequeueEmpty);
+    }
+    state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_CounterBump);
 
@@ -85,6 +130,14 @@ void BM_SpinForNs(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SpinForNs)->Arg(0)->Arg(50)->Arg(100);
+
+// What the first tsc_per_ns() call in a process costs.
+void BM_TscCalibration(benchmark::State& state) {
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(detail::calibrate_tsc());
+    }
+}
+BENCHMARK(BM_TscCalibration)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

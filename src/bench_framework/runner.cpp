@@ -192,8 +192,9 @@ RunResult run_pairs(const QueueFactory& factory, const RunConfig& cfg) {
                      cfg.threads, max_threads());
         return result;
     }
-    // The TSC/ns ratio is calibrated lazily (~10 ms); force it here so no
-    // worker pays it inside the measured loop.
+    // The TSC/ns ratio is calibrated lazily (1 ms on a user-space clock,
+    // up to 10 ms); force it here so no worker pays it inside the measured
+    // loop.
     (void)tsc_per_ns();
     const topo::Topology topology = effective_topology(cfg);
     const auto plan = topo::plan_placement(topology, cfg.threads, cfg.placement);

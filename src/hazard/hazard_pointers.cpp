@@ -36,7 +36,7 @@ void HazardDomain::drain(detail::HazardRecord& rec) {
     std::vector<detail::RetiredObject>& objs = rec.retired;
     if (objs.empty()) return;
     LCRQ_INJECT_POINT(kHazardScan);
-    std::vector<void*> protected_ptrs;
+    std::vector<void*>& protected_ptrs = rec.protected_ptrs;
     collect_protected(protected_ptrs);
     std::size_t kept = 0;
     for (auto& obj : objs) {

@@ -57,6 +57,10 @@ struct alignas(kDestructivePairSize) HazardRecord {
     // retired.size() as of the owner's last retire or drain: what
     // retired_count() reads while the owner pushes and drains.
     std::atomic<std::size_t> retired_tally{0};
+    // The protected pointers a drain of `retired` collects, kept so a
+    // drain allocates nothing once it has grown.  Used only by whoever may
+    // drain `retired`: the owner, or scan() at quiescence.
+    std::vector<void*> protected_ptrs;
 };
 
 }  // namespace detail

@@ -700,8 +700,9 @@ class BlockingQueue {
     // Dequeues signal the space eventcount only when a producer can be
     // refused for want of space.
     const bool bounded_ = capacity_ != 0 || base_.capacity() != 0;
-    // The TSC rate, calibrated (~10 ms, once per process) at construction
-    // rather than inside the first waiter's spin window.
+    // The TSC rate, calibrated (1 ms on a user-space clock, once per
+    // process) at construction rather than inside the first waiter's spin
+    // window.
     const double tsc_per_ns_ = tsc_per_ns();
     detail::EventCount items_ec_;  // consumers wait; admissions signal
     detail::EventCount space_ec_;  // bounded producers wait; dequeues signal

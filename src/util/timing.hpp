@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <ctime>
+#include <span>
 
 #if defined(__x86_64__)
 #include <x86intrin.h>
@@ -46,8 +47,40 @@ inline std::uint64_t rdtsc_fenced() noexcept {
 #endif
 }
 
-// TSC ticks per nanosecond, measured once at startup (~10 ms).
+// TSC ticks per nanosecond, measured on first use by detail::calibrate_tsc()
+// (1 ms where the clock is read in user space, up to 10 ms where each read
+// is a system call), then constant for the process.
 double tsc_per_ns();
+
+namespace detail {
+
+// One bracketed TSC read: the monotonic clock read before and after a
+// fenced rdtsc.  The TSC was read somewhere in [ns_before, ns_after];
+// pairing it with the midpoint is off by at most half the width.
+struct TscBracket {
+    std::uint64_t ns_before = 0;
+    std::uint64_t tsc = 0;
+    std::uint64_t ns_after = 0;
+
+    std::uint64_t width_ns() const noexcept { return ns_after - ns_before; }
+};
+
+// TSC ticks per nanosecond between two ends of a window, each given as
+// non-empty brackets taken back to back.  Each end uses only its narrowest
+// bracket, so a read that was preempted widens one bracket and is skipped;
+// 0 if no time passed between the two.
+double tsc_rate(std::span<const TscBracket> start, std::span<const TscBracket> end);
+
+// The window for brackets `bracket_width_ns` wide: the shortest that keeps
+// each end's uncertainty, half its bracket, within 5e-5 of the window (the
+// rate within 1e-4), clamped to [1 ms, 10 ms].
+std::uint64_t calibration_window_ns(std::uint64_t bracket_width_ns);
+
+// One calibration: bracket the TSC, busy-wait the window chosen from the
+// opening bracket's width (or `min_window_ns`, if longer), bracket it again.
+double calibrate_tsc(std::uint64_t min_window_ns = 0);
+
+}  // namespace detail
 
 inline double tsc_to_ns(std::uint64_t ticks) {
     return static_cast<double>(ticks) / tsc_per_ns();

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "util/json.hpp"
 #include "util/stats.hpp"
@@ -69,6 +70,50 @@ TEST(Timing, TscCalibrationPositive) {
     // Plausible range for any modern machine: 0.1 .. 10 GHz.
     EXPECT_GT(tsc_per_ns(), 0.1);
     EXPECT_LT(tsc_per_ns(), 10.0);
+}
+
+TEST(Timing, BracketedEstimatorPrefersNarrowBrackets) {
+    // A synthetic TSC at exactly 2.1 ticks/ns (clock readings that are
+    // multiples of 10 map to whole ticks).
+    auto tsc_at = [](std::uint64_t ns) { return 7'000'000 + ns * 21 / 10; };
+    // Each end holds one narrowest bracket whose TSC read sits at its
+    // midpoint, wider ones whose read sits at an edge, and a preempted
+    // read: 50 us between its two clock reads, its TSC at one edge.
+    const std::vector<detail::TscBracket> start = {
+        {1'000, tsc_at(1'000), 51'000},        // preempted after the TSC read
+        {51'010, tsc_at(51'010), 51'070},
+        {51'080, tsc_at(51'090), 51'100},      // narrowest: midpoint 51'090
+        {51'110, tsc_at(51'110), 51'200},
+    };
+    const std::vector<detail::TscBracket> end = {
+        {1'051'000, tsc_at(1'051'060), 1'051'060},
+        {1'051'070, tsc_at(1'051'080), 1'051'090},  // narrowest: midpoint 1'051'080
+        {1'051'110, tsc_at(1'101'110), 1'101'110},  // preempted before the TSC read
+    };
+    EXPECT_NEAR(detail::tsc_rate(start, end), 2.1, 2.1e-12);
+    // The data discriminates: pairing the preempted reads, or the wider
+    // ones, would be far off the synthetic rate.
+    EXPECT_GT(std::abs(detail::tsc_rate({&start[0], 1}, {&end[2], 1}) - 2.1), 0.05);
+    EXPECT_GT(std::abs(detail::tsc_rate({&start[1], 1}, {&end[0], 1}) - 2.1), 1e-4);
+    // No time between the two ends: no rate.
+    EXPECT_EQ(detail::tsc_rate(start, start), 0.0);
+}
+
+TEST(Timing, CalibrationWindowScalesWithBracketWidth) {
+    // Each end's half-bracket within 5e-5 of the window, in [1 ms, 10 ms].
+    EXPECT_EQ(detail::calibration_window_ns(0), 1'000'000u);
+    EXPECT_EQ(detail::calibration_window_ns(80), 1'000'000u);
+    EXPECT_EQ(detail::calibration_window_ns(200), 2'000'000u);
+    EXPECT_EQ(detail::calibration_window_ns(999), 9'990'000u);
+    EXPECT_EQ(detail::calibration_window_ns(1'000), 10'000'000u);
+    EXPECT_EQ(detail::calibration_window_ns(5'000), 10'000'000u);
+    EXPECT_EQ(detail::calibration_window_ns(std::numeric_limits<std::uint64_t>::max()),
+              10'000'000u);
+}
+
+TEST(Timing, CalibrationAgreesWithLongWindow) {
+    const double reference = detail::calibrate_tsc(20'000'000);
+    EXPECT_NEAR(tsc_per_ns(), reference, reference * 1e-4);
 }
 
 TEST(Timing, SpinForNsWaitsApproximately) {
