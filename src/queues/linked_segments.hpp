@@ -31,7 +31,11 @@
 //
 // The segment contract (ListSegment below) is met by Crq (crq.hpp) and by
 // the SCQ family's one value queue, Scq/Wcq (scq.hpp); the bulk operations
-// exist only over segments that have batch paths (BulkListSegment).
+// exist only over segments that have batch paths (BulkListSegment).  Over
+// segments with list forms that take a slot cache (SlotKeepingSegment: Scq
+// and Wcq), the list owns one cache per thread and hands the calling
+// thread's to single-item enqueues and dequeues, so a dequeue's freed slot
+// can go to the same thread's next enqueue without crossing fq.
 #pragma once
 
 #include <atomic>
@@ -45,6 +49,7 @@
 #include "arch/cacheline.hpp"
 #include "arch/faa_policy.hpp"
 #include "arch/inject.hpp"
+#include "arch/thread_id.hpp"
 #include "hazard/hazard_pointers.hpp"
 #include "queues/hierarchy.hpp"
 #include "queues/queue_common.hpp"
@@ -84,10 +89,34 @@ concept BulkListSegment =
         { s.dequeue_bulk(out, max) } -> std::same_as<std::size_t>;
     };
 
+// Segments whose list forms of try_enqueue and dequeue take the calling
+// thread's slot cache for the queue (scq.hpp's ScqSlotCache).
+template <typename S>
+concept SlotKeepingSegment =
+    ListSegment<S> && requires(S s, typename S::SlotCache& cache, value_t v) {
+        { s.try_enqueue(v, cache) } -> std::same_as<EnqueueResult>;
+        { s.dequeue(cache) } -> std::same_as<std::optional<value_t>>;
+    };
+
+namespace detail {
+
+// The per-thread slot caches a list over S owns: none unless S keeps slots.
+template <typename S>
+struct SlotCaches {
+    struct type {};
+};
+template <SlotKeepingSegment S>
+struct SlotCaches<S> {
+    using type = ThreadTable<typename S::SlotCache>;
+};
+
+}  // namespace detail
+
 template <ListSegment Seg, class Hierarchy = NoHierarchy, bool Protected = true>
 class LinkedSegments {
   public:
     static constexpr const char* kName = Seg::kListName;
+    static constexpr bool kKeepsSlots = SlotKeepingSegment<Seg>;
 
     explicit LinkedSegments(const QueueOptions& opt = {})
         : opt_(opt),
@@ -137,7 +166,7 @@ class LinkedSegments {
         for (;;) {
             Seg* seg = acquire_tail();
             hierarchy_.enter(*seg);
-            const EnqueueResult r = seg->try_enqueue(x);
+            const EnqueueResult r = enqueue_into(*seg, x);
             if (r == EnqueueResult::kOk || append(seg, r, x)) {
                 release();
                 return EnqueueResult::kOk;
@@ -202,7 +231,7 @@ class LinkedSegments {
         for (;;) {
             Seg* seg = acquire(*head_);
             hierarchy_.enter(*seg);
-            if (auto v = seg->dequeue()) {
+            if (auto v = dequeue_from(*seg)) {
                 release();
                 return v;
             }
@@ -267,7 +296,9 @@ class LinkedSegments {
     // concurrency; a middle segment counts as R items however many it got
     // before it closed, so tantrum-closed middle segments and the enqueue
     // tickets a closed head wasted make it over-count, never under-count
-    // when quiescent.  Cheap enough for a per-admit watermark.
+    // when quiescent.  For introspection: it protects both ends and reads
+    // four shared lines, so the blocking facade keeps per-thread tallies
+    // (blocking_queue.hpp) instead of calling it per operation.
     std::uint64_t approx_size() {
         return with_ends([this](Seg* h, Seg* t) {
             std::uint64_t n = h->approx_size();
@@ -291,7 +322,38 @@ class LinkedSegments {
     HazardDomain& hazard_domain() noexcept { return domain_; }
     SegmentPool<Seg>& segment_pool() noexcept { return pool_; }
 
+    // Test peer for a quiescent queue: f(segment, kept) for every live
+    // segment, head to tail, where kept counts the threads whose cache
+    // holds a slot of the segment's current life.
+    template <typename F>
+    void debug_census(F f)
+        requires kKeepsSlots
+    {
+        for (Seg* s = head_->load(); s != nullptr; s = s->next.load()) {
+            std::uint64_t kept = 0;
+            caches_.for_each([&](const auto& c) { kept += s->holds_slot(c) ? 1 : 0; });
+            f(*s, kept);
+        }
+    }
+
   private:
+    // One item into or out of `seg`, over this thread's slot cache where
+    // the segment keeps slots.
+    EnqueueResult enqueue_into(Seg& seg, value_t x) {
+        if constexpr (kKeepsSlots) {
+            return seg.try_enqueue(x, caches_.local());
+        } else {
+            return seg.try_enqueue(x);
+        }
+    }
+    std::optional<value_t> dequeue_from(Seg& seg) {
+        if constexpr (kKeepsSlots) {
+            return seg.dequeue(caches_.local());
+        } else {
+            return seg.dequeue();
+        }
+    }
+
     // Protect the tail segment, first helping swing a tail that lags
     // behind an appended segment.
     Seg* acquire_tail() {
@@ -422,6 +484,9 @@ class LinkedSegments {
     std::atomic<bool> closed_{false};
     CacheAligned<std::atomic<Seg*>, kDestructivePairSize> head_{nullptr};
     CacheAligned<std::atomic<Seg*>, kDestructivePairSize> tail_{nullptr};
+    // Each thread's kept slot (SlotKeepingSegment only).  One table per
+    // queue: a slot kept in one queue is never offered to another.
+    [[no_unique_address]] typename detail::SlotCaches<Seg>::type caches_;
 };
 
 }  // namespace lcrq

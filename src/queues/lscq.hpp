@@ -10,6 +10,12 @@
 // every RMW is on a single 64-bit word, which is the point of carrying a
 // second backend: identical harness, portable primitives (the segment pool
 // preserves this: its pop is an exchange, not a tagged CAS).
+//
+// An SCQ segment moves each value through two rings (free slot out of fq,
+// index into aq), but in a list the thread that dequeues from the last
+// segment keeps the slot it freed, in its per-queue cache, for its own next
+// enqueue (scq.hpp, ScqSlotCache): a dequeue–enqueue pair on a shallow
+// queue touches one ring per operation, as LCRQ does.  Not in DISC'19.
 #pragma once
 
 #include "arch/faa_policy.hpp"

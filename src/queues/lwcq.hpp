@@ -15,6 +15,12 @@
 //
 // No bulk operations: a wCQ help record describes one ticket, so a batch
 // claim has no slow path a helper could finish.
+//
+// As in LSCQ, a thread's dequeue from the last segment keeps the slot it
+// freed for its own next enqueue (scq.hpp, ScqSlotCache), so a pair on a
+// shallow queue crosses one ring instead of two.  The kept path adds no
+// loop, so each operation stays wait-free, and the slot counts against the
+// segment's n, so memory stays bounded.  Not in SPAA'22.
 #pragma once
 
 #include "arch/faa_policy.hpp"

@@ -25,6 +25,14 @@
 // outstanding — automatic here, because enqueuers hold indices they got
 // from fq (capacity n) and LSCQ closes a full segment instead of spinning.
 //
+// In a list (LSCQ, LwCQ) a thread's dequeue from the last segment keeps the
+// slot it freed instead of returning it to fq, and the same thread's next
+// enqueue into that segment publishes it through aq without touching fq
+// (ScqSlotCache; not in DISC'19).  A dequeue–enqueue pair then costs one
+// ring's F&A and entry RMW each way, as an LCRQ pair does.  Every index is
+// in exactly one place — aq, fq, an operation in flight, or one thread's
+// cache — so live + in-flight + kept ≤ n and the threshold bound stands.
+//
 // Tantrum behaviour: ScqRing never closes itself (a closed fq would brick
 // the standalone queue); close() is explicit, and the list layer
 // (linked_segments.hpp) closes a segment's aq when fq reports full,
@@ -106,6 +114,15 @@ class ScqTicketCore {
     }
 
     bool huge_backed() const noexcept { return slab_.huge_backed; }
+
+    // Test peer for a quiescent ring: how many indices it holds.
+    std::uint64_t debug_held() const noexcept {
+        std::uint64_t n = 0;
+        for (std::uint64_t u = 0; u < size_; ++u) {
+            if (index_of(entries_[u].load(std::memory_order_seq_cst)) != bottom_) ++n;
+        }
+        return n;
+    }
 
   protected:
     // Capacity 2^order, pre-filled with the consecutive integers
@@ -499,6 +516,16 @@ class ScqRing : public ScqTicketCore<0> {
 // Per-round scratch size for the value-queue bulk paths.
 inline constexpr std::size_t kScqBulkChunk = 64;
 
+// One thread's kept slot in one list queue: the index a dequeue freed in
+// life `ordinal` of `segment`, held back from fq for the same thread's next
+// enqueue into that life.  The ordinal is part of the key because a
+// recycled segment starts a new life whose fq already holds every index.
+struct alignas(kCacheLineSize) ScqSlotCache {
+    const void* segment = nullptr;  // nullptr: no slot kept
+    std::uint64_t ordinal = 0;
+    std::uint64_t index = 0;
+};
+
 // Rings with batch claims.  WcqRing has none: a wCQ help record describes
 // one ticket, so a batch claim has no slow path a helper could finish.
 template <class Ring>
@@ -512,14 +539,16 @@ concept ScqBatchRing =
 // The SCQ-family value queue: an allocated-queue/free-queue pair of rings
 // over a plain data array.  The array needs no atomics: the publishing
 // entry CAS in aq (or fq) is the release, and the consuming load is the
-// acquire, for each slot's handoff between writer and reader.  Over
-// WcqRing both rings carry the helping layer, so slot acquisition (fq) and
-// publication (aq) both survive a descheduled peer.
+// acquire, for each slot's handoff between writer and reader; a kept slot
+// is written by the thread that read it.  Over WcqRing both rings carry the
+// helping layer, so slot acquisition (fq) and publication (aq) both survive
+// a descheduled peer.
 template <class R>
 class ScqValueQueue {
   public:
     using Ring = R;
     using Config = typename Ring::Config;
+    using SlotCache = ScqSlotCache;
 
     // Capacity 2^order values, optionally seeded with one item (the list
     // layer appends segments "initialized to contain x", like LCRQ does
@@ -571,16 +600,9 @@ class ScqValueQueue {
     ScqValueQueue& operator=(const ScqValueQueue&) = delete;
 
     EnqueueResult try_enqueue(value_t x) {
-        assert(is_enqueueable(x));
         const auto idx = fq_.dequeue();
         if (!idx.has_value()) return EnqueueResult::kFull;
-        data_[*idx] = x;
-        if (aq_.enqueue(*idx) == EnqueueResult::kClosed) {
-            // The slot (and its item) never became visible; recycle it.
-            fq_.enqueue(*idx);
-            return EnqueueResult::kClosed;
-        }
-        return EnqueueResult::kOk;
+        return publish(*idx, x);
     }
 
     std::optional<value_t> dequeue() {
@@ -589,6 +611,38 @@ class ScqValueQueue {
         const value_t v = data_[*idx];
         fq_.enqueue(*idx);
         return v;
+    }
+
+    // The list layer's forms, over the calling thread's slot cache for the
+    // queue.  An enqueue into the life the cache names uses the kept slot
+    // and skips fq.  The cache is cleared before the publish, so a thread
+    // killed there loses that one slot and never hands it on twice.
+    EnqueueResult try_enqueue(value_t x, SlotCache& cache) {
+        if (!holds_slot(cache)) return try_enqueue(x);
+        cache.segment = nullptr;
+        return publish(cache.index, x);
+    }
+
+    // A dequeue from the last segment keeps the slot it freed when the
+    // cache holds none for this life; any other dequeue returns it to fq.
+    // A cache naming an earlier segment is overwritten: head has passed
+    // that segment, so nothing will enqueue into it again.
+    std::optional<value_t> dequeue(SlotCache& cache) {
+        const auto idx = aq_.dequeue();
+        if (!idx.has_value()) return std::nullopt;
+        const value_t v = data_[*idx];
+        if (next.load(std::memory_order_relaxed) == nullptr && !holds_slot(cache)) {
+            cache = {this, ordinal.load(std::memory_order_relaxed), *idx};
+        } else {
+            fq_.enqueue(*idx);
+        }
+        return v;
+    }
+
+    // Whether `cache` keeps a slot of this segment's current life.
+    bool holds_slot(const SlotCache& cache) const noexcept {
+        return cache.segment == this &&
+               cache.ordinal == ordinal.load(std::memory_order_relaxed);
     }
 
     // Batched enqueue: each chunk is one fq claim round plus one aq claim
@@ -666,13 +720,28 @@ class ScqValueQueue {
     std::atomic<std::uint64_t> ordinal{0};
 
   private:
+    // Write slot idx and publish it through aq.  On a closed aq the slot
+    // (and its item) never became visible; recycle it.
+    EnqueueResult publish(std::uint64_t idx, value_t x) {
+        assert(is_enqueueable(x));
+        data_[idx] = x;
+        if (aq_.enqueue(idx) == EnqueueResult::kClosed) {
+            fq_.enqueue(idx);
+            return EnqueueResult::kClosed;
+        }
+        return EnqueueResult::kOk;
+    }
+
+    // data_ sits before the rings, on the first line with the list hooks,
+    // so the kept-slot gate's loads of next and ordinal hit the line every
+    // dequeue reads for data_.
     const std::uint64_t capacity_;
     const bool huge_;  // hugepage request, pre-gated by kHugeMinRingOrder
     const int home_cluster_;
+    value_t* data_;
+    mem::Slab data_slab_;
     Ring aq_;  // allocated: indices of slots currently holding items
     Ring fq_;  // free: indices of vacant slots
-    mem::Slab data_slab_;
-    value_t* data_;
 };
 
 template <class Faa = HardwareFaa>

@@ -213,6 +213,55 @@ TEST_F(InjectScq, KilledEnqueuerLeaksOneSlotQueueDegradesGracefully) {
     EXPECT_FALSE(q.dequeue().has_value()) << "the dead 9 must never surface";
 }
 
+// The list's kept-slot path has the same one window: an LSCQ enqueuer
+// killed while it publishes the slot its last dequeue kept.  The slot left
+// the cache before the publish, so exactly that one slot is lost (the
+// bound above) and the id's next owner finds no slot to reuse twice.
+// Survivors keep FIFO order and the dead item never surfaces.
+TEST_F(InjectScq, KilledEnqueuerOnTheKeptSlotPathLeaksOneSlot) {
+    QueueOptions opt;
+    opt.ring_order = 2;  // capacity 4
+    LscqQueue q(opt);
+    // The victim's entry CASes: aq's publish of 9 (fq's consume and aq's
+    // are fetch-ors), then aq's publish of 10 into the kept slot.
+    ctl().kill_at(1, Point::kScqBeforeEntryCas, 2);
+    ctl().arm();
+
+    bool victim_killed = false;
+    run_threads(2, [&](int id) {
+        ctl().bind_thread(id);
+        if (id == 1) {
+            q.enqueue(9);
+            EXPECT_EQ(q.dequeue().value_or(0), 9u);  // keeps the slot
+            try {
+                q.enqueue(10);
+            } catch (const ThreadKilled&) {
+                victim_killed = true;
+            }
+        } else {
+            await([&] { return ctl().kills_fired() >= 1; });
+            for (value_t v = 1; v <= 4; ++v) q.enqueue(v);
+        }
+    });
+
+    EXPECT_TRUE(victim_killed);
+    EXPECT_EQ(ctl().kills_fired(), 1u);
+    // Three slots took 1..3; 4 found the first segment full and went to a
+    // fresh one.  The dead thread's hazard slot still pins the first
+    // segment, which the census walks.
+    std::vector<std::uint64_t> in_use;
+    q.debug_census([&](auto& seg, std::uint64_t kept) {
+        in_use.push_back(seg.allocated_ring().debug_held() +
+                         seg.free_ring().debug_held() + kept);
+    });
+    EXPECT_EQ(in_use, (std::vector<std::uint64_t>{3, 4}))
+        << "exactly the victim's slot must be lost";
+    for (value_t v = 1; v <= 4; ++v) {
+        ASSERT_EQ(q.dequeue().value_or(0), v);
+    }
+    EXPECT_FALSE(q.dequeue().has_value()) << "the dead 10 must never surface";
+}
+
 // Seeded random sweep on the bounded queue: delays at every SCQ point,
 // full accounting (the bounded queue never refuses — enqueue spins on
 // backpressure — so every value arrives exactly once, FIFO per producer).

@@ -455,6 +455,49 @@ TEST_F(InjectWcq, ThresholdExhaustionRoutesIntoSlowPathKilledThereStillDrains) {
     EXPECT_EQ(second.value_or(99), 2u) << "the ring must keep working";
 }
 
+// The list's kept-slot path on LwCQ (test_injection_scq.cpp has the LSCQ
+// twin): an enqueuer killed at the entry CAS that publishes the slot its
+// last dequeue kept loses exactly that slot, survivors keep FIFO order,
+// and the dead item never surfaces.  wCQ consumes with a CAS, so the
+// victim's fourth entry CAS is the kept slot's publish.
+TEST_F(InjectWcq, KilledEnqueuerOnTheKeptSlotPathLeaksOneSlot) {
+    QueueOptions opt;
+    opt.ring_order = 2;  // capacity 4
+    LwcqQueue q(opt);
+    ctl().kill_at(1, Point::kScqBeforeEntryCas, 4);
+    ctl().arm();
+
+    bool victim_killed = false;
+    run_threads(2, [&](int id) {
+        ctl().bind_thread(id);
+        if (id == 1) {
+            q.enqueue(9);  // fq consume, aq publish
+            EXPECT_EQ(q.dequeue().value_or(0), 9u);  // aq consume; keeps the slot
+            try {
+                q.enqueue(10);
+            } catch (const ThreadKilled&) {
+                victim_killed = true;
+            }
+        } else {
+            await([&] { return ctl().kills_fired() >= 1; });
+            for (value_t v = 1; v <= 4; ++v) q.enqueue(v);
+        }
+    });
+
+    EXPECT_TRUE(victim_killed);
+    std::vector<std::uint64_t> in_use;
+    q.debug_census([&](auto& seg, std::uint64_t kept) {
+        in_use.push_back(seg.allocated_ring().debug_held() +
+                         seg.free_ring().debug_held() + kept);
+    });
+    EXPECT_EQ(in_use, (std::vector<std::uint64_t>{3, 4}))
+        << "exactly the victim's slot must be lost";
+    for (value_t v = 1; v <= 4; ++v) {
+        ASSERT_EQ(q.dequeue().value_or(0), v);
+    }
+    EXPECT_FALSE(q.dequeue().has_value()) << "the dead 10 must never surface";
+}
+
 // Seeded random sweep on the bounded wCQ value queue with an impatient
 // configuration, so delays constantly push operations through the helping
 // path: full accounting, FIFO per producer, and no request may be left

@@ -1,24 +1,29 @@
 // SCQ ring and value-queue pair (queues/scq.hpp) plus the LSCQ list
 // (queues/lscq.hpp): the single-word entry invariant the backend exists
 // for, ring FIFO/wrap/threshold behaviour, the aq/fq slot-recycling
-// discipline, closed-segment semantics, and MPMC exchanges on both the
-// bounded queue and the unbounded list (with hazard reclamation).
+// discipline, closed-segment semantics, the list's kept slots, and MPMC
+// exchanges on both the bounded queue and the unbounded list (with hazard
+// reclamation).
 //
 // The ring and value-queue behaviour SCQ and wCQ share (wCQ is SCQ's
 // ticket core plus helping, and both value queues are one template) runs
 // as typed suites over both; wCQ's helping path lives in test_wcq.cpp.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "arch/counters.hpp"
 #include "queues/lscq.hpp"
+#include "queues/lwcq.hpp"
 #include "queues/scq.hpp"
 #include "queues/wcq.hpp"
 #include "test_support.hpp"
+#include "util/xorshift.hpp"
 
 namespace lcrq {
 namespace {
@@ -385,6 +390,41 @@ TEST(LscqTest, ApproxSizeTracksOccupancyAcrossSegments) {
     EXPECT_EQ(q.approx_size(), 0u);
 }
 
+// One cache per queue: a thread that dequeues from A and enqueues into B
+// keeps A's freed slot for its next enqueue into A and B's for B.  A cache
+// shared by every queue a thread touches would drop one of A's slots on
+// each keep in B (and the reverse), so each queue would close a segment
+// and append a fresh one about every R = 8 items.
+TEST(LscqTest, KeptSlotsStayWithTheirQueue) {
+    QueueOptions opt;
+    opt.ring_order = 3;
+    LscqQueue a(opt);
+    LscqQueue b(opt);
+    constexpr value_t kItems = 10'000;
+    constexpr value_t kInFlight = 4;
+    const auto before = stats::global_snapshot();
+    test::run_threads(1, [&](int) {
+        value_t expected = 1;
+        const auto relay_one = [&] {
+            const auto v = a.dequeue();
+            ASSERT_TRUE(v.has_value());
+            b.enqueue(*v);
+            ASSERT_EQ(b.dequeue().value_or(0), expected++);
+        };
+        for (value_t v = 1; v <= kItems; ++v) {
+            a.enqueue(v);
+            if (v >= kInFlight) relay_one();
+        }
+        for (value_t left = 1; left < kInFlight; ++left) relay_one();
+        EXPECT_FALSE(a.dequeue().has_value());
+        EXPECT_FALSE(b.dequeue().has_value());
+    });
+    const auto d = stats::global_snapshot() - before;
+    EXPECT_EQ(d[stats::Event::kCrqAppend], 0u) << "a kept slot crossed queues";
+    EXPECT_EQ(a.segment_count(), 1u);
+    EXPECT_EQ(b.segment_count(), 1u);
+}
+
 TEST(LscqTest, NoCas2OnAnyPath) {
     // The whole reason for the second backend: an LSCQ workout must finish
     // with a zero CAS2 count (cf. LCRQ, where CAS2 is the hot path).
@@ -398,6 +438,139 @@ TEST(LscqTest, NoCas2OnAnyPath) {
     EXPECT_EQ(snap[stats::Event::kCas2], 0u);
     EXPECT_GT(snap[stats::Event::kFaa], 0u);
     EXPECT_GT(snap[stats::Event::kFetchOr], 0u) << "consumes must be fetch-or";
+}
+
+// --- kept slots: the list forms over each thread's slot cache -------------
+
+template <typename Q>
+struct KeptSlotList : ::testing::Test {};
+using KeptSlotLists = ::testing::Types<LscqQueue, LwcqQueue>;
+struct ListName {
+    template <typename Q>
+    static std::string GetName(int) {
+        return Q::kName;
+    }
+};
+TYPED_TEST_SUITE(KeptSlotList, KeptSlotLists, ListName);
+
+// A slot kept in one life of a recycled segment is dead in the next, which
+// is why the key is (segment, ordinal) and not the pointer alone.  One
+// segment of two slots goes keep -> fill -> close -> drain -> retire ->
+// pool -> reset -> append; its new life holds the appender's seed in slot
+// 0, the very slot the helper kept in the old life (a fresh fq hands out 0
+// first).  The helper's next enqueue must take slot 1 from fq: reusing the
+// stale slot would overwrite the seed and publish index 0 twice.
+TYPED_TEST(KeptSlotList, SlotKeptInAnEarlierLifeIsNeverUsed) {
+    QueueOptions opt;
+    opt.ring_order = 1;
+    ASSERT_GT(opt.segment_pool_cap, 0u);
+    TypeParam q(opt);
+
+    // One helper thread throughout, so its cache stays its own.
+    std::atomic<int> step{0};
+    const auto await_step = [&](int n) {
+        while (step.load() != n) std::this_thread::yield();
+    };
+    std::thread helper([&] {
+        q.enqueue(1);  // slot 0, from fq
+        EXPECT_EQ(q.dequeue().value_or(0), 1u);  // head == tail: keeps slot 0
+        step.store(1);
+        await_step(2);
+        q.enqueue(7);  // into the recycled segment's new life
+        step.store(3);
+    });
+    await_step(1);
+    const void* recycled = nullptr;
+    q.debug_census([&](auto& seg, std::uint64_t kept) {
+        recycled = &seg;
+        EXPECT_EQ(kept, 1u);
+        EXPECT_EQ(seg.free_ring().debug_held(), 1u);
+    });
+
+    q.enqueue(2);  // slot 1, the last free one
+    q.enqueue(3);  // full: close, append a segment seeded with 3
+    EXPECT_EQ(q.dequeue().value_or(0), 2u);
+    EXPECT_EQ(q.dequeue().value_or(0), 3u);  // drained: retired to the pool
+    ASSERT_EQ(q.segment_pool().size(), 1u);
+    q.enqueue(4);  // the slot this thread kept dequeuing 3
+    q.enqueue(5);
+    q.enqueue(6);  // full: the append pops, resets and seeds the old segment
+    ASSERT_EQ(q.segment_pool().size(), 0u);
+    EXPECT_EQ(q.segment_count(), 2u);
+
+    const auto tail_of = [&] {
+        const void* tail = nullptr;
+        std::uint64_t in_aq = 0, in_fq = 0, kept = 0;
+        q.debug_census([&](auto& seg, std::uint64_t k) {
+            tail = &seg;
+            in_aq = seg.allocated_ring().debug_held();
+            in_fq = seg.free_ring().debug_held();
+            kept = k;
+        });
+        EXPECT_EQ(tail, recycled) << "the pool must have handed the segment back";
+        return std::array<std::uint64_t, 3>{in_aq, in_fq, kept};
+    };
+    EXPECT_EQ(tail_of(), (std::array<std::uint64_t, 3>{1, 1, 0}))
+        << "the new life holds its seed and one free slot; the old life's "
+           "kept slot counts for nothing";
+
+    step.store(2);
+    await_step(3);
+    helper.join();
+    EXPECT_EQ(tail_of(), (std::array<std::uint64_t, 3>{2, 0, 0}))
+        << "the helper's enqueue must have taken its slot from fq";
+    for (value_t v = 4; v <= 7; ++v) {
+        ASSERT_EQ(q.dequeue().value_or(0), v);
+    }
+    EXPECT_FALSE(q.dequeue().has_value());
+    test::expect_census_balances(q);
+}
+
+// After 4-thread mixed runs over small segments the quiescent list
+// accounts for every slot of every live segment, and holds exactly the
+// items not yet dequeued.  Pairs first: each thread's dequeue keeps the
+// slot its next enqueue reuses, so the run never appends and ends with
+// one kept slot per thread.  Then a run biased toward enqueues closes
+// segments (some holding kept slots) and spans a backlog across them.
+TYPED_TEST(KeptSlotList, QuiescentCensusAccountsForEverySlot) {
+    QueueOptions opt;
+    opt.ring_order = 3;
+    TypeParam q(opt);
+    constexpr int kThreads = 4;
+    std::atomic<int> finished{0};
+    test::run_threads(kThreads, [&](int id) {
+        for (std::uint64_t i = 0; i < 20'000; ++i) {
+            q.enqueue(test::tag(static_cast<unsigned>(id), i));
+            EXPECT_TRUE(q.dequeue().has_value());
+        }
+        // No thread exits before all are done: an exited thread's id, and
+        // with it the id's cache, would pass to a thread yet to start.
+        finished.fetch_add(1);
+        while (finished.load() < kThreads) std::this_thread::yield();
+    });
+    test::Census c = test::expect_census_balances(q);
+    EXPECT_EQ(c.segments, 1u);
+    EXPECT_EQ(c.items, 0u);
+    EXPECT_EQ(c.kept, static_cast<std::uint64_t>(kThreads));
+
+    std::atomic<std::uint64_t> live{0};
+    test::run_threads(kThreads, [&](int id) {
+        Xoshiro256 rng(0x6b1 + static_cast<std::uint64_t>(id));
+        for (std::uint64_t i = 0; i < 4'000; ++i) {
+            if (rng.bounded(8) < 5) {
+                q.enqueue(test::tag(static_cast<unsigned>(id), i));
+                live.fetch_add(1);
+            } else if (q.dequeue().has_value()) {
+                live.fetch_sub(1);
+            }
+        }
+    });
+    c = test::expect_census_balances(q);
+    EXPECT_GT(c.segments, 2u) << "the backlog must span segments";
+    EXPECT_EQ(c.items, live.load());
+    while (q.dequeue().has_value()) live.fetch_sub(1);
+    EXPECT_EQ(live.load(), 0u);
+    EXPECT_EQ(test::expect_census_balances(q).items, 0u);
 }
 
 }  // namespace

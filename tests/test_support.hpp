@@ -145,6 +145,28 @@ inline void expect_exchange_valid(const std::vector<std::vector<value_t>>& recei
     EXPECT_EQ(total, static_cast<std::uint64_t>(producers) * per_producer);
 }
 
+// Every slot of a live segment is in exactly one place once the queue is
+// quiescent: items in aq + free slots in fq + slots threads keep for the
+// segment's current life = capacity.  Returns the totals over the list.
+struct Census {
+    std::uint64_t segments = 0, items = 0, kept = 0;
+};
+template <typename Q>
+Census expect_census_balances(Q& q) {
+    Census c;
+    q.debug_census([&](auto& seg, std::uint64_t kept) {
+        const std::uint64_t in_aq = seg.allocated_ring().debug_held();
+        const std::uint64_t in_fq = seg.free_ring().debug_held();
+        EXPECT_EQ(in_aq + in_fq + kept, seg.capacity())
+            << "segment " << seg.ordinal.load() << ": aq " << in_aq << ", fq "
+            << in_fq << ", kept " << kept;
+        ++c.segments;
+        c.items += in_aq;
+        c.kept += kept;
+    });
+    return c;
+}
+
 // Weaker variant for tantrum queues (raw CRQ): values may be missing (the
 // producer gave up after CLOSED) but per-producer order must still hold
 // per consumer and nothing may duplicate across consumers.

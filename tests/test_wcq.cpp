@@ -292,6 +292,39 @@ TEST(LwcqTest, MpmcExchangeZeroPatienceTinySegments) {
     test::expect_exchange_valid(test::mpmc_exchange(q, 3, 3, 3'000), 3, 3'000);
 }
 
+TEST(LwcqTest, KeptSlotsSurviveForcedHelping) {
+    // Pairs over tiny segments with zero patience, so a kept slot's
+    // publish falls back to the helping slow path after one failed round,
+    // and segments turn over while threads keep slots.  Nothing is lost,
+    // duplicated or reordered, and the quiescent list accounts for every
+    // slot of every live segment.
+    QueueOptions opt;
+    opt.ring_order = 2;
+    opt.wcq_patience = 0;
+    LwcqQueue q(opt);
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kPerThread = 3'000;
+    std::vector<std::vector<value_t>> received(kThreads);
+    std::atomic<int> finished{0};
+    test::run_threads(kThreads, [&](int id) {
+        auto& mine = received[static_cast<std::size_t>(id)];
+        for (std::uint64_t i = 0; i < kPerThread; ++i) {
+            q.enqueue(test::tag(static_cast<unsigned>(id), i));
+            // Every third round enqueues twice, so segments fill and close.
+            if (i % 3 == 0 && ++i < kPerThread) {
+                q.enqueue(test::tag(static_cast<unsigned>(id), i));
+            }
+            if (auto v = q.dequeue()) mine.push_back(*v);
+        }
+        finished.fetch_add(1);  // ids stay distinct until every thread is done
+        while (finished.load() < kThreads) std::this_thread::yield();
+    });
+    const test::Census c = test::expect_census_balances(q);
+    EXPECT_LE(c.kept, static_cast<std::uint64_t>(kThreads));
+    while (auto v = q.dequeue()) received[0].push_back(*v);
+    test::expect_exchange_valid(received, kThreads, kPerThread);
+}
+
 TEST(LwcqTest, ApproxSizeTracksOccupancyAcrossSegments) {
     QueueOptions opt;
     opt.ring_order = 2;
