@@ -6,6 +6,9 @@
 // facade's notify handshake (verify/notify_model.hpp), explored whole.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+
 #include "queues/crq.hpp"
 #include "queues/lcrq.hpp"
 #include "queues/scq.hpp"
@@ -530,33 +533,63 @@ TEST(ScqModel, EnqueueRescueRevivesUnsafeEntry) {
 // Within the invariant, pruned == 0 is assertable: the protocol has no
 // livelock, and any pruning would mean max_steps silently cut branches
 // out of the proof.
+//
+// The SCQ and wCQ models are deterministic given the script, the config
+// and the sampling seed, so every counter of every run below is pinned
+// through expect_counts: a change to any step's atomicity, order or
+// branch shows up as a count diff, not as a quieter pass.
+
+struct Counts {
+    std::uint64_t schedules = 0, violations = 0, unsafe = 0, empty = 0,
+                  rescues = 0, catchups = 0, threshold = 0, slow = 0,
+                  notes = 0, commits = 0, reverts = 0, empty_commits = 0;
+    friend bool operator==(const Counts&, const Counts&) = default;
+};
+
+void PrintTo(const Counts& c, std::ostream* os) {
+    *os << "{schedules " << c.schedules << ", violations " << c.violations
+        << ", unsafe " << c.unsafe << ", empty " << c.empty << ", rescues "
+        << c.rescues << ", catchups " << c.catchups << ", threshold "
+        << c.threshold << ", slow " << c.slow << ", notes " << c.notes
+        << ", commits " << c.commits << ", reverts " << c.reverts
+        << ", empty_commits " << c.empty_commits << "}";
+}
+
+// Every field of an SCQ-family result: the counts as given, no truncation
+// or pruning, and nothing of the list layer (the ring models never close
+// or append).
+void expect_counts(const ExploreResult& r, const Counts& want) {
+    const Counts got{r.schedules,         r.violations,    r.unsafe_transitions,
+                     r.empty_transitions, r.enq_rescues,   r.catchups,
+                     r.threshold_empties, r.slow_publishes, r.notes_placed,
+                     r.note_commits,      r.note_reverts,  r.empty_commits};
+    EXPECT_EQ(got, want) << r.summary();
+    EXPECT_FALSE(r.truncated) << r.summary();
+    EXPECT_EQ(r.pruned, 0u) << r.summary();
+    EXPECT_EQ(r.first_error.empty(), r.violations == 0) << r.summary();
+    EXPECT_EQ(r.closes, 0u);
+    EXPECT_EQ(r.appended_segments, 0u);
+}
 
 TEST(ExploreScq, ExhaustiveOneEnqOneDeq) {
     const auto r = explore_scq_exhaustive({{enq_op(1)}, {deq_op()}}, tiny());
-    EXPECT_FALSE(r.truncated) << r.summary();
-    EXPECT_EQ(r.pruned, 0u) << r.summary();
-    EXPECT_EQ(r.violations, 0u) << r.summary();
     // The enumeration is tiny and exactly countable: the uncontended
     // enqueue takes 5 steps (F&A, read, publish CAS, threshold check +
     // store), and the dequeue either lands its single-step threshold<0
     // fast path in one of the 5 gaps (EMPTY, linearized before the
     // publish) or runs after completion and consumes.  5 + 1 = 6.
-    EXPECT_EQ(r.schedules, 6u) << r.summary();
+    expect_counts(r, {.schedules = 6});
 }
 
 TEST(ExploreScq, ExhaustiveTwoEnqueuersTwoSlots) {
     const auto r = explore_scq_exhaustive({{enq_op(1)}, {enq_op(2)}}, tiny());
-    EXPECT_FALSE(r.truncated) << r.summary();
-    EXPECT_EQ(r.pruned, 0u) << r.summary();
-    EXPECT_EQ(r.violations, 0u) << r.summary();
+    expect_counts(r, {.schedules = 252});
 }
 
 TEST(ExploreScq, ExhaustiveEnqDeqPairVsDequeuer) {
     const auto r =
         explore_scq_exhaustive({{enq_op(1), deq_op()}, {deq_op()}}, tiny());
-    EXPECT_FALSE(r.truncated) << r.summary();
-    EXPECT_EQ(r.pruned, 0u) << r.summary();
-    EXPECT_EQ(r.violations, 0u) << r.summary();
+    expect_counts(r, {.schedules = 189, .empty = 184, .catchups = 184});
     // Both EMPTY-answer shapes are inside this enumeration.
     EXPECT_GT(r.empty_transitions, 0u) << r.summary();
     EXPECT_GT(r.catchups, 0u) << r.summary();
@@ -569,9 +602,10 @@ TEST(ExploreScq, ExhaustiveUnsafeTransitionOnCapacityOne) {
     // analogue of the CRQ §4.1.2 corner, exhaustively enumerated.
     const auto r = explore_scq_exhaustive(
         {{enq_op(1), deq_op()}, {deq_op(), deq_op()}}, tiny(1));
-    EXPECT_FALSE(r.truncated) << r.summary();
-    EXPECT_EQ(r.pruned, 0u) << r.summary();
-    EXPECT_EQ(r.violations, 0u) << r.summary();
+    expect_counts(r, {.schedules = 34'922,
+                      .unsafe = 154,
+                      .empty = 75'229,
+                      .catchups = 60'182});
     EXPECT_GT(r.unsafe_transitions, 0u)
         << "the lapping window was never enumerated: " << r.summary();
 }
@@ -587,11 +621,33 @@ TEST(ExploreScq, RandomSamplingThreeThreads) {
     const auto r = explore_scq_random(
         {{enq_op(1), deq_op()}, {deq_op(), deq_op()}, {deq_op(), deq_op()}},
         cfg);
-    EXPECT_EQ(r.violations, 0u) << r.summary();
-    EXPECT_EQ(r.pruned, 0u) << r.summary();
     EXPECT_GT(r.unsafe_transitions, 0u) << r.summary();
     EXPECT_GT(r.empty_transitions, 0u) << r.summary();
     EXPECT_GT(r.catchups, 0u) << r.summary();
+    expect_counts(r, {.schedules = 100'000,
+                      .unsafe = 491,
+                      .empty = 28'136,
+                      .catchups = 26'885,
+                      .threshold = 195});
+
+    // The enqueue rescue: T0 enqueues again once its dequeue has answered,
+    // so at most one item is enqueued and not yet dequeued at a time.  Its
+    // second ticket can draw an entry an overtaking dequeuer left unsafe
+    // (cycle behind, safe = 0, ⊥), which it may only fill after proving
+    // head <= t.
+    const auto rescue = explore_scq_random({{enq_op(1), deq_op(), enq_op(2)},
+                                            {deq_op(), deq_op()},
+                                            {deq_op(), deq_op()}},
+                                           cfg);
+    EXPECT_EQ(rescue.violations, 0u) << rescue.summary();
+    EXPECT_EQ(rescue.pruned, 0u) << rescue.summary();
+    EXPECT_GT(rescue.enq_rescues, 0u) << rescue.summary();
+    expect_counts(rescue, {.schedules = 100'000,
+                           .unsafe = 539,
+                           .empty = 23'969,
+                           .rescues = 161,
+                           .catchups = 15'815,
+                           .threshold = 249});
 }
 
 TEST(ExploreScq, RandomSamplingReachesThresholdExhaustion) {
@@ -605,8 +661,12 @@ TEST(ExploreScq, RandomSamplingReachesThresholdExhaustion) {
     const auto r = explore_scq_random(
         {{enq_op(1), deq_op()}, {deq_op(), deq_op()}, {deq_op(), deq_op()}},
         cfg);
-    EXPECT_EQ(r.violations, 0u) << r.summary();
     EXPECT_GT(r.threshold_empties, 0u) << r.summary();
+    expect_counts(r, {.schedules = 100'000,
+                      .unsafe = 532,
+                      .empty = 27'886,
+                      .catchups = 26'634,
+                      .threshold = 177});
 }
 
 // --- wCQ ring model (wcq_model.hpp) ---------------------------------------
@@ -748,11 +808,8 @@ TEST(ExploreWcq, ExhaustiveFastPathMatchesScqShape) {
     ExploreConfig cfg = tiny();
     cfg.wcq_patience = 64;
     const auto r = explore_wcq_exhaustive({{enq_op(1)}, {deq_op()}}, cfg);
-    EXPECT_FALSE(r.truncated) << r.summary();
-    EXPECT_EQ(r.pruned, 0u) << r.summary();
-    EXPECT_EQ(r.violations, 0u) << r.summary();
-    EXPECT_EQ(r.schedules, 6u) << r.summary();
     EXPECT_EQ(r.slow_publishes, 0u) << "patience 64 must keep every op fast";
+    expect_counts(r, {.schedules = 6});
 }
 
 TEST(ExploreWcq, ExhaustiveSlowEnqueueVsDequeuer) {
@@ -766,12 +823,15 @@ TEST(ExploreWcq, ExhaustiveSlowEnqueueVsDequeuer) {
     cfg.wcq_patience = 0;
     cfg.wcq_armed = true;
     const auto r = explore_wcq_exhaustive({{enq_op(1)}, {deq_op()}}, cfg);
-    EXPECT_FALSE(r.truncated) << r.summary();
-    EXPECT_EQ(r.pruned, 0u) << r.summary();
-    EXPECT_EQ(r.violations, 0u) << r.summary();
     EXPECT_GT(r.slow_publishes, 0u) << r.summary();
     EXPECT_GT(r.notes_placed, 0u) << r.summary();
     EXPECT_GT(r.note_commits, 0u) << r.summary();
+    expect_counts(r, {.schedules = 452'938,
+                      .empty = 452'863,
+                      .catchups = 5,
+                      .slow = 892'178,
+                      .notes = 892'178,
+                      .commits = 892'178});
 }
 
 TEST(ExploreWcq, RandomSamplingSlowDequeueCommitsEmpty) {
@@ -792,11 +852,16 @@ TEST(ExploreWcq, RandomSamplingSlowDequeueCommitsEmpty) {
     cfg.seed = 7;
     const auto r = explore_wcq_random(
         {{enq_op(1), enq_op(2)}, {deq_op(), deq_op()}, {deq_op()}}, cfg);
-    EXPECT_EQ(r.pruned, 0u) << r.summary();
-    EXPECT_EQ(r.violations, 0u) << r.summary();
     EXPECT_GT(r.slow_publishes, 0u) << r.summary();
     EXPECT_GT(r.empty_commits, 0u)
         << "no schedule reached the slow-path EMPTY commit: " << r.summary();
+    expect_counts(r, {.schedules = 30'000,
+                      .empty = 57'502,
+                      .catchups = 34'242,
+                      .slow = 24'437,
+                      .notes = 23'510,
+                      .commits = 23'510,
+                      .empty_commits = 927});
 }
 
 TEST(ExploreWcq, RandomSamplingFastDequeuerResolvesForeignNote) {
@@ -813,10 +878,14 @@ TEST(ExploreWcq, RandomSamplingFastDequeuerResolvesForeignNote) {
     cfg.seed = 5;
     const auto r =
         explore_wcq_random({{enq_op(1)}, {deq_op(), deq_op()}}, cfg);
-    EXPECT_EQ(r.pruned, 0u) << r.summary();
-    EXPECT_EQ(r.violations, 0u) << r.summary();
     EXPECT_GT(r.notes_placed, 0u) << r.summary();
     EXPECT_GT(r.note_commits, 0u) << r.summary();
+    expect_counts(r, {.schedules = 30'000,
+                      .empty = 34'513,
+                      .catchups = 24'473,
+                      .slow = 10'057,
+                      .notes = 10'057,
+                      .commits = 10'057});
 }
 
 TEST(ExploreWcq, RandomSamplingThreeThreadsMixedPatience) {
@@ -831,12 +900,40 @@ TEST(ExploreWcq, RandomSamplingThreeThreadsMixedPatience) {
     const auto r = explore_wcq_random(
         {{enq_op(1), deq_op()}, {deq_op(), deq_op()}, {deq_op(), deq_op()}},
         cfg);
-    EXPECT_EQ(r.violations, 0u) << r.summary();
-    EXPECT_EQ(r.pruned, 0u) << r.summary();
     EXPECT_GT(r.slow_publishes, 0u) << r.summary();
     EXPECT_GT(r.notes_placed, 0u) << r.summary();
     EXPECT_GT(r.note_commits, 0u) << r.summary();
     EXPECT_GT(r.empty_commits, 0u) << r.summary();
+    expect_counts(r, {.schedules = 30'000,
+                      .unsafe = 3'013,
+                      .empty = 111'637,
+                      .catchups = 86'684,
+                      .threshold = 5'032,
+                      .slow = 17'905,
+                      .notes = 13'443,
+                      .commits = 13'443,
+                      .empty_commits = 4'462});
+
+    // The enqueue rescue with helping armed, on the same script shape as
+    // ExploreScq.RandomSamplingThreeThreads: fast and slow enqueues both
+    // reach the head <= t check.
+    const auto rescue = explore_wcq_random({{enq_op(1), deq_op(), enq_op(2)},
+                                            {deq_op(), deq_op()},
+                                            {deq_op(), deq_op()}},
+                                           cfg);
+    EXPECT_EQ(rescue.violations, 0u) << rescue.summary();
+    EXPECT_EQ(rescue.pruned, 0u) << rescue.summary();
+    EXPECT_GT(rescue.enq_rescues, 0u) << rescue.summary();
+    expect_counts(rescue, {.schedules = 30'000,
+                           .unsafe = 2'934,
+                           .empty = 108'676,
+                           .rescues = 487,
+                           .catchups = 77'673,
+                           .threshold = 4'609,
+                           .slow = 26'479,
+                           .notes = 22'877,
+                           .commits = 22'877,
+                           .empty_commits = 3'602});
 }
 
 TEST(ExploreWcq, RandomSamplingBlindRevertStaysBroken) {
@@ -856,9 +953,28 @@ TEST(ExploreWcq, RandomSamplingBlindRevertStaysBroken) {
     const auto broken = explore_wcq_random(script, cfg);
     EXPECT_GT(broken.violations, 0u)
         << "the blind revert should lose items: " << broken.summary();
+    expect_counts(broken, {.schedules = 100'000,
+                           .violations = 938,
+                           .unsafe = 9'848,
+                           .empty = 371'333,
+                           .catchups = 287'629,
+                           .threshold = 17'430,
+                           .slow = 60'395,
+                           .notes = 45'662,
+                           .commits = 45'662,
+                           .reverts = 938,
+                           .empty_commits = 14'733});
     cfg.corrected = true;
     const auto fixed = explore_wcq_random(script, cfg);
-    EXPECT_EQ(fixed.violations, 0u) << fixed.summary();
+    expect_counts(fixed, {.schedules = 100'000,
+                          .unsafe = 10'039,
+                          .empty = 372'078,
+                          .catchups = 288'809,
+                          .threshold = 16'624,
+                          .slow = 60'242,
+                          .notes = 45'533,
+                          .commits = 45'533,
+                          .empty_commits = 14'709});
 }
 
 // --- notify handshakes ------------------------------------------------------
