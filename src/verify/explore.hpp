@@ -1,5 +1,6 @@
-// Schedule exploration over the step models (crq_model.hpp,
-// lcrq_model.hpp).
+// Schedule exploration over the step models: CRQ (crq_model.hpp), LCRQ
+// (lcrq_model.hpp), the infinite array (infinite_array_model.hpp), and the
+// SCQ family (scq_model.hpp, wcq_model.hpp).
 //
 // Each thread runs a script of queue operations; the explorer drives the
 // step machines under (a) every possible interleaving, depth-first, for
@@ -13,7 +14,8 @@
 // of trusting that the safe-bit protocol covers all interleavings, the
 // tiny-configuration tests *enumerate* them.  The LCRQ family additionally
 // demonstrates the December-2013 correction: with `corrected = false` the
-// explorer finds the proceedings version's lost-item schedules.
+// explorer finds the proceedings version's lost-item schedules (and, for
+// the wCQ family, those of a blind note revert).
 #pragma once
 
 #include <string>
@@ -170,11 +172,7 @@ struct WcqFamily {
         return make_wcq_model_op(s.kind, s.arg, cfg.wcq_patience, cfg.corrected);
     }
     static void accumulate(const State& s, ExploreResult& out) {
-        out.unsafe_transitions += s.unsafe_transitions;
-        out.empty_transitions += s.empty_transitions;
-        out.enq_rescues += s.enq_rescues;
-        out.catchups += s.catchups;
-        out.threshold_empties += s.threshold_empties;
+        ScqFamily::accumulate(s, out);
         out.slow_publishes += s.slow_publishes;
         out.notes_placed += s.notes_placed;
         out.note_commits += s.note_commits;

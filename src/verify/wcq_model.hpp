@@ -1,17 +1,18 @@
 // A small-step executable model of the wCQ helping protocol (verify
-// substrate; companion of scq_model.hpp).
+// substrate; extends the SCQ model, scq_model.hpp).
 //
-// Mirrors `queues/wcq.hpp`'s WcqRing: the SCQ fast path it shares with
-// ScqRing through ScqTicketCore (`queues/scq.hpp`; F&A ticket,
-// cycle/safe entry CAS, threshold-bounded EMPTY) extended with the wCQ
-// slow path — request publication, note reservation, the single-word
-// commit CAS on the request's arg word, idempotent cleanup — with every
-// shared-memory access as one atomic step, so the explorer (explore.hpp)
-// can enumerate the interleavings the helping layer exists for: a
-// requester killed between placing its note and committing it, a ticket
-// holder resolving a foreign note mid-chase, and the two-helpers-race on
-// the commit word whose blind-revert variant loses items (see
-// `corrected` below).
+// Mirrors `queues/wcq.hpp`'s WcqRing, which is ScqTicketCore
+// (`queues/scq.hpp`; F&A ticket, cycle/safe entry CAS, threshold-bounded
+// EMPTY) plus helping.  The model is built the same way: the SCQ model's
+// ScqFastPath with three hooks replaced (on_note, consume, failed_round),
+// plus the wCQ slow path — request publication, note reservation, the
+// single-word commit CAS on the request's arg word, idempotent cleanup —
+// with every shared-memory access as one atomic step, so the explorer
+// (explore.hpp) can enumerate the interleavings the helping layer exists
+// for: a requester killed between placing its note and committing it, a
+// ticket holder resolving a foreign note mid-chase, and the
+// two-helpers-race on the commit word whose blind-revert variant loses
+// items (see `corrected` below).
 //
 // Fidelity notes (kept in sync with wcq.hpp by the differential test):
 //   * per-request records: the production ring multiplexes 64 tagged
@@ -24,9 +25,9 @@
 //     fallback-to-fast-path liveness detail, not a protocol transition
 //     (a fresh record per request is exactly what owner-mediated reuse
 //     guarantees each live requester).
-//   * no close path: like the SCQ ring model, the ring never closes, so
-//     the kClosed resolutions drop out and fix_tail always succeeds
-//     (it still takes its load+CAS steps — the tail race is real).
+//   * no close path: like the SCQ model (its known gap), the ring never
+//     closes, so the kClosed resolutions drop out and fix_tail always
+//     succeeds (it still takes its load+CAS steps — the tail race is real).
 //   * self-help only: the help_if_needed() peer scan is not modeled (it
 //     only changes *who* runs help steps, not which steps exist); note
 //     resolution by fast-path ticket holders that encounter a note IS
@@ -62,34 +63,18 @@
 #include <vector>
 
 #include "queues/queue_common.hpp"
-#include "verify/crq_model.hpp"  // Kind/Status vocabulary shared by all op models
-#include "verify/history.hpp"    // kEmpty
+#include "verify/history.hpp"  // kEmpty
+#include "verify/scq_model.hpp"
 
 namespace lcrq::verify {
 
-// Shared wCQ ring state: SCQ's head/tail/threshold/ring plus the helping
-// records.  Cells carry the note reservation unpacked (the production
-// entry packs note|kind|tag|slot into spare cycle bits; the packing is
-// bijective, so one modeled CAS is one real CAS).
-struct WcqModelState {
-    static constexpr std::uint32_t kNoRec = ~std::uint32_t{0};
+// Shared wCQ ring state: the SCQ model's ring (whose cells carry the note
+// reservation unpacked; the production entry packs note|kind|tag|slot
+// into spare cycle bits, bijectively, so one modeled CAS is one real CAS)
+// plus the helping records.
+struct WcqModelState : ScqModelState {
     static constexpr std::uint64_t kArgNone = ~std::uint64_t{0};
     static constexpr std::uint64_t kArgEmpty = ~std::uint64_t{0} - 1;
-
-    std::uint64_t head = 0;
-    std::uint64_t tail = 0;
-    std::int64_t threshold = -1;
-
-    struct Cell {
-        std::uint64_t cycle;
-        bool safe;
-        value_t idx;  // stored value, or kBottom (⊥); a note's covered value
-        bool note = false;      // reserved by a slow-path request
-        bool note_deq = false;  // reservation kind
-        std::uint32_t rec = kNoRec;  // owning record (kNoRec when !note)
-        friend bool operator==(const Cell&, const Cell&) = default;
-    };
-    std::vector<Cell> ring;
 
     // One record per slow publication (see fidelity notes).  req's
     // (state, ticket) and the arg commit word are modeled verbatim; val
@@ -104,12 +89,7 @@ struct WcqModelState {
     };
     std::vector<Rec> recs;
 
-    // Coverage counters (not protocol state); cf. ScqModelState.
-    std::uint32_t unsafe_transitions = 0;
-    std::uint32_t empty_transitions = 0;
-    std::uint32_t enq_rescues = 0;
-    std::uint32_t catchups = 0;
-    std::uint32_t threshold_empties = 0;
+    // Helping coverage counters, next to the SCQ ones.
     std::uint32_t slow_publishes = 0;  // requests published
     std::uint32_t notes_placed = 0;    // note reservation CASes that landed
     std::uint32_t note_commits = 0;    // arg CASes deciding a ticket
@@ -121,249 +101,84 @@ struct WcqModelState {
     // the threshold).  Without it, the threshold<0 gate serializes every
     // dequeuer behind the first completed enqueue, and tiny scripts can
     // never lose a fast-path round — i.e. never reach the slow path.
-    explicit WcqModelState(std::uint64_t capacity = 2, bool armed = false) {
-        ring.resize(capacity * 2);
-        for (auto& c : ring) c = {0, true, kBottom};
-        head = tail = ring.size();
+    explicit WcqModelState(std::uint64_t capacity = 2, bool armed = false)
+        : ScqModelState(capacity) {
         if (armed) threshold = threshold_full();
-    }
-
-    std::uint64_t N() const noexcept { return ring.size(); }
-    std::uint64_t capacity() const noexcept { return ring.size() / 2; }
-    std::int64_t threshold_full() const noexcept {
-        return static_cast<std::int64_t>(3 * capacity() - 1);
-    }
-    std::uint64_t cycle_of_ticket(std::uint64_t t) const noexcept {
-        return t / N();
     }
 };
 
 // One wCQ operation as a resumable step machine.  Program counters:
-//   fast enqueue  0-5   (ScqModelOp layout, plus note awareness at pc 1)
-//   fast dequeue 10-21  (ScqModelOp layout; consume is a CAS, not
-//                        fetch-or, exactly as in wcq.hpp's take_at)
+//   fast enqueue  0-5   (ScqFastPath; on_note resolves once per ticket)
+//   fast dequeue 10-21  (ScqFastPath; consume is a CAS, not fetch-or,
+//                        exactly as in wcq.hpp's take_at)
 //   slow enqueue 30-46  (publish, help loop, fix_tail, commit, cleanup)
 //   slow dequeue 50-67  (publish, help loop, EMPTY commit, cleanup)
 //   resolve_note 80-90  (subroutine; returns to rs_ret_)
-class WcqModelOp {
+class WcqModelOp : public ScqFastPath<WcqModelOp> {
   public:
-    using Kind = CrqModelOp::Kind;
-    using Status = CrqModelOp::Status;
-
     WcqModelOp(Kind kind, value_t arg, unsigned patience, bool corrected,
                bool force_slow)
-        : kind_(kind), arg_(arg), patience_(patience), corrected_(corrected) {
-        if (kind_ == Kind::kDequeue) pc_ = force_slow ? 50 : 10;
-        else pc_ = force_slow ? 30 : 0;
-    }
+        : ScqFastPath(kind, arg,
+                      kind == Kind::kDequeue ? (force_slow ? 50 : 10)
+                                             : (force_slow ? 30 : 0)),
+          patience_(patience),
+          corrected_(corrected) {}
 
     Status step(WcqModelState& s) {
         if (pc_ >= 80) return step_resolve(s);
         if (pc_ >= 50) return step_slow_deq(s);
         if (pc_ >= 30) return step_slow_enq(s);
-        if (pc_ >= 10) return step_deq(s);
-        return step_enq(s);
+        return ScqFastPath::step(s);
     }
 
-    bool done() const noexcept { return done_; }
-    value_t result() const noexcept { return result_; }
-    Kind kind() const noexcept { return kind_; }
-    value_t arg() const noexcept { return arg_; }
-
-    friend bool operator==(const WcqModelOp&, const WcqModelOp&) = default;
-
   private:
-    using Cell = WcqModelState::Cell;
+    friend class ScqFastPath<WcqModelOp>;
     static constexpr std::uint32_t kNoRec = WcqModelState::kNoRec;
     static constexpr std::uint64_t kArgNone = WcqModelState::kArgNone;
     static constexpr std::uint64_t kArgEmpty = WcqModelState::kArgEmpty;
+    static constexpr std::uint64_t kNoTicket = ~std::uint64_t{0};
 
-    Status finish(value_t r) {
-        done_ = true;
-        result_ = r;
-        return Status::kDone;
-    }
-
-    Cell& cell(WcqModelState& s, std::uint64_t t) const {
-        return s.ring[t % s.N()];
-    }
-
-    // Enter the resolve_note subroutine for the note `c` found at ticket
-    // position t; resume at ret when it returns.
-    Status start_resolve(WcqModelState& s, const Cell& c, std::uint64_t t,
-                         unsigned ret) {
-        rs_rec_ = c.rec;
-        rs_saved_ = c;
-        rs_t_ = c.cycle * s.N() + (t % s.N());
+    // Enter the resolve_note subroutine for the note in cell_, found at
+    // ticket position t_; resume at ret when it returns.
+    Status start_resolve(const ScqModelState& s, unsigned ret) {
+        rs_rec_ = cell_.rec;
+        rs_saved_ = cell_;
+        rs_t_ = cell_.cycle * s.N() + (t_ % s.N());
         rs_ret_ = ret;
         pc_ = 80;
         return Status::kRunning;
     }
 
-    void fail_enq_round() { pc_ = ++rounds_ > patience_ ? 30 : 0; }
-
-    // --- fast enqueue: mirrors WcqRing::enqueue / put_at ------------------
-    Status step_enq(WcqModelState& s) {
-        switch (pc_) {
-            case 0:
-                t_ = s.tail;
-                s.tail += 1;
-                tried_resolve_ = false;
-                pc_ = 1;
-                return Status::kRunning;
-            case 1: {
-                const Cell& c = cell(s, t_);
-                cell_ = c;
-                if (c.note) {
-                    // Reserved: drive it to a decision once, then give the
-                    // ticket up if the cell is still reserved.
-                    if (tried_resolve_) {
-                        fail_enq_round();
-                        return Status::kRunning;
-                    }
-                    tried_resolve_ = true;
-                    return start_resolve(s, c, t_, 1);
-                }
-                if (c.idx != kBottom || c.cycle >= s.cycle_of_ticket(t_)) {
-                    fail_enq_round();
-                } else {
-                    pc_ = c.safe ? 3 : 2;
-                }
-                return Status::kRunning;
-            }
-            case 2:
-                if (s.head <= t_) {
-                    ++s.enq_rescues;
-                    pc_ = 3;
-                } else {
-                    fail_enq_round();
-                }
-                return Status::kRunning;
-            case 3: {
-                Cell& c = cell(s, t_);
-                if (c == cell_) {
-                    c = {s.cycle_of_ticket(t_), true, arg_};
-                    pc_ = 4;
-                } else {
-                    pc_ = 1;
-                }
-                return Status::kRunning;
-            }
-            case 4:
-                if (s.threshold != s.threshold_full()) {
-                    pc_ = 5;
-                    return Status::kRunning;
-                }
-                return finish(arg_);
-            case 5:
-                s.threshold = s.threshold_full();
-                return finish(arg_);
-            default: return finish(arg_);
+    // --- the fast-path hooks ------------------------------------------------
+    // A reserved entry: a dequeuer resolves it and reloads; an enqueuer
+    // drives it to a decision once per ticket, then gives the ticket up if
+    // the entry is still reserved.
+    Status on_note(ScqModelState& s) {
+        if (pc_ == 12) return start_resolve(s, 12);
+        if (resolved_t_ == t_) {
+            failed_round(0);
+            return Status::kRunning;
         }
+        resolved_t_ = t_;
+        return start_resolve(s, 1);
     }
 
-    // --- fast dequeue: mirrors WcqRing::dequeue / take_at and ScqTicketCore's
-    //     threshold_exhausted / burned_ticket_empty / catchup
-    Status step_deq(WcqModelState& s) {
-        switch (pc_) {
-            case 10:
-                if (s.threshold < 0) return finish(kEmpty);
-                pc_ = 11;
-                return Status::kRunning;
-            case 11:
-                t_ = s.head;
-                s.head += 1;
-                pc_ = 12;
-                return Status::kRunning;
-            case 12: {
-                const Cell& c = cell(s, t_);
-                cell_ = c;
-                if (c.note) return start_resolve(s, c, t_, 12);
-                const std::uint64_t hc = s.cycle_of_ticket(t_);
-                if (c.cycle == hc) {
-                    pc_ = c.idx == kBottom ? 16 : 13;  // ⊥: slow-consumed
-                } else if (c.cycle > hc) {
-                    pc_ = 16;
-                } else if (c.idx != kBottom) {
-                    pc_ = c.safe ? 14 : 16;
-                } else {
-                    pc_ = 15;
-                }
-                return Status::kRunning;
-            }
-            case 13: {
-                // Consume: a CAS (not fetch-or) — the cell must not be
-                // stamped while a helper could be turning it into a note.
-                Cell& c = cell(s, t_);
-                if (c == cell_) {
-                    c = {s.cycle_of_ticket(t_), cell_.safe, kBottom};
-                    return finish(cell_.idx);
-                }
-                pc_ = 12;
-                return Status::kRunning;
-            }
-            case 14: {
-                Cell& c = cell(s, t_);
-                if (c == cell_) {
-                    c.safe = false;
-                    ++s.unsafe_transitions;
-                    pc_ = 16;
-                } else {
-                    pc_ = 12;
-                }
-                return Status::kRunning;
-            }
-            case 15: {
-                Cell& c = cell(s, t_);
-                if (c == cell_) {
-                    c = {s.cycle_of_ticket(t_), cell_.safe, kBottom};
-                    ++s.empty_transitions;
-                    pc_ = 16;
-                } else {
-                    pc_ = 12;
-                }
-                return Status::kRunning;
-            }
-            case 16:
-                tsnap_ = s.tail;
-                if (tsnap_ <= t_ + 1) {
-                    cand_ = t_ + 1;
-                    pc_ = 17;
-                } else {
-                    pc_ = 21;
-                }
-                return Status::kRunning;
-            case 17:
-                if (tsnap_ >= cand_) {
-                    pc_ = 20;
-                } else if (s.tail == tsnap_) {
-                    s.tail = cand_;
-                    ++s.catchups;
-                    pc_ = 20;
-                } else {
-                    pc_ = 18;
-                }
-                return Status::kRunning;
-            case 18:
-                cand_ = s.head;
-                pc_ = 19;
-                return Status::kRunning;
-            case 19:
-                tsnap_ = s.tail;
-                pc_ = 17;
-                return Status::kRunning;
-            case 20:
-                s.threshold -= 1;
-                return finish(kEmpty);
-            case 21:
-                if (s.threshold-- <= 0) {
-                    ++s.threshold_empties;
-                    return finish(kEmpty);
-                }
-                pc_ = ++rounds_ > patience_ ? 50 : 11;
-                return Status::kRunning;
-            default: return finish(kEmpty);
+    // Consume by CAS against the pc-12 snapshot, not fetch-or: the entry
+    // must not be stamped while a helper could be turning it into a note.
+    Status consume(ScqModelState& s) {
+        Cell& c = cell(s, t_);
+        if (c == cell_) {
+            c = {s.cycle_of_ticket(t_), cell_.safe, kBottom};
+            return finish(cell_.idx);
         }
+        pc_ = 12;
+        return Status::kRunning;
+    }
+
+    // Patience: past it, a failed round publishes a helping request.
+    void failed_round(unsigned retry_pc) {
+        if (++rounds_ <= patience_) pc_ = retry_pc;
+        else pc_ = kind_ == Kind::kEnqueue ? 30 : 50;
     }
 
     // --- slow enqueue: mirrors enqueue_slow + help_enqueue ----------------
@@ -402,7 +217,7 @@ class WcqModelOp {
                         pc_ = 38;
                         return Status::kRunning;
                     }
-                    return start_resolve(s, c, t_, 31);
+                    return start_resolve(s, 31);
                 }
                 if (c.cycle < s.cycle_of_ticket(t_) && c.idx == kBottom) {
                     pc_ = c.safe ? 37 : 34;
@@ -545,9 +360,9 @@ class WcqModelOp {
                         pc_ = 55;  // our own pending note: adopt and commit
                         return Status::kRunning;
                     }
-                    return start_resolve(s, c, t_, 51);
+                    return start_resolve(s, 51);
                 }
-                if (c.note) return start_resolve(s, c, t_, 51);  // old cycle
+                if (c.note) return start_resolve(s, 51);  // old cycle
                 if (c.cycle == hc && c.idx != kBottom) {
                     pc_ = 54;  // consumable: reserve it
                 } else if (c.cycle < hc && c.idx != kBottom) {
@@ -772,19 +587,12 @@ class WcqModelOp {
         }
     }
 
-    Kind kind_;
-    value_t arg_;
     unsigned patience_;
     bool corrected_;
-    unsigned pc_ = 0;
     unsigned rounds_ = 0;
-    bool tried_resolve_ = false;
-    std::uint64_t t_ = 0;      // current ticket (fast F&A or slow candidate)
-    std::uint64_t cand_ = 0;   // candidate snapshot for the req CAS
-    std::uint64_t ct_ = 0;     // committed ticket (cleanup target)
-    std::uint64_t tsnap_ = 0;  // tail/head snapshot
+    std::uint64_t resolved_t_ = kNoTicket;  // fast-enqueue ticket whose note was resolved
+    std::uint64_t ct_ = 0;        // committed ticket (cleanup target)
     std::uint32_t rec_ = kNoRec;  // own request record
-    Cell cell_{};   // entry snapshot for CAS expectations
     Cell noted_{};  // our placed/adopted note, for the revert CAS
     bool placed_ = false;
     bool empty_result_ = false;
@@ -793,8 +601,6 @@ class WcqModelOp {
     std::uint64_t rs_t_ = 0;
     Cell rs_saved_{};
     unsigned rs_ret_ = 0;
-    bool done_ = false;
-    value_t result_ = 0;
 };
 
 inline WcqModelOp make_wcq_model_op(WcqModelOp::Kind kind, value_t arg,
