@@ -10,7 +10,6 @@
 #include "queues/combining.hpp"
 #include "queues/fc_queue.hpp"
 #include "queues/infinite_array_queue.hpp"
-#include "queues/kp_queue.hpp"
 #include "queues/lcrq.hpp"
 #include "queues/lscq.hpp"
 #include "queues/lwcq.hpp"
@@ -167,11 +166,6 @@ const std::vector<Entry>& entries() {
                          "wait-free per segment with bounded memory (SPAA'22)",
                          true, false, false, false,
                          kSetSingleProcessor | kSetMultiProcessor),
-        entry<LwcqNoReclaimQueue>("lwcq-noreclaim",
-                                  "LwCQ without hazard protection (reclaims at "
-                                  "destruction; ablation)",
-                                  true, false, false,
-                                  /*deferred_reclamation=*/true),
         nopool_entry<LwcqQueue>("lwcq-nopool",
                                 "LwCQ without the segment pool (malloc per segment "
                                 "close; ablation)"),
@@ -216,10 +210,6 @@ const std::vector<Entry>& entries() {
         entry<BoundedMpmcQueue>("bounded-mpmc",
                                 "Bounded CAS-ticket ring (cyclic-array family reference)",
                                 false, false, true),
-        entry<KpQueue>("kp",
-                       "Kogan-Petrank wait-free queue (PPoPP'11; reclaims at "
-                       "destruction)",
-                       true, false, false, /*deferred_reclamation=*/true),
         entry<MutexQueue>("mutex", "std::mutex-protected list (sanity floor)", false, false,
                           false),
         entry<InfiniteArrayQueue>("infinite-array",

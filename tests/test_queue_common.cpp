@@ -10,7 +10,6 @@
 #include "queues/combining.hpp"
 #include "queues/fc_queue.hpp"
 #include "queues/infinite_array_queue.hpp"
-#include "queues/kp_queue.hpp"
 #include "queues/lcrq.hpp"
 #include "queues/lscq.hpp"
 #include "queues/lwcq.hpp"
@@ -37,7 +36,6 @@ static_assert(ConcurrentQueue<CcQueue>);
 static_assert(ConcurrentQueue<HQueue>);
 static_assert(ConcurrentQueue<FcQueue>);
 static_assert(ConcurrentQueue<BoundedMpmcQueue>);
-static_assert(ConcurrentQueue<KpQueue>);
 static_assert(ConcurrentQueue<MutexQueue>);
 static_assert(ConcurrentQueue<InfiniteArrayQueue>);
 

@@ -46,8 +46,7 @@ TEST(Registry, CatalogIncludesScqFamily) {
 TEST(Registry, CatalogIncludesWcqFamily) {
     // The wait-free backend and its ablations round-trip through the
     // factory and carry the right classification bits.
-    bool saw_wcq = false, saw_lwcq = false, saw_noreclaim = false,
-         saw_nopool = false;
+    bool saw_wcq = false, saw_lwcq = false, saw_nopool = false;
     for (const auto& info : queue_catalog()) {
         if (info.name == "wcq") {
             saw_wcq = true;
@@ -58,16 +57,12 @@ TEST(Registry, CatalogIncludesWcqFamily) {
             EXPECT_FALSE(info.bounded) << "lwcq is an unbounded list of rings";
             EXPECT_TRUE(info.nonblocking);
             EXPECT_FALSE(info.deferred_reclamation);
-        } else if (info.name == "lwcq-noreclaim") {
-            saw_noreclaim = true;
-            EXPECT_TRUE(info.deferred_reclamation);
         } else if (info.name == "lwcq-nopool") {
             saw_nopool = true;
         }
     }
     EXPECT_TRUE(saw_wcq);
     EXPECT_TRUE(saw_lwcq);
-    EXPECT_TRUE(saw_noreclaim);
     EXPECT_TRUE(saw_nopool);
 }
 
@@ -77,7 +72,7 @@ TEST(Registry, LwcqRoundTripsWithWcqKnobs) {
     QueueOptions opt;
     opt.ring_order = 2;
     opt.wcq_patience = 0;
-    for (const std::string name : {"lwcq", "lwcq-noreclaim", "lwcq-nopool", "wcq"}) {
+    for (const std::string name : {"lwcq", "lwcq-nopool", "wcq"}) {
         auto q = make_queue(name, opt);
         ASSERT_NE(q, nullptr) << name;
         EXPECT_EQ(q->name(), name);
@@ -160,12 +155,10 @@ const std::map<std::string, RmwPerPair> kRmwPerPair = {
     {"lscq-ml", {.faa = 2, .fetch_or = 1, .cas = 1}},
     {"scq", {.faa = 4, .fetch_or = 2, .cas = 2}},
     {"lwcq", {.faa = 2, .cas = 2}},
-    {"lwcq-noreclaim", {.faa = 2, .cas = 2}},
     {"lwcq-nopool", {.faa = 2, .cas = 2}},
     {"wcq", {.faa = 4, .cas = 4}},
     {"ms", {.cas = 3}},
     {"ms-nobackoff", {.cas = 3}},
-    {"kp", {.cas = 6}},
     {"bounded-mpmc", {.cas = 2}},
     {"two-lock", {.tas = 2}},
     {"two-lock-blind", {.tas = 2}},

@@ -285,11 +285,19 @@ TEST(LwcqTest, MpmcExchangeZeroPatienceTinySegments) {
     // Helping machinery racing segment turnover: requests published on a
     // segment that closes and drains mid-request must resolve (as items or
     // EMPTY) rather than strand, and the pool reset must scrub records.
+    // The unprotected list runs the same helping code over segments it
+    // never recycles.
     QueueOptions opt;
     opt.ring_order = 2;
     opt.wcq_patience = 0;
-    LwcqQueue q(opt);
-    test::expect_exchange_valid(test::mpmc_exchange(q, 3, 3, 3'000), 3, 3'000);
+    {
+        LwcqQueue q(opt);
+        test::expect_exchange_valid(test::mpmc_exchange(q, 3, 3, 3'000), 3, 3'000);
+    }
+    {
+        LwcqNoReclaimQueue q(opt);
+        test::expect_exchange_valid(test::mpmc_exchange(q, 3, 3, 3'000), 3, 3'000);
+    }
 }
 
 TEST(LwcqTest, KeptSlotsSurviveForcedHelping) {
