@@ -5,10 +5,11 @@
 // of short-lived threads without growing it: it is sized for kMaxThreads
 // concurrent threads.  The combining queues (CC/H/FC), multilane presence
 // slots and wCQ help slots index their own arrays by it; ThreadTable below
-// holds the state that must outlive its thread, for its three users: a
+// holds the state that must outlive its thread, for its four users: a
 // hazard domain's records (hazard/hazard_pointers.hpp), the event
-// counters' blocks (arch/counters.hpp) and a blocking facade's size
-// tallies (queues/blocking_queue.hpp).
+// counters' blocks (arch/counters.hpp), a blocking facade's size tallies
+// (queues/blocking_queue.hpp) and an SCQ-family list's kept-slot caches
+// (queues/linked_segments.hpp).
 #pragma once
 
 #include <atomic>
