@@ -3,7 +3,8 @@
 // ablation knobs (patience, helping), and MPMC exchanges on the bounded
 // queue and the unbounded list with hazard reclamation.  What wCQ shares
 // with SCQ — the ticket core's FIFO/threshold/close behaviour and the
-// aq/fq value queue — runs as typed suites in test_scq.cpp.
+// aq/fq value queue — runs as typed suites in test_scq.cpp; the fast path
+// is checked here against ScqRing's, op for op.
 //
 // Thread-kill coverage lives in test_injection_wcq.cpp; here every
 // thread survives, so the slow path is driven explicitly through the
@@ -15,13 +16,16 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/cacheline.hpp"
 #include "arch/counters.hpp"
 #include "queues/lwcq.hpp"
+#include "queues/scq.hpp"
 #include "queues/wcq.hpp"
 #include "test_support.hpp"
+#include "util/xorshift.hpp"
 
 namespace lcrq {
 namespace {
@@ -37,6 +41,99 @@ static_assert(ConcurrentQueue<LwcqNoReclaimQueue>);
 TEST(WcqEntry, AtomicEntryIsLockFreeAtRuntime) {
     WcqRing<>::Entry e{0};
     EXPECT_TRUE(e.is_lock_free());
+}
+
+// --- the fast path --------------------------------------------------------
+
+// With patience out of reach a wCQ ring never publishes a request, so it
+// must run SCQ's fast path op for op: the same answers, the same head,
+// tail, threshold and held indices, and the same atomics per operation,
+// except that wCQ consumes with a CAS where SCQ stamps ⊥ with a fetch-or.
+// One thread drives both rings through a seeded script of enqueues (at
+// most n indices out), dequeues, stolen enqueue tickets and a late close.
+// Unsafe transitions need an enqueuer lapped mid-operation, which one
+// thread cannot produce; the explorer and the injection suites cover them.
+TEST(WcqRing, FastPathMatchesScqRingOpForOp) {
+    using stats::Event;
+    enum class Op { kEnqueue, kDequeue, kSteal, kClose };
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    // One op on one ring: its answer and the events it counted.
+    const auto run = [](auto& ring, Op op, std::uint64_t idx) {
+        const stats::Snapshot before = stats::global_snapshot();
+        std::uint64_t answer = 0;
+        switch (op) {
+            case Op::kEnqueue:
+                answer = static_cast<std::uint64_t>(ring.enqueue(idx));
+                break;
+            case Op::kDequeue: answer = ring.dequeue().value_or(kEmpty); break;
+            case Op::kSteal: answer = ring.debug_take_enqueue_ticket(); break;
+            case Op::kClose: ring.close(); break;
+        }
+        return std::pair{answer, stats::global_snapshot() - before};
+    };
+
+    constexpr int kOps = 4'000;
+    stats::Snapshot scq_total;
+    std::uint64_t empties = 0;
+    std::uint64_t closed_enqueues = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        ScqRing<> scq(3);
+        WcqRing<> wcq(3, 0, 0, WcqConfig{1u << 30, true});
+        Xoshiro256 rng(seed);
+        std::vector<std::uint64_t> out_of_ring;  // indices free to enqueue
+        for (std::uint64_t i = 0; i < scq.capacity(); ++i) out_of_ring.push_back(i);
+        const int close_at = kOps / 2 + static_cast<int>(rng.bounded(kOps / 2));
+        for (int i = 0; i < kOps; ++i) {
+            const std::uint64_t pick = rng.bounded(20);
+            Op op = pick < 19 ? Op::kDequeue : Op::kSteal;
+            std::uint64_t idx = 0;
+            if (i == close_at) {
+                op = Op::kClose;
+            } else if (pick < 9 && !out_of_ring.empty()) {
+                op = Op::kEnqueue;
+                const std::size_t k = rng.bounded(out_of_ring.size());
+                idx = out_of_ring[k];
+                out_of_ring.erase(out_of_ring.begin() + static_cast<std::ptrdiff_t>(k));
+            }
+            const auto [scq_answer, scq_events] = run(scq, op, idx);
+            const auto [wcq_answer, wcq_events] = run(wcq, op, idx);
+            const auto where = [&] {
+                return ::testing::Message() << "seed " << seed << ", op " << i;
+            };
+            ASSERT_EQ(scq_answer, wcq_answer) << where();
+            ASSERT_EQ(scq.head_index(), wcq.head_index()) << where();
+            ASSERT_EQ(scq.tail_index(), wcq.tail_index()) << where();
+            ASSERT_EQ(scq.threshold(), wcq.threshold()) << where();
+            ASSERT_EQ(scq.debug_held(), wcq.debug_held()) << where();
+            for (const Event e : {Event::kFaa, Event::kCasFailure, Event::kRingRetry,
+                                  Event::kEmptyTransition, Event::kUnsafeTransition,
+                                  Event::kTas}) {
+                ASSERT_EQ(scq_events[e], wcq_events[e])
+                    << stats::event_name(e) << ", " << where();
+            }
+            ASSERT_EQ(scq_events[Event::kFetchOr] + scq_events[Event::kCas],
+                      wcq_events[Event::kCas])
+                << "SCQ's fetch-or consume is wCQ's CAS consume, " << where();
+            ASSERT_EQ(wcq_events[Event::kWcqSlowPath], 0u) << where();
+            scq_total += scq_events;
+
+            if (op == Op::kEnqueue &&
+                scq_answer != static_cast<std::uint64_t>(EnqueueResult::kOk)) {
+                out_of_ring.push_back(idx);
+                ++closed_enqueues;
+            } else if (op == Op::kDequeue && scq_answer == kEmpty) {
+                ++empties;
+            } else if (op == Op::kDequeue) {
+                out_of_ring.push_back(scq_answer);
+            }
+        }
+    }
+    // The script reaches every path it claims to compare.
+    EXPECT_GT(scq_total[Event::kFetchOr], 0u) << "no consume";
+    EXPECT_GT(scq_total[Event::kEmptyTransition], 0u);
+    EXPECT_GT(scq_total[Event::kRingRetry], 0u);
+    EXPECT_GT(empties, 0u);
+    EXPECT_GT(closed_enqueues, 0u);
 }
 
 // --- the helping slow path -----------------------------------------------
