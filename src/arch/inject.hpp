@@ -49,11 +49,14 @@ enum class Point : std::uint8_t {
     kListHeadSwing,        // LinkedSegments, before the head-swing CAS
     kHazardRetire,         // HazardDomain::retire, object handed over
     kHazardScan,           // HazardDomain::drain, reclamation pass starting
-    kScqEnqAfterFaa,       // ScqRing/WcqRing::enqueue, ticket obtained
-    kScqAfterCycleLoad,    // SCQ-family put_at/take_at, entry loaded, not yet acted on
+    kScqEnqAfterFaa,       // ScqTicketCore::fast_enqueue (both SCQ-family rings)
+                           //   and ScqRing::enqueue_bulk, ticket obtained
+    kScqAfterCycleLoad,    // ScqTicketCore::put_at/take_at, entry loaded, not yet acted on
     kScqBeforeEntryCas,    // SCQ-family ring, entry validated, single-word CAS pending
-    kScqEnqPublished,      // SCQ-family put_at, entry CAS succeeded (index visible)
-    kScqDeqAfterFaa,       // ScqRing/WcqRing::dequeue, ticket obtained
+                           //   (put_at's publish, wCQ's consume, dequeue_transition)
+    kScqEnqPublished,      // ScqTicketCore::put_at, entry CAS succeeded (index visible)
+    kScqDeqAfterFaa,       // ScqTicketCore::fast_dequeue (both SCQ-family rings)
+                           //   and ScqRing::dequeue_bulk, ticket obtained
     kScqThresholdDecrement,// ScqTicketCore::burned_ticket_empty (and ScqRing::
                            //   dequeue_bulk), about to decrement the threshold
     kScqCatchup,           // ScqTicketCore::catchup, tail repair loop entered

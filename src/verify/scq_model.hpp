@@ -1,8 +1,8 @@
 // A small-step executable model of the SCQ ring protocol (verify
 // substrate; companion of crq_model.hpp).
 //
-// Mirrors `queues/scq.hpp`'s ScqRing — its own put_at/take_at over the
-// ScqTicketCore that WcqRing shares — with *every shared-memory access as
+// Mirrors `queues/scq.hpp`'s ScqRing — the fast path ScqTicketCore writes
+// once for ScqRing and WcqRing — with *every shared-memory access as
 // one atomic step*, so the explorer (explore.hpp) can enumerate the
 // interleavings the cycle/safe/threshold protocol exists for: an enqueuer
 // stalled between its F&A and its entry CAS while dequeuers lap the ring,
@@ -14,7 +14,7 @@
 // (wcq_model.hpp) is the same path with three hooks replaced — what a
 // load does when it finds a note, how pc 13 consumes, and what a failed
 // round does — plus its helping slow path, the way WcqRing is
-// ScqTicketCore plus helping.
+// ScqTicketCore's fast path with the same three hooks, plus helping.
 //
 // The model is the *value-carrying ring*: entries hold script values
 // directly (⊥ = kBottom), where the production ring holds slot indices and
@@ -158,7 +158,7 @@ class ScqFastPath {
   private:
     Derived& self() { return static_cast<Derived&>(*this); }
 
-    // --- enqueue: mirrors ScqRing::enqueue / put_at -----------------------
+    // --- enqueue: mirrors ScqTicketCore::fast_enqueue / put_at ------------
     //  pc 0: F&A(tail) -> t
     //  pc 1: load entry; branch on (cycle, idx, safe)
     //  pc 2: read head (the "unsafe, head <= t" rescue check)
@@ -212,7 +212,7 @@ class ScqFastPath {
         }
     }
 
-    // --- dequeue: mirrors ScqRing::dequeue / take_at and ScqTicketCore's
+    // --- dequeue: mirrors ScqTicketCore::fast_dequeue / take_at and its
     //     threshold_exhausted / burned_ticket_empty / catchup
     //  pc 10: read threshold (EMPTY fast path)
     //  pc 11: F&A(head) -> h

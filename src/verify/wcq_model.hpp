@@ -110,7 +110,7 @@ struct WcqModelState : ScqModelState {
 // One wCQ operation as a resumable step machine.  Program counters:
 //   fast enqueue  0-5   (ScqFastPath; on_note resolves once per ticket)
 //   fast dequeue 10-21  (ScqFastPath; consume is a CAS, not fetch-or,
-//                        exactly as in wcq.hpp's take_at)
+//                        exactly as WcqRing's consume hook)
 //   slow enqueue 30-46  (publish, help loop, fix_tail, commit, cleanup)
 //   slow dequeue 50-67  (publish, help loop, EMPTY commit, cleanup)
 //   resolve_note 80-90  (subroutine; returns to rs_ret_)

@@ -270,7 +270,9 @@ TEST_F(InjectLcrq, PinnedRingIsWithheldFromPoolUntilProtectorReleases) {
     constexpr value_t kTotal = 5 + 6 * kRounds;
     std::set<value_t> seen;
     for (value_t v = 0; v < 4; ++v) seen.insert(v);
-    if (got0.has_value()) EXPECT_TRUE(seen.insert(*got0).second) << *got0;
+    if (got0.has_value()) {
+        EXPECT_TRUE(seen.insert(*got0).second) << *got0;
+    }
     for (value_t v : got1) EXPECT_TRUE(seen.insert(v).second) << v;
     while (auto v = q.dequeue()) EXPECT_TRUE(seen.insert(*v).second) << *v;
     EXPECT_EQ(seen.size(), kTotal);
