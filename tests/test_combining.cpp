@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <vector>
 
 #include "queues/combining.hpp"
 #include "queues/fc_queue.hpp"
@@ -241,6 +242,32 @@ TEST(FcQueue, ManyQueuesShareThreadRecordsSafely) {
     });
     EXPECT_FALSE(a.dequeue().has_value());
     EXPECT_FALSE(b.dequeue().has_value());
+}
+
+TEST(FcQueue, ShortLivedThreadWavesReuseRecords) {
+    // Each wave's threads exit before the next wave starts, so their dense
+    // ids, and the records in the queue's table with them, pass to the next
+    // wave.  A pair's dequeue follows its own enqueue, so it never finds
+    // the queue empty.
+    constexpr int kWaves = 32;
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kPairs = 200;
+    FcQueue q;
+    std::vector<std::vector<value_t>> received(kWaves * kThreads);
+    for (int wave = 0; wave < kWaves; ++wave) {
+        test::run_threads(kThreads, [&](int id) {
+            const int who = wave * kThreads + id;
+            auto& mine = received[static_cast<std::size_t>(who)];
+            for (std::uint64_t i = 0; i < kPairs; ++i) {
+                q.enqueue(test::tag(static_cast<unsigned>(who), i));
+                const auto v = q.dequeue();
+                ASSERT_TRUE(v.has_value());
+                mine.push_back(*v);
+            }
+        });
+    }
+    test::expect_exchange_valid(received, kWaves * kThreads, kPairs);
+    EXPECT_FALSE(q.dequeue().has_value());
 }
 
 }  // namespace

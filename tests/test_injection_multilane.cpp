@@ -2,7 +2,8 @@
 // certification: a dequeuer's lane scan racing an enqueue parked between
 // its presence announcement and its lane insert (the window the two-round
 // protocol exists for), a thread killed inside that window (the RAII
-// finished-bump must keep certification live), and seeded random sweeps
+// finished-bump must keep certification live), a first-time producer
+// whose slot appears between the two rounds, and seeded random sweeps
 // validated against the per-producer FIFO checker.
 //
 // Uses MultilaneLscq throughout: TSan cannot instrument cmpxchg16b, so
@@ -111,6 +112,39 @@ TEST_F(InjectMultilane, KilledEnqueuerRebalancesPresenceEmptyStaysLive) {
     // The queue stays serviceable after the death.
     q.enqueue(8);
     EXPECT_EQ(q.dequeue().value_or(0), 8u);
+}
+
+// A producer's first enqueue into the queue lands between the two scan
+// rounds: the consumer's round 1 finds both lanes empty and every visited
+// presence slot quiescent (the producer has no slot yet), and it is held
+// at kLaneCertify until the producer has attached its slot, bumped
+// started and published 42.  Round 2 must then visit a slot round 1 did
+// not, refuse to certify, and the next scan must find 42.
+TEST_F(InjectMultilane, FirstEnqueueBetweenRoundsDeniesEmpty) {
+    QueueOptions opt;
+    opt.lanes = 2;
+    MultilaneLscq q(opt);
+    ctl().set_hold_deadline(std::chrono::seconds{10});
+    ctl().hold_until(0, Point::kLaneCertify, 1, 1, Point::kScqEnqPublished, 1);
+    ctl().arm();
+
+    std::optional<value_t> got;
+    run_threads(2, [&](int id) {
+        ctl().bind_thread(id);
+        if (id == 0) {
+            got = q.dequeue();  // parks at kLaneCertify after round 1
+        } else {
+            await([&] { return ctl().visits(0, Point::kLaneCertify) >= 1; });
+            q.enqueue(42);  // this thread's first enqueue into q
+        }
+    });
+
+    EXPECT_EQ(ctl().hold_timeouts(), 0u) << "window was not constructed";
+    EXPECT_EQ(got.value_or(0), 42u)
+        << "EMPTY certified although a first-time producer published between the rounds";
+    EXPECT_EQ(ctl().visits(0, Point::kLaneCertify), 1u)
+        << "the retry after the failed round 2 must find 42 before certifying";
+    EXPECT_FALSE(q.dequeue().has_value());
 }
 
 // Seeded random sweep, full accounting: values arrive exactly once, in
