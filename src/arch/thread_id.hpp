@@ -3,13 +3,18 @@
 // Per-thread state is indexed by a dense thread id — handed out on first
 // use and *recycled when the thread exits* — so tests can spawn thousands
 // of short-lived threads without growing it: it is sized for kMaxThreads
-// concurrent threads.  The combining queues (CC/H/FC), multilane presence
-// slots and wCQ help slots index their own arrays by it; ThreadTable below
-// holds the state that must outlive its thread, for its four users: a
-// hazard domain's records (hazard/hazard_pointers.hpp), the event
-// counters' blocks (arch/counters.hpp), a blocking facade's size tallies
-// (queues/blocking_queue.hpp) and an SCQ-family list's kept-slot caches
-// (queues/linked_segments.hpp).
+// concurrent threads.  ThreadTable below is the one per-thread table, for
+// six users: a hazard domain's records (hazard/hazard_pointers.hpp), the
+// event counters' blocks (arch/counters.hpp), a blocking facade's size
+// tallies (queues/blocking_queue.hpp), an SCQ-family list's kept-slot
+// caches (queues/linked_segments.hpp), flat combining's publication
+// records (queues/fc_queue.hpp), and a multilane queue's presence slots
+// and per-thread scan state (queues/multilane.hpp).  Two arrays stay
+// indexed by the id, on purpose: CC-Synch's spare nodes
+// (queues/combining.hpp) pass between threads as the algorithm swaps
+// them, so a table would hold the same kMaxThreads pointers behind one
+// more load; and wCQ's help slots (queues/wcq.hpp) are shared through
+// thread_index() % 64 to bound each ring's memory.
 #pragma once
 
 #include <atomic>

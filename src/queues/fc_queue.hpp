@@ -7,13 +7,18 @@
 // allocated when the old one fills — manipulated only by the combiner, so
 // it needs no internal synchronization.
 //
-// We keep the publication list simple (records are enlisted once per
-// thread id and never aged out); with dense recycled thread ids the list
-// length is bounded by the maximum concurrency ever seen, which matches
-// the benchmark setting the algorithm was evaluated in.
+// The publication list is the queue's ThreadTable of records
+// (arch/thread_id.hpp): a thread's record is made on its first operation
+// and passes with its dense id to the id's next owner, and the combiner
+// walks the table with for_each.  Records are never aged out; with dense
+// recycled thread ids the walk is bounded by the maximum concurrency ever
+// seen, which matches the benchmark setting the algorithm was evaluated
+// in.  A record the combiner has not seen yet is not lost: its owner keeps
+// trying the lock and, once it holds it, serves its own record.
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <optional>
 
 #include "arch/backoff.hpp"
@@ -61,11 +66,9 @@ class SegmentedSeqQueue {
             head_seg_ = head_seg_->next;
             head_idx_ = 0;
             delete drained;
-            if (head_seg_ == nullptr) {
-                // Cannot happen: tail_seg_ is always reachable.
-                head_seg_ = tail_seg_ = check_alloc(new (std::nothrow) Segment);
-                tail_idx_ = 0;
-            }
+            // A drained head that was also the tail had head_idx_ ==
+            // tail_idx_ == kSegCells and returned EMPTY above.
+            assert(head_seg_ != nullptr);
             if (head_seg_ == tail_seg_ && head_idx_ == tail_idx_) return std::nullopt;
         }
         return head_seg_->cells[head_idx_++];
@@ -91,17 +94,13 @@ class FcQueue {
   public:
     static constexpr const char* kName = "fc-queue";
 
-    explicit FcQueue(const QueueOptions& = {}) {
-        for (auto& r : records_) {
-            r->enlisted.store(false, std::memory_order_relaxed);
-        }
-    }
+    explicit FcQueue(const QueueOptions& = {}) {}
 
     FcQueue(const FcQueue&) = delete;
     FcQueue& operator=(const FcQueue&) = delete;
 
     void enqueue(value_t x) {
-        Record& rec = my_record();
+        Record& rec = records_.local();
         rec.arg = x;
         rec.is_enqueue = true;
         rec.pending.store(true, std::memory_order_release);
@@ -109,7 +108,7 @@ class FcQueue {
     }
 
     std::optional<value_t> dequeue() {
-        Record& rec = my_record();
+        Record& rec = records_.local();
         rec.is_enqueue = false;
         rec.pending.store(true, std::memory_order_release);
         run_or_wait(rec);
@@ -118,15 +117,12 @@ class FcQueue {
     }
 
   private:
-    struct RecordBody {
+    struct alignas(kCacheLineSize) Record {
         std::atomic<bool> pending{false};
-        std::atomic<bool> enlisted{false};
         bool is_enqueue = false;
         value_t arg = kBottom;
         value_t result = kBottom;
-        RecordBody* next = nullptr;  // publication list link (write-once)
     };
-    using Record = RecordBody;
 
     void run_or_wait(Record& rec) {
         SpinWait waiter;
@@ -149,41 +145,25 @@ class FcQueue {
         // point is batching under one lock acquisition).
         unsigned combined = 0;
         for (int round = 0; round < 2; ++round) {
-            for (Record* r = list_head_.load(std::memory_order_acquire); r != nullptr;
-                 r = r->next) {
-                if (!r->pending.load(std::memory_order_acquire)) continue;
-                if (r->is_enqueue) {
-                    store_.push(r->arg);
-                    r->result = kBottom;
+            records_.for_each([&](Record& r) {
+                if (!r.pending.load(std::memory_order_acquire)) return;
+                if (r.is_enqueue) {
+                    store_.push(r.arg);
+                    r.result = kBottom;
                 } else {
                     const auto v = store_.pop();
-                    r->result = v.has_value() ? *v : kBottom;
+                    r.result = v.has_value() ? *v : kBottom;
                 }
                 ++combined;
-                r->pending.store(false, std::memory_order_release);
-            }
+                r.pending.store(false, std::memory_order_release);
+            });
         }
         stats::count(stats::Event::kCombine, combined);
     }
 
-    Record& my_record() {
-        Record& rec = *records_[thread_index()];
-        if (!rec.enlisted.load(std::memory_order_relaxed)) {
-            rec.enlisted.store(true, std::memory_order_relaxed);
-            Record* head = list_head_.load(std::memory_order_relaxed);
-            do {
-                rec.next = head;
-            } while (!list_head_.compare_exchange_weak(head, &rec,
-                                                       std::memory_order_release,
-                                                       std::memory_order_relaxed));
-        }
-        return rec;
-    }
-
     CacheAligned<SpinLock, kDestructivePairSize> lock_;
-    std::atomic<Record*> list_head_{nullptr};
     SegmentedSeqQueue store_;
-    CacheAligned<RecordBody> records_[kMaxThreads];
+    ThreadTable<Record> records_;
 };
 
 }  // namespace lcrq

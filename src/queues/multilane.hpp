@@ -22,8 +22,9 @@
 //     that consume what they produce stay on their home lane (the hint
 //     never moves); a dedicated consumer's hint converges onto the
 //     producers' lanes instead of paying a guaranteed-empty home probe on
-//     every operation.  The hint is thread-local, so the dequeue front-end
-//     shares no mutable state between threads either.
+//     every operation.  The hint lives in the thread's entry of a
+//     per-queue ThreadTable, so the dequeue front-end shares no mutable
+//     state between threads either, and no two queues share a hint.
 //
 // What survives of the FIFO contract: items enqueued *by the same thread*
 // are dequeued in order (same thread → same lane → lane FIFO), and no item
@@ -35,29 +36,32 @@
 // linearizable, i.e. there must be one instant at which every lane is
 // simultaneously empty — a naive scan can miss an item that hops from a
 // not-yet-visited lane into an already-visited one.  Each lane therefore
-// carries a presence array with one slot per dense thread id, each slot a
-// pair of single-writer counters:
+// holds a ThreadTable (arch/thread_id.hpp) of presence slots, one per
+// dense thread id that ever enqueued to it, each slot a pair of
+// single-writer counters:
 //
 //     started  — bumped by an enqueuer before it touches the lane queue;
 //     finished — bumped after its item is inserted (always, even when the
 //                insert unwinds, so a killed enqueuer cannot wedge the
 //                certification below).
 //
-// Only the thread owning the id writes its slot (plain MOV store on x86);
-// a per-lane watermark `slot_limit` — raised by a one-time CAS the first
-// time a thread enqueues to a lane — bounds how many slots a scan reads.
+// Only the thread owning the id writes its slot (plain MOV store on x86).
+// The table's high-water mark bounds how many slots a scan reads: the
+// first enqueue to a lane under a thread id attaches the id's slot, which
+// raises the mark and publishes the slot (both seq_cst) before the first
+// started-bump, and a scan visits the published slots below the mark.
 //
 // The emptiness certification is a two-round protocol:
 //
-//   round 1, per lane i (rotating order): read the watermark, then each
-//     covered slot's started then finished value, then attempt a lane
-//     dequeue.  An item ends the scan (it is the result); otherwise the
-//     failed dequeue is a linearized empty observation of lane i at some
-//     instant t_i, and the lane is *quiescent* iff started == finished in
-//     every covered slot.
+//   round 1, per lane i (rotating order): visit each published slot,
+//     reading started then finished and recording the slot's address with
+//     its started value, then attempt a lane dequeue.  An item ends the
+//     scan (it is the result); otherwise the failed dequeue is a
+//     linearized empty observation of lane i at some instant t_i, and the
+//     lane is *quiescent* iff started == finished in every visited slot.
 //   round 2, only if every lane was observed empty and quiescent: issue a
-//     seq_cst fence, re-read every watermark and covered started counter;
-//     certify iff all still equal round 1's values.
+//     seq_cst fence, visit the lanes' slots again in round 1's order, and
+//     certify iff the sequence of (slot, started) pairs equals round 1's.
 //
 // Soundness (per slot): let τ be the instant of the round-2 fence, and
 // suppose lane i holds an item X at τ, enqueued by the thread owning slot
@@ -65,8 +69,8 @@
 // in (t_i, τ): after t_i because lane i was observed empty at t_i, before
 // τ because X is present at τ.  The insert drains the enqueuer's store
 // buffer, so X's started-store σ (program-order before the insert) is
-// globally visible before τ, hence seen by round 2's re-read of slot j.
-// Two cases:
+// globally visible before τ, and so is slot j's publication, which
+// precedes σ; round 2 therefore visits slot j and reads σ.  Two cases:
 //   * σ was not yet visible to round 1's read of slot j — round 2 then
 //     reads a larger started value (single-writer counters are monotone)
 //     and certification fails;
@@ -76,15 +80,17 @@
 //     it), while X's own finished-store can only follow the insert, i.e.
 //     lands after t_i > the slot read.  Round 1 therefore read
 //     started == finished + 1 for slot j and quiescence already failed.
-// A thread whose first enqueue to lane i races the scan is caught the same
-// way via the watermark: its slot_limit CAS precedes σ, so either round 1
-// already covers slot j, or round 2's watermark re-read differs.
+// A thread whose first enqueue to lane i races the scan is caught by the
+// same comparison: round 2 visits slot j, so if round 1 did not, the two
+// sequences differ.  Slots are never removed while the lane lives, so
+// round 2 visits every slot round 1 did; equal sequences mean the same
+// slots with the same started values, and the cases above apply.
 // (The visibility steps lean on x86-TSO — stores become visible in program
 // order and lock-prefixed RMWs drain the store buffer — which is the
 // portability bar this repo already sets; see arch/primitives.hpp.)
 //
 // Liveness: a failed certification implies an enqueue started, finished,
-// or published during the scan — system-wide progress — so successful
+// or attached a slot during the scan — system-wide progress — so successful
 // operations stay as nonblocking as the lane queue.  The one relaxation:
 // the EMPTY answer itself waits out in-flight enqueues (a producer parked
 // between its started-bump and its insert keeps started != finished).
@@ -92,7 +98,6 @@
 // matching enqueuer (§4.1.1) and is documented in ALGORITHM.md.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -115,8 +120,8 @@
 namespace lcrq {
 
 // Lane counts above this are clamped: "one lane per CPU" never needs more,
-// and the bound keeps the certification snapshot (lanes × covered slots)
-// small enough to live in a reused thread-local buffer.
+// and the bound keeps a scan's round-1 record (lanes × visited slots)
+// small; it lives in the scanning thread's entry, reused across scans.
 inline constexpr std::size_t kMaxLanes = 64;
 
 template <ConcurrentQueue LaneQ>
@@ -158,7 +163,8 @@ class Multilane {
     }
 
     std::optional<value_t> dequeue() {
-        const std::size_t start = scan_start();
+        Scanner& me = scanners_.local();
+        const std::size_t start = scan_start(me);
         if (auto v = lanes_[start]->queue.dequeue()) {
             stats::count(start == home_lane() ? stats::Event::kLaneLocalHit
                                               : stats::Event::kLaneSteal);
@@ -167,7 +173,7 @@ class Multilane {
         SpinWait waiter;
         for (;;) {
             std::optional<value_t> item;
-            if (scan_round(start, item)) return item;
+            if (scan_round(me, start, item)) return item;
             waiter.spin();
         }
     }
@@ -178,8 +184,9 @@ class Multilane {
     // relaxed contract that is the strongest claim a partial batch needs,
     // and it keeps a half-full batch from blocking on in-flight enqueues.
     std::size_t dequeue_bulk(value_t* out, std::size_t max) {
+        Scanner& me = scanners_.local();
         const std::size_t home = home_lane();
-        const std::size_t start = scan_start();
+        const std::size_t start = scan_start(me);
         const std::size_t n = lanes_.size();
         std::size_t got = 0;
         SpinWait waiter;
@@ -193,7 +200,7 @@ class Multilane {
                     stats::count(i == home ? stats::Event::kLaneLocalHit
                                            : stats::Event::kLaneSteal,
                                  take);
-                    steal_hint() = static_cast<std::uint8_t>(i);
+                    me.hint = i;
                 }
                 round_got += take;
                 got += take;
@@ -203,7 +210,7 @@ class Multilane {
             if (round_got == 0) {
                 // Nothing anywhere: certify before answering EMPTY.
                 std::optional<value_t> item;
-                if (scan_round(start, item)) {
+                if (scan_round(me, start, item)) {
                     if (item.has_value()) {
                         out[got++] = *item;
                         continue;
@@ -227,54 +234,35 @@ class Multilane {
     }
 
   private:
-    // One presence slot per dense thread id.  Single-writer: only the
-    // thread owning the id stores here, so both bumps are plain MOVs on
-    // x86; scans read them with acquire loads (also plain MOVs).  Slots
-    // are deliberately unpadded — threads sharing a lane sit kLanes slots
-    // apart, so with ≥ 4 lanes no two same-lane producers share a line,
-    // and even below that a shared *plain-store* line is far cheaper than
-    // the shared lock-prefixed F&A this replaces.
-    struct PresenceSlot {
+    // One presence slot per (thread id, lane), in the lane's table.
+    // Single-writer: only the thread owning the id stores here, so both
+    // bumps are plain MOVs on x86; scans read them with acquire loads
+    // (also plain MOVs).  A slot has its own cache line, so producers
+    // never share a line through their slots.
+    struct alignas(kCacheLineSize) PresenceSlot {
         std::atomic<std::uint64_t> started{0};
         std::atomic<std::uint64_t> finished{0};
     };
 
     struct alignas(kDestructivePairSize) Lane {
         LaneQ queue;
-        // How many presence slots scans must read: max(thread id) + 1 over
-        // every thread that ever enqueued here.  Raised by a one-time CAS
-        // per (thread, lane) *before* the thread's first started-bump, so
-        // a scan that saw a slot's started value also sees it covered.
-        std::atomic<std::uint32_t> slot_limit{0};
-        std::array<PresenceSlot, kMaxThreads> presence{};
+        // The slots of every thread id that ever enqueued here; a scan
+        // reads the slots below the table's high-water mark.
+        ThreadTable<PresenceSlot> presence;
 
         explicit Lane(const QueueOptions& opt) : queue(opt) {}
-
-        void cover(std::size_t tid) noexcept {
-            const auto want = static_cast<std::uint32_t>(tid) + 1;
-            std::uint32_t cur = slot_limit.load(std::memory_order_acquire);
-            while (cur < want) {
-                stats::count(stats::Event::kCas);
-                if (slot_limit.compare_exchange_weak(cur, want,
-                                                     std::memory_order_seq_cst,
-                                                     std::memory_order_acquire)) {
-                    return;
-                }
-                stats::count(stats::Event::kCasFailure);
-            }
-        }
     };
 
     // started on construction, finished on destruction — also when the
     // lane insert unwinds (kill injection), so a dead enqueuer leaves the
-    // counters balanced and EMPTY certification stays live.  The relaxed
-    // self-reads are sound because slots are single-writer; id recycling
-    // keeps that true (ThreadIdPool hands an id to one live thread at a
-    // time, and its release/acquire pair orders the handoff).
+    // counters balanced and EMPTY certification stays live.  local()
+    // attaches the caller's slot on its id's first enqueue to the lane,
+    // publishing it before the started-bump.  The relaxed self-reads are
+    // sound because slots are single-writer; id recycling keeps that true
+    // (ThreadIdPool hands an id to one live thread at a time, and its
+    // release/acquire pair orders the handoff).
     struct PresenceGuard {
-        explicit PresenceGuard(Lane& l) noexcept
-            : slot(l.presence[thread_index()]) {
-            l.cover(thread_index());
+        explicit PresenceGuard(Lane& l) noexcept : slot(l.presence.local()) {
             slot.started.store(
                 slot.started.load(std::memory_order_relaxed) + 1,
                 std::memory_order_release);
@@ -287,67 +275,51 @@ class Multilane {
         PresenceSlot& slot;
     };
 
-    // Per-thread, per-queue(ish) steal hint: lane of this thread's last
-    // successful dequeue, or the home lane while unset.  Slots are indexed
-    // by a queue-instance id modulo a small table, so two queues may share
-    // a slot — harmless, the hint is only a scan starting point.  Being
-    // thread-local it adds no cross-thread traffic to the dequeue path.
-    static constexpr std::size_t kHintSlots = 64;
-    static constexpr std::uint8_t kHintUnset = 0xFF;
+    // One presence slot as round 1 saw it.
+    struct Seen {
+        const PresenceSlot* slot;
+        std::uint64_t started;
+        bool operator==(const Seen&) const = default;
+    };
 
-    std::uint8_t& steal_hint() const noexcept {
-        thread_local auto hints = [] {
-            std::array<std::uint8_t, kHintSlots> a;
-            a.fill(kHintUnset);
-            return a;
-        }();
-        return hints[qid_ % kHintSlots];
-    }
+    // A thread's dequeue-side state in this queue: its steal hint — the
+    // lane of its last successful dequeue, or kMaxLanes (none yet, so the
+    // home lane) — and round 1's record, kept to reuse its buffer.  Being
+    // per thread, it adds no cross-thread traffic to the dequeue path.
+    struct Scanner {
+        std::size_t hint = kMaxLanes;
+        std::vector<Seen> seen;
+    };
 
-    std::size_t scan_start() const noexcept {
-        const std::uint8_t h = steal_hint();
-        return h < lanes_.size() ? h : home_lane();
+    std::size_t scan_start(const Scanner& me) const noexcept {
+        return me.hint < lanes_.size() ? me.hint : home_lane();
     }
 
     // One full rotating scan + certification attempt.  Returns true when
     // the scan produced an answer: an item (left in `item`) or a certified
     // EMPTY (`item` empty).  Returns false when certification failed and
     // the caller should retry.
-    bool scan_round(std::size_t start, std::optional<value_t>& item) {
+    bool scan_round(Scanner& me, std::size_t start, std::optional<value_t>& item) {
         const std::size_t n = lanes_.size();
         const std::size_t home = home_lane();
-        // Round-1 snapshot, reused across calls: per-lane watermark plus
-        // the covered slots' started values (offsets[i] locates lane i's
-        // run inside the flat `snap`, since lanes are visited rotated).
-        thread_local std::vector<std::uint64_t> snap;
-        thread_local std::vector<std::uint32_t> limits;
-        thread_local std::vector<std::size_t> offsets;
-        snap.clear();
-        limits.assign(n, 0);
-        offsets.assign(n, 0);
+        me.seen.clear();
         bool quiescent = true;
         for (std::size_t k = 0; k < n; ++k) {
             const std::size_t i = (start + k) % n;
             Lane& lane = *lanes_[i];
-            const std::uint32_t limit =
-                lane.slot_limit.load(std::memory_order_seq_cst);
-            limits[i] = limit;
-            offsets[i] = snap.size();
-            for (std::uint32_t j = 0; j < limit; ++j) {
-                // Per slot: started before finished (the soundness
-                // argument needs a finish counted only if its start is).
-                const std::uint64_t s =
-                    lane.presence[j].started.load(std::memory_order_acquire);
-                const std::uint64_t f =
-                    lane.presence[j].finished.load(std::memory_order_acquire);
-                snap.push_back(s);
+            lane.presence.for_each([&](const PresenceSlot& p) {
+                // started before finished (the soundness argument needs a
+                // finish counted only if its start is).
+                const std::uint64_t s = p.started.load(std::memory_order_acquire);
+                const std::uint64_t f = p.finished.load(std::memory_order_acquire);
+                me.seen.push_back({&p, s});
                 if (s != f) quiescent = false;
-            }
+            });
             LCRQ_INJECT_POINT(kLaneScan);
             if (auto v = lane.queue.dequeue()) {
                 stats::count(i == home ? stats::Event::kLaneLocalHit
                                        : stats::Event::kLaneSteal);
-                steal_hint() = static_cast<std::uint8_t>(i);
+                me.hint = i;
                 item = v;
                 return true;
             }
@@ -356,32 +328,24 @@ class Multilane {
         if (!quiescent) return false;
         LCRQ_INJECT_POINT(kLaneCertify);
         std::atomic_thread_fence(std::memory_order_seq_cst);
-        for (std::size_t i = 0; i < n; ++i) {
-            Lane& lane = *lanes_[i];
-            if (lane.slot_limit.load(std::memory_order_seq_cst) != limits[i]) {
-                return false;
-            }
-            for (std::uint32_t j = 0; j < limits[i]; ++j) {
-                if (lane.presence[j].started.load(std::memory_order_acquire) !=
-                    snap[offsets[i] + j]) {
-                    return false;
-                }
-            }
+        std::size_t at = 0;
+        bool same = true;
+        for (std::size_t k = 0; k < n && same; ++k) {
+            lanes_[(start + k) % n]->presence.for_each([&](const PresenceSlot& p) {
+                same = same && at < me.seen.size() &&
+                       me.seen[at] == Seen{&p, p.started.load(std::memory_order_acquire)};
+                ++at;
+            });
         }
+        if (!same || at != me.seen.size()) return false;
         item.reset();
         return true;
     }
 
-    static std::uint32_t alloc_qid() noexcept {
-        static std::atomic<std::uint32_t> next{0};
-        return next.fetch_add(1, std::memory_order_relaxed);
-    }
-
     // LaneQ is neither movable nor small (per-thread hazard state inside),
-    // so lanes live behind unique_ptr; the presence array adds 16 B ×
-    // kMaxThreads per lane, allocated once with the lane.
+    // so lanes live behind unique_ptr.
     std::vector<std::unique_ptr<Lane>> lanes_;
-    const std::uint32_t qid_ = alloc_qid();
+    ThreadTable<Scanner> scanners_;
 };
 
 using MultilaneLcrq = Multilane<LcrqQueue>;

@@ -270,5 +270,11 @@ TEST(FcQueue, ShortLivedThreadWavesReuseRecords) {
     EXPECT_FALSE(q.dequeue().has_value());
 }
 
+TEST(FcQueue, KeepsNoPerThreadArrayInline) {
+    // The records live in a ThreadTable, one pointer per thread id, not in
+    // a kMaxThreads-long array of cache lines inside the queue.
+    EXPECT_LE(sizeof(FcQueue), 8u * 1024);
+}
+
 }  // namespace
 }  // namespace lcrq

@@ -89,7 +89,7 @@ TEST(Multilane, SingleThreadDequeuesAreLocalHits) {
 // The coordination-free witness, per lane queue type: N enqueues on the
 // multilane front-end execute exactly the same number of F&A as N on the
 // bare base queue.  The only RMW the front-end may add is the one-time
-// watermark CAS per (thread, lane).
+// attach CAS per (thread, lane) of the lane's ThreadTable.
 template <typename Base, typename Ml>
 void expect_zero_frontend_rmw() {
     constexpr std::uint64_t kOps = 1000;
@@ -109,7 +109,7 @@ void expect_zero_frontend_rmw() {
     EXPECT_EQ(ml_delta[stats::Event::kFaa], base_delta[stats::Event::kFaa])
         << "presence bookkeeping leaked an F&A into the enqueue hot path";
     EXPECT_LE(ml_delta[stats::Event::kCas] - base_delta[stats::Event::kCas], 1u)
-        << "only the one-time slot_limit watermark CAS is allowed";
+        << "only ThreadTable's one-time first-use attach CAS is allowed";
     EXPECT_EQ(ml_delta.atomic_ops() - ml_delta[stats::Event::kCas],
               base_delta.atomic_ops() - base_delta[stats::Event::kCas])
         << "no other RMW kind may appear either";
