@@ -7,6 +7,7 @@
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace lcrq::verify {
@@ -200,30 +201,49 @@ CheckResult check_queue_fast_per_lane(const History& history) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact checker (Wing & Gong search with memoization).
+// Exact checker: a Wing & Gong search with memoization, against one FIFO
+// sub-queue per slot.  A dequeue of v linearizes iff v heads the
+// sub-queue of its slot; EMPTY linearizes iff every sub-queue is empty.
+// The total-FIFO spec puts every operation on sub-queue 0; the per-lane
+// spec gives each producer thread its own sub-queue (matching the
+// multilane emptiness certification).
 // ---------------------------------------------------------------------------
 
 namespace {
 
 struct SearchState {
     const History* ops;
+    // Sub-queue per operation index: the one an enqueue feeds, or the one
+    // a dequeue must pop from (unused for EMPTY).
+    std::vector<std::size_t> slot;
     std::vector<bool> done;
-    std::deque<value_t> queue;
+    std::vector<std::deque<value_t>> queues;
     std::unordered_set<std::uint64_t> visited;
     std::size_t remaining;
 
     std::uint64_t key() const {
         // Hash (done bitmask, queue contents).  |ops| ≤ 64 so the mask
-        // fits one word; combine with a rolling hash of the queue.
+        // fits one word; combine with a rolling hash of the sub-queues in
+        // order.  The mask fixes each sub-queue's length, so their
+        // concatenation identifies the contents.
         std::uint64_t mask = 0;
         for (std::size_t i = 0; i < done.size(); ++i) {
             if (done[i]) mask |= std::uint64_t{1} << i;
         }
         std::uint64_t h = mask * 0x9e3779b97f4a7c15ULL;
-        for (value_t v : queue) {
-            h ^= (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+        for (const auto& q : queues) {
+            for (value_t v : q) {
+                h ^= (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+            }
         }
         return h;
+    }
+
+    bool all_empty() const {
+        for (const auto& q : queues) {
+            if (!q.empty()) return false;
+        }
+        return true;
     }
 };
 
@@ -247,108 +267,8 @@ bool search(SearchState& st) {
         if (op.kind == Operation::Kind::kEnqueue) {
             st.done[i] = true;
             --st.remaining;
-            st.queue.push_back(op.value);
-            if (search(st)) return true;
-            st.queue.pop_back();
-            ++st.remaining;
-            st.done[i] = false;
-        } else if (op.value == kEmpty) {
-            if (!st.queue.empty()) continue;
-            st.done[i] = true;
-            --st.remaining;
-            if (search(st)) return true;
-            ++st.remaining;
-            st.done[i] = false;
-        } else {
-            if (st.queue.empty() || st.queue.front() != op.value) continue;
-            st.done[i] = true;
-            --st.remaining;
-            st.queue.pop_front();
-            if (search(st)) return true;
-            st.queue.push_front(op.value);
-            ++st.remaining;
-            st.done[i] = false;
-        }
-    }
-    return false;
-}
-
-}  // namespace
-
-CheckResult check_queue_exact(const History& history) {
-    if (history.size() > 64) {
-        return {false, "exact checker limited to 64 operations; got " +
-                           std::to_string(history.size())};
-    }
-    SearchState st;
-    st.ops = &history;
-    st.done.assign(history.size(), false);
-    st.remaining = history.size();
-    if (search(st)) return {};
-    return {false, "no linearization of the history against the FIFO queue spec exists"};
-}
-
-// ---------------------------------------------------------------------------
-// Exact checker, per-lane spec: one FIFO sub-queue per producer thread.
-// A dequeue of v linearizes iff v heads its producer's sub-queue; EMPTY
-// linearizes iff every sub-queue is empty (matching the multilane
-// emptiness certification).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct PerLaneSearchState {
-    const History* ops;
-    // producer slot per operation index: sub-queue an enqueue feeds, or the
-    // sub-queue a dequeue must pop from (unused for EMPTY).
-    std::vector<std::size_t> slot;
-    std::vector<bool> done;
-    std::vector<std::deque<value_t>> queues;
-    std::unordered_set<std::uint64_t> visited;
-    std::size_t remaining;
-
-    std::uint64_t key() const {
-        std::uint64_t mask = 0;
-        for (std::size_t i = 0; i < done.size(); ++i) {
-            if (done[i]) mask |= std::uint64_t{1} << i;
-        }
-        std::uint64_t h = mask * 0x9e3779b97f4a7c15ULL;
-        for (const auto& q : queues) {
-            h ^= (q.size() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-            for (value_t v : q) {
-                h ^= (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-            }
-        }
-        return h;
-    }
-
-    bool all_empty() const {
-        for (const auto& q : queues) {
-            if (!q.empty()) return false;
-        }
-        return true;
-    }
-};
-
-bool search_per_lane(PerLaneSearchState& st) {
-    if (st.remaining == 0) return true;
-    if (!st.visited.insert(st.key()).second) return false;
-
-    std::uint64_t min_response = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < st.ops->size(); ++i) {
-        if (!st.done[i]) min_response = std::min(min_response, (*st.ops)[i].response);
-    }
-
-    for (std::size_t i = 0; i < st.ops->size(); ++i) {
-        if (st.done[i]) continue;
-        const Operation& op = (*st.ops)[i];
-        if (op.invoke > min_response) continue;
-
-        if (op.kind == Operation::Kind::kEnqueue) {
-            st.done[i] = true;
-            --st.remaining;
             st.queues[st.slot[i]].push_back(op.value);
-            if (search_per_lane(st)) return true;
+            if (search(st)) return true;
             st.queues[st.slot[i]].pop_back();
             ++st.remaining;
             st.done[i] = false;
@@ -356,7 +276,7 @@ bool search_per_lane(PerLaneSearchState& st) {
             if (!st.all_empty()) continue;
             st.done[i] = true;
             --st.remaining;
-            if (search_per_lane(st)) return true;
+            if (search(st)) return true;
             ++st.remaining;
             st.done[i] = false;
         } else {
@@ -365,7 +285,7 @@ bool search_per_lane(PerLaneSearchState& st) {
             st.done[i] = true;
             --st.remaining;
             q.pop_front();
-            if (search_per_lane(st)) return true;
+            if (search(st)) return true;
             q.push_front(op.value);
             ++st.remaining;
             st.done[i] = false;
@@ -374,13 +294,33 @@ bool search_per_lane(PerLaneSearchState& st) {
     return false;
 }
 
+CheckResult too_long(const History& history) {
+    return {false, "exact checker limited to 64 operations; got " +
+                       std::to_string(history.size())};
+}
+
+// Whether `history` linearizes with operation i on sub-queue slot[i].
+bool linearizable(const History& history, std::vector<std::size_t> slot,
+                  std::size_t queues) {
+    SearchState st;
+    st.ops = &history;
+    st.slot = std::move(slot);
+    st.done.assign(history.size(), false);
+    st.queues.resize(queues);
+    st.remaining = history.size();
+    return search(st);
+}
+
 }  // namespace
 
+CheckResult check_queue_exact(const History& history) {
+    if (history.size() > 64) return too_long(history);
+    if (linearizable(history, std::vector<std::size_t>(history.size(), 0), 1)) return {};
+    return {false, "no linearization of the history against the FIFO queue spec exists"};
+}
+
 CheckResult check_queue_exact_per_lane(const History& history) {
-    if (history.size() > 64) {
-        return {false, "exact checker limited to 64 operations; got " +
-                           std::to_string(history.size())};
-    }
+    if (history.size() > 64) return too_long(history);
 
     // Map producer threads to sub-queue slots and every op to its slot.
     std::unordered_map<int, std::size_t> thread_slot;
@@ -394,26 +334,24 @@ CheckResult check_queue_exact_per_lane(const History& history) {
         }
     }
 
-    PerLaneSearchState st;
-    st.ops = &history;
-    st.slot.resize(history.size(), 0);
+    std::vector<std::size_t> slot(history.size(), 0);
     for (std::size_t i = 0; i < history.size(); ++i) {
         const Operation& op = history[i];
         if (op.kind == Operation::Kind::kEnqueue) {
-            st.slot[i] = value_slot.at(op.value);
+            slot[i] = value_slot.at(op.value);
         } else if (op.value != kEmpty) {
             const auto it = value_slot.find(op.value);
             if (it == value_slot.end()) {
                 return {false, "V1 invention: dequeued value never enqueued: " +
                                    describe(op)};
             }
-            st.slot[i] = it->second;
+            slot[i] = it->second;
         }
     }
-    st.done.assign(history.size(), false);
-    st.queues.resize(thread_slot.empty() ? 1 : thread_slot.size());
-    st.remaining = history.size();
-    if (search_per_lane(st)) return {};
+    if (linearizable(history, std::move(slot),
+                     thread_slot.empty() ? 1 : thread_slot.size())) {
+        return {};
+    }
     return {false,
             "no linearization of the history against the per-producer FIFO "
             "queue spec exists"};
