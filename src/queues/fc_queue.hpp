@@ -60,16 +60,17 @@ class SegmentedSeqQueue {
     }
 
     std::optional<value_t> pop() {
-        if (head_seg_ == tail_seg_ && head_idx_ == tail_idx_) return std::nullopt;
+        if (empty()) return std::nullopt;
         if (head_idx_ == kSegCells) {
             Segment* drained = head_seg_;
             head_seg_ = head_seg_->next;
             head_idx_ = 0;
             delete drained;
             // A drained head that was also the tail had head_idx_ ==
-            // tail_idx_ == kSegCells and returned EMPTY above.
+            // tail_idx_ == kSegCells and returned EMPTY above.  The next
+            // segment holds an item: push links a segment only to fill
+            // its first cell.
             assert(head_seg_ != nullptr);
-            if (head_seg_ == tail_seg_ && head_idx_ == tail_idx_) return std::nullopt;
         }
         return head_seg_->cells[head_idx_++];
     }
