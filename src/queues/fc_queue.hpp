@@ -164,7 +164,9 @@ class FcQueue {
 
     CacheAligned<SpinLock, kDestructivePairSize> lock_;
     SegmentedSeqQueue store_;
-    ThreadTable<Record> records_;
+    // Every operation reads its entry pointer here, so the table starts
+    // on a line pair of its own, apart from the store the combiner writes.
+    alignas(kDestructivePairSize) ThreadTable<Record> records_;
 };
 
 }  // namespace lcrq
