@@ -285,8 +285,9 @@ class Multilane {
     // A thread's dequeue-side state in this queue: its steal hint — the
     // lane of its last successful dequeue, or kMaxLanes (none yet, so the
     // home lane) — and round 1's record, kept to reuse its buffer.  Being
-    // per thread, it adds no cross-thread traffic to the dequeue path.
-    struct Scanner {
+    // per thread and on its own cache line, it adds no cross-thread
+    // traffic to the dequeue path.
+    struct alignas(kCacheLineSize) Scanner {
         std::size_t hint = kMaxLanes;
         std::vector<Seen> seen;
     };
