@@ -40,7 +40,9 @@ LCRQ_FORCE_NO_THP=1 ctest --test-dir build --output-on-failure -R \
   "test_segment_pool|test_registry"
 
 # Perf smoke: the repo benchmark builds src/ on its own (perfbench/); build
-# it and check it still tells a clean run from a planted fault.
+# it, check it still tells a clean run from a planted fault, and run the
+# traced layer ladder (raw rings and *NoReclaimQueue types at 4 threads).
 if command -v python3 >/dev/null 2>&1; then
   python3 perfbench/run.py --self-test
+  python3 perfbench/run.py --workload pairs --seed 1 --seconds 1 --trace 1
 fi

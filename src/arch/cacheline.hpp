@@ -47,6 +47,21 @@ struct alignas(Align) CacheAligned {
 static_assert(sizeof(CacheAligned<std::uint64_t>) == kCacheLineSize);
 static_assert(alignof(CacheAligned<std::uint64_t>) == kCacheLineSize);
 
+// Spread consecutive indices of an array of 8-byte words across cache lines
+// (DISC'19 §4.6): rotate index j < 2^bits left by 3 within its bits-wide
+// field, so neighbours land 8 words (one line) apart.  Identity at 3 bits
+// or fewer, where the whole array fits in a line anyway.  A bijection on
+// [0, 2^bits) for bits < 64; unspread is its inverse.  SCQ's ring entries,
+// its value queue's data slots and wCQ's help records all use it.
+constexpr std::uint64_t spread(std::uint64_t j, unsigned bits) noexcept {
+    if (bits <= 3) return j;
+    return ((j << 3) | (j >> (bits - 3))) & ((std::uint64_t{1} << bits) - 1);
+}
+constexpr std::uint64_t unspread(std::uint64_t u, unsigned bits) noexcept {
+    if (bits <= 3) return u;
+    return ((u >> 3) | (u << (bits - 3))) & ((std::uint64_t{1} << bits) - 1);
+}
+
 // Allocate an array of T aligned to a cache line (or stronger).  Returns
 // nullptr on failure like operator new(nothrow); callers in the queue hot
 // paths treat allocation failure as fatal via check_alloc().

@@ -62,10 +62,10 @@ enum class Point : std::uint8_t {
     kScqCatchup,           // ScqTicketCore::catchup, tail repair loop entered
     kLaneEnqPending,       // Multilane::enqueue, presence announced, lane
                            //   insert not yet performed
-    kLaneScan,             // Multilane dequeue scan, presence snapshot taken,
-                           //   about to probe this lane
-    kLaneCertify,          // Multilane dequeue, quiescent scan done, about to
-                           //   re-read the started counters (round 2)
+    kLaneScan,             // Multilane dequeue scan, this lane's presence
+                           //   slots recorded, about to probe the lane
+    kLaneCertify,          // Multilane dequeue, round 1 found every lane empty
+                           //   and quiescent, the fence and round 2 not yet run
     kWcqSlowCounted,       // WcqRing slow path, slow_count_ incremented but
                            //   the request not yet published (a kill here
                            //   leaves the counter one high, never negative)

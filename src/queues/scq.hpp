@@ -32,6 +32,10 @@
 // ring's F&A and entry RMW each way, as an LCRQ pair does.  Every index is
 // in exactly one place — aq, fq, an operation in flight, or one thread's
 // cache — so live + in-flight + kept ≤ n and the threshold bound stands.
+// Kept slots make the threads of a shallow run reuse a few consecutive
+// indices, first taken from fq in order, so slot s lives at data[spread(s)]
+// (cacheline.hpp), the rotation remap() applies to ring entries: those
+// slots land on distinct cache lines instead of sharing one.
 //
 // Tantrum behaviour: ScqRing never closes itself (a closed fq would brick
 // the standalone queue); close() is explicit, and the list layer
@@ -199,17 +203,14 @@ class ScqTicketCore {
     }
     std::uint64_t index_of(std::uint64_t e) const noexcept { return e & bottom_; }
 
-    // Spread consecutive ring slots across cache lines (DISC'19 §4.6):
-    // rotate the slot number left by 3 within its idx_bits-wide field, so
-    // neighbouring tickets land 8 entries (one cache line) apart.  Identity
-    // for tiny rings, where the whole ring fits in a line anyway.
+    // Spread consecutive ring slots across cache lines (cacheline.hpp's
+    // spread within the idx_bits-wide field), so neighbouring tickets land
+    // 8 entries (one cache line) apart.
     std::uint64_t remap(std::uint64_t j) const noexcept {
-        if (idx_bits_ <= 3) return j;
-        return ((j << 3) | (j >> (idx_bits_ - 3))) & mask_;
+        return spread(j, idx_bits_);
     }
     std::uint64_t unremap(std::uint64_t u) const noexcept {
-        if (idx_bits_ <= 3) return u;
-        return ((u >> 3) | (u << (idx_bits_ - 3))) & mask_;
+        return unspread(u, idx_bits_);
     }
     // The unique ticket a (cell, cycle) pair denotes — remap is bijective.
     std::uint64_t ticket_of(std::uint64_t cell, std::uint64_t cycle) const noexcept {
@@ -631,6 +632,7 @@ class ScqValueQueue {
                            std::optional<value_t> first = std::nullopt,
                            Config cfg = {}, bool huge = false)
         : capacity_(std::uint64_t{1} << order),
+          slot_bits_(order),
           huge_(huge && order >= kHugeMinRingOrder),
           home_cluster_(topo::current_cluster()),
           aq_(order, 0, first.has_value() ? 1 : 0, cfg, huge_),
@@ -641,7 +643,7 @@ class ScqValueQueue {
         if (huge_backed()) stats::count(stats::Event::kSegmentHuge);
         if (first.has_value()) {
             assert(is_enqueueable(*first));
-            data_[0] = *first;
+            slot(0) = *first;
         }
         std::atomic_thread_fence(std::memory_order_seq_cst);
     }
@@ -663,7 +665,7 @@ class ScqValueQueue {
         fq_.reset(first.has_value() ? 1 : 0, capacity_, Ring::config_of(opt));
         if (first.has_value()) {
             assert(is_enqueueable(*first));
-            data_[0] = *first;
+            slot(0) = *first;
         }
         next.store(nullptr, std::memory_order_relaxed);
         cluster.store(0, std::memory_order_relaxed);
@@ -682,7 +684,7 @@ class ScqValueQueue {
     std::optional<value_t> dequeue() {
         const auto idx = aq_.dequeue();
         if (!idx.has_value()) return std::nullopt;
-        const value_t v = data_[*idx];
+        const value_t v = slot(*idx);
         fq_.enqueue(*idx);
         return v;
     }
@@ -704,7 +706,7 @@ class ScqValueQueue {
     std::optional<value_t> dequeue(SlotCache& cache) {
         const auto idx = aq_.dequeue();
         if (!idx.has_value()) return std::nullopt;
-        const value_t v = data_[*idx];
+        const value_t v = slot(*idx);
         if (next.load(std::memory_order_relaxed) == nullptr && !holds_slot(cache)) {
             cache = {this, ordinal.load(std::memory_order_relaxed), *idx};
         } else {
@@ -735,7 +737,7 @@ class ScqValueQueue {
             if (got == 0) return {done, EnqueueResult::kFull};
             for (std::size_t i = 0; i < got; ++i) {
                 assert(is_enqueueable(items[done + i]));
-                data_[idxs[i]] = items[done + i];
+                slot(idxs[i]) = items[done + i];
             }
             const std::size_t put = aq_.enqueue_bulk({idxs, got});
             done += put;
@@ -758,7 +760,7 @@ class ScqValueQueue {
             const std::size_t want =
                 std::min<std::size_t>({max - n, capacity_, kScqBulkChunk});
             const std::size_t got = aq_.dequeue_bulk(idxs, want);
-            for (std::size_t i = 0; i < got; ++i) out[n + i] = data_[idxs[i]];
+            for (std::size_t i = 0; i < got; ++i) out[n + i] = slot(idxs[i]);
             n += got;
             if (got != 0) fq_.enqueue_bulk({idxs, got});
             if (got < want) break;  // aq observed empty
@@ -777,6 +779,10 @@ class ScqValueQueue {
     // The rings, for tests probing thresholds/indices directly.
     Ring& allocated_ring() noexcept { return aq_; }
     Ring& free_ring() noexcept { return fq_; }
+    // Where slot s's value lives (tests pin the spread layout).
+    const void* debug_slot_address(std::uint64_t s) const noexcept {
+        return data_ + slot_position(s);
+    }
 
     // The cluster whose thread allocated this segment's slabs (stable
     // across reset(): memory does not move when a segment is recycled).
@@ -794,11 +800,18 @@ class ScqValueQueue {
     std::atomic<std::uint64_t> ordinal{0};
 
   private:
+    // Slot s lives at data_[spread(s)], so the few consecutive indices a
+    // shallow run circulates do not share a line (see the header comment).
+    std::uint64_t slot_position(std::uint64_t s) const noexcept {
+        return spread(s, slot_bits_);
+    }
+    value_t& slot(std::uint64_t s) noexcept { return data_[slot_position(s)]; }
+
     // Write slot idx and publish it through aq.  On a closed aq the slot
     // (and its item) never became visible; recycle it.
     EnqueueResult publish(std::uint64_t idx, value_t x) {
         assert(is_enqueueable(x));
-        data_[idx] = x;
+        slot(idx) = x;
         if (aq_.enqueue(idx) == EnqueueResult::kClosed) {
             fq_.enqueue(idx);
             return EnqueueResult::kClosed;
@@ -806,10 +819,11 @@ class ScqValueQueue {
         return EnqueueResult::kOk;
     }
 
-    // data_ sits before the rings, on the first line with the list hooks,
-    // so the kept-slot gate's loads of next and ordinal hit the line every
-    // dequeue reads for data_.
+    // data_ and slot_bits_ sit before the rings, on the first line with
+    // the list hooks, so the kept-slot gate's loads of next and ordinal hit
+    // the line every dequeue reads for data_.
     const std::uint64_t capacity_;
+    const unsigned slot_bits_;  // order: capacity_ == 2^slot_bits_
     const bool huge_;  // hugepage request, pre-gated by kHugeMinRingOrder
     const int home_cluster_;
     value_t* data_;

@@ -244,7 +244,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     // runs only past patience, and padded, 64 records take 8 KiB a ring,
     // two rings a segment, 80% of an lwcq segment at R = 2^6.
     // record(s) spreads them instead, as remap() spreads ring entries:
-    // slot s lives at array position ((s << 3) | (s >> 3)) & 63, so slots
+    // slot s lives at array position spread(s, 6) (cacheline.hpp), so slots
     // 0..7 start 192 B apart and the records of any 8 consecutive slots
     // touch 8 disjoint line pairs.  Concurrent slow paths keep the
     // isolation the padding gave them; packed in slot order, neighbours
@@ -258,7 +258,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     };
 
     static constexpr std::size_t record_position(std::size_t s) noexcept {
-        return ((s << 3) | (s >> 3)) & (kWcqSlots - 1);
+        return spread(s, kSlotBits);
     }
     HelpRecord& record(std::size_t s) noexcept {
         return records_[record_position(s)];

@@ -115,5 +115,31 @@ TEST(Cacheline, CrqNodeSizes) {
     SUCCEED();
 }
 
+TEST(Cacheline, SpreadIsTheRingAndRecordRotation) {
+    static_assert(spread(1, 6) == 8 && unspread(8, 6) == 1);
+    // The formulas spread replaced, written out: ScqTicketCore's remap and
+    // unremap at index width w, and wCQ's help-record position (w = 6).
+    // Equal at every index, the ring and record layouts stay byte-identical.
+    const auto remap = [](std::uint64_t j, unsigned w) -> std::uint64_t {
+        const std::uint64_t mask = (std::uint64_t{1} << w) - 1;
+        return w <= 3 ? j : ((j << 3) | (j >> (w - 3))) & mask;
+    };
+    const auto unremap = [](std::uint64_t u, unsigned w) -> std::uint64_t {
+        const std::uint64_t mask = (std::uint64_t{1} << w) - 1;
+        return w <= 3 ? u : ((u >> 3) | (u << (w - 3))) & mask;
+    };
+    for (unsigned w = 1; w <= 17; ++w) {
+        for (std::uint64_t j = 0; j < (std::uint64_t{1} << w); ++j) {
+            ASSERT_EQ(spread(j, w), remap(j, w)) << "width " << w << " index " << j;
+            ASSERT_EQ(unspread(j, w), unremap(j, w)) << "width " << w << " index " << j;
+            ASSERT_EQ(unspread(spread(j, w), w), j) << "width " << w << " index " << j;
+            ASSERT_EQ(spread(unspread(j, w), w), j) << "width " << w << " index " << j;
+        }
+    }
+    for (std::uint64_t s = 0; s < 64; ++s) {
+        ASSERT_EQ(spread(s, 6), ((s << 3) | (s >> 3)) & 63) << "record " << s;
+    }
+}
+
 }  // namespace
 }  // namespace lcrq

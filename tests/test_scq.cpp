@@ -13,6 +13,7 @@
 #include <array>
 #include <atomic>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -248,6 +249,37 @@ TYPED_TEST(ScqFamilyValueQueue, CloseRecyclesTheUnpublishedSlot) {
     }
     EXPECT_EQ(q.dequeue().value_or(0), 1u);
     EXPECT_FALSE(q.dequeue().has_value());
+}
+
+TYPED_TEST(ScqFamilyValueQueue, ConsecutiveSlotsLandOnDistinctLines) {
+    // Kept slots make a shallow run circulate a few consecutive indices
+    // (fq hands them out in order); packed, slots 0-7 would share a line.
+    for (unsigned order : {6u, 12u}) {
+        TypeParam q(order);
+        std::set<std::uintptr_t> lines;
+        for (std::uint64_t s = 0; s < 8; ++s) {
+            lines.insert(reinterpret_cast<std::uintptr_t>(q.debug_slot_address(s)) /
+                         kCacheLineSize);
+        }
+        EXPECT_EQ(lines.size(), 8u) << "order " << order;
+    }
+}
+
+TYPED_TEST(ScqFamilyValueQueue, SlotMapIsABijection) {
+    for (unsigned order = 1; order <= 16; ++order) {
+        TypeParam q(order);
+        const std::uint64_t n = q.capacity();
+        // Slot 0 stays at the start of the array under any rotation.
+        const auto* base = static_cast<const value_t*>(q.debug_slot_address(0));
+        std::vector<bool> taken(n, false);
+        for (std::uint64_t s = 0; s < n; ++s) {
+            const auto pos = static_cast<const value_t*>(q.debug_slot_address(s)) - base;
+            ASSERT_GE(pos, 0) << "order " << order << " slot " << s;
+            ASSERT_LT(static_cast<std::uint64_t>(pos), n) << "order " << order << " slot " << s;
+            ASSERT_FALSE(taken[pos]) << "order " << order << " slot " << s;
+            taken[pos] = true;
+        }
+    }
 }
 
 // --- the aq/fq value queue: SCQ's batch paths -------------------------------
