@@ -1,13 +1,17 @@
 // google-benchmark microbenchmarks of single queue operations: the cost
 // of an enqueue/dequeue pair on every registered queue, single-threaded
 // (pure instruction cost, no contention) and multi-threaded — plus the
-// same pair through a bounded blocking facade at a standing depth, and
-// through wCQ's helping slow path alone.
+// same pair through a bounded blocking facade at a standing depth, through
+// wCQ's helping slow path alone, and the CPU a blocking facade's idle
+// waiters burn under a sparse arrival stream.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <thread>
+#include <vector>
 
 #include "queues/blocking_queue.hpp"
 #include "queues/lcrq.hpp"
@@ -82,6 +86,42 @@ void BM_WcqAllSlowPath(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_WcqAllSlowPath)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
+
+// range(0) waiters loop on wait_dequeue_for(1 ms), as perfbench's dispatch
+// workers do, on a BlockingQueue<LcrqQueue> that this thread feeds one
+// item every 3.3 us (dispatch's 0.3 Mreq/s, evenly spaced): the price of
+// idle waiting beyond dispatch's two workers.  waiter_cpus is the waiters'
+// thread CPU time per wall-clock second, in CPUs; with one spinner per
+// facade it should stay near one however many wait.
+void BM_IdleWaitersCpu(benchmark::State& state) {
+    constexpr std::uint64_t kGapNs = 3'300;
+    const auto waiters = static_cast<int>(state.range(0));
+    BlockingQueue<LcrqQueue> q;
+    std::atomic<std::uint64_t> cpu_ns{0};
+    const std::uint64_t wall0 = now_ns();
+    std::vector<std::thread> threads;
+    for (int w = 0; w < waiters; ++w) {
+        threads.emplace_back([&] {
+            const std::uint64_t c0 = thread_cpu_ns();
+            while (!q.wait_dequeue_for(1'000'000).closed()) {
+            }
+            cpu_ns.fetch_add(thread_cpu_ns() - c0, std::memory_order_relaxed);
+        });
+    }
+    const auto gap_ticks = static_cast<std::uint64_t>(static_cast<double>(kGapNs) * tsc_per_ns());
+    std::uint64_t next = rdtsc();
+    value_t v = 0;
+    for (auto _ : state) {
+        next += gap_ticks;
+        while (rdtsc() < next) cpu_relax();
+        benchmark::DoNotOptimize(q.try_enqueue(++v));
+    }
+    q.close();
+    for (std::thread& t : threads) t.join();
+    const double wall_ns = static_cast<double>(now_ns() - wall0);
+    state.counters["waiter_cpus"] = static_cast<double>(cpu_ns.load()) / wall_ns;
+}
+BENCHMARK(BM_IdleWaitersCpu)->Arg(1)->Arg(2)->Arg(3)->Iterations(150'000)->UseRealTime();
 
 void register_all() {
     slow_path_ring();

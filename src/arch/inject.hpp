@@ -87,9 +87,15 @@ enum class Point : std::uint8_t {
                            //   kill here models a claimant dying
                            //   mid-handoff)
     kBlockWait,            // BlockingQueue, waiter registered and re-check
-                           //   done, about to sleep on the eventcount (a
-                           //   kill here models a consumer/producer dying
-                           //   while parked)
+                           //   done, about to sleep on the eventcount — the
+                           //   items or space one, or a consumer's standby
+                           //   slice (a kill here models a consumer/producer
+                           //   dying while parked)
+    kBlockSpin,            // BlockingQueue::wait_dequeue_until, spin token
+                           //   claimed (the CAS succeeded), spin window not
+                           //   yet opened (a kill here models a spinner dying
+                           //   with the token: other waiters stand by until
+                           //   its stamp goes stale, one window later)
     kBlockNotify,          // BlockingQueue (EventCount::signal), change
                            //   published, a waiter seen registered and the
                            //   epoch bumped, nobody woken or resumed yet
@@ -117,7 +123,7 @@ constexpr std::string_view point_name(Point p) noexcept {
         "wcq_slow_counted",      "wcq_req_published", "wcq_note_placed",
         "wcq_before_commit",     "wcq_committed",    "wcq_help_scan",
         "cluster_wait",          "cluster_claim",    "block_wait",
-        "block_notify",          "drain",
+        "block_spin",            "block_notify",     "drain",
     };
     return names[static_cast<std::size_t>(p)];
 }

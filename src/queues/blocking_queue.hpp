@@ -4,7 +4,7 @@
 // instead of waiting (that totality is what the paper's progress claims
 // are about).  Applications that want consumers to sleep when idle — and
 // producers to feel backpressure instead of growing the queue without
-// bound — layer this facade on top.  Two futex eventcounts turn the
+// bound — layer this facade on top.  Futex eventcounts turn the
 // nonblocking operations into blocking ones without touching the queue's
 // hot path: consumers only enter the futex slow path after the fast
 // dequeue misses, producers only bump the epoch and pay a wake syscall
@@ -15,14 +15,32 @@
 // The base is anything that meets FacadeBase below: a concrete list queue
 // or bounded ring, or a registry queue behind UniquePtrBase<AnyQueue>.
 //
-// Idle waiters write nothing shared.  A waiter makes one real dequeue
-// (or admission), then, for a spin window of kSpinWindowNs timed with the
-// TSC, polls the base's read-only looks_empty() peek and makes a real
-// attempt only when the peek says items arrived.  A base without a real
-// peek answers "don't know" (false), so its window is spent on real
+// Idle waiters write nothing a producer reads.  A waiter makes one real
+// dequeue (or admission), then, for a spin window of kSpinWindowNs timed
+// with the TSC, polls the base's read-only looks_empty() peek and makes a
+// real attempt only when the peek says items arrived.  A base without a
+// real peek answers "don't know" (false), so its window is spent on real
 // attempts.  The window is one futex park->wake round trip, so a wake
 // that would come within that time is caught spinning instead of paying
 // for the park.
+//
+// One spinner per facade.  Only the consumer thread that holds the spin
+// token runs that window; every other thread waiter parks as a standby on
+// an eventcount that only close() signals, in slices of kSpinWindowNs,
+// each ending in a peek.  A standby makes a real attempt when the peek
+// shows items, and takes the token when it is free or stale (Scherer, Lea
+// and Scott's synchronous queues spin only the waiter at the front).  The
+// token word holds the holder's thread_index() and the TSC stamp of its
+// window's start, and goes stale one window later, so a holder that
+// returned an item and never came back, or died in its window, keeps the
+// others from spinning for one window and the slice a standby is in (the
+// kernel's timer slack stretches a slice: 50 us by default on Linux).
+// Producers never read the token and never wake a standby: a standby's
+// delivery rests on its own peek, so an admit touches no line and makes
+// no syscall for it, and the producers' path stays what the single-waiter
+// case costs.  Waking standbys from the admit path would add a load of
+// the token's line and a syscall to admits for the items the spinner is
+// too busy to take.
 //
 // Semantics:
 //   try_enqueue(x)      — nonblocking admission: false when closed, at the
@@ -234,6 +252,11 @@ class EventCount {
     }
     void retract(Waiter w) noexcept {
         registered_.fetch_sub(static_cast<std::uint64_t>(w), std::memory_order_seq_cst);
+    }
+
+    // Threads registered now (the low half of the registration word).
+    std::uint32_t registered_threads() const noexcept {
+        return static_cast<std::uint32_t>(registered_.load(std::memory_order_relaxed));
     }
 
     // Publish "the condition may have changed" to registered waiters.  The
@@ -516,19 +539,29 @@ class BlockingQueue {
         return wait_dequeue_until(saturating_deadline(timeout_ns));
     }
 
-    // Timed wait.  One real dequeue, then peeks between real dequeues for
-    // a spin window (capped by the deadline), then register on the items
-    // eventcount and sleep in deadline-capped slices (futex on Linux).  The
-    // slice cap bounds the damage of a lost notify: a producer killed
-    // between bump and wake (kBlockNotify) delays the sleeper by at most
-    // one slice instead of stranding it.
+    // Timed wait.  One real dequeue; then, holding the spin token, peeks
+    // between real dequeues for a spin window (capped by the deadline),
+    // then register on the items eventcount and sleep in deadline-capped
+    // slices (futex on Linux).  The slice cap bounds the damage of a lost
+    // notify: a producer killed between bump and wake (kBlockNotify) delays
+    // the sleeper by at most one slice instead of stranding it.  Without
+    // the token the waiter stands by (stand_by) until its peek shows items
+    // or the token frees, then starts over with a real dequeue.
     WaitResult wait_dequeue_until(std::uint64_t deadline_ns) {
         bool counted_block = false;
         std::uint64_t spin_end = 0;  // opened by the first miss
         for (;;) {
             if (auto v = try_dequeue()) return {WaitStatus::kOk, *v};
             if (closed_.load(std::memory_order_acquire)) return drain_after_close();
-            if (spin_end == 0) spin_end = spin_window_end(deadline_ns);
+            if (spin_end == 0) {
+                if (now_ns() >= deadline_ns) return {WaitStatus::kTimeout, kBottom};
+                if (!claim_spin_token()) {
+                    if (stand_by(deadline_ns, counted_block)) continue;
+                    return {WaitStatus::kTimeout, kBottom};
+                }
+                LCRQ_INJECT_POINT(kBlockSpin);
+                spin_end = spin_window_end(deadline_ns);
+            }
             if (await_items(spin_end)) continue;
             if (now_ns() >= deadline_ns) return {WaitStatus::kTimeout, kBottom};
             {
@@ -536,10 +569,7 @@ class BlockingQueue {
                 const std::uint32_t observed = items_ec_.prepare();
                 if (auto v = try_dequeue()) return {WaitStatus::kOk, *v};
                 if (closed_.load(std::memory_order_acquire)) return drain_after_close();
-                if (!counted_block) {
-                    stats::count(stats::Event::kBlockedDeq);
-                    counted_block = true;
-                }
+                count_block(counted_block);
                 LCRQ_INJECT_POINT(kBlockWait);
                 const std::uint64_t nw = now_ns();
                 if (nw >= deadline_ns) return {WaitStatus::kTimeout, kBottom};
@@ -554,6 +584,7 @@ class BlockingQueue {
     void close() {
         closed_.store(true, std::memory_order_seq_cst);
         items_ec_.signal();
+        standby_ec_.signal();
         space_ec_.signal();
     }
 
@@ -618,6 +649,17 @@ class BlockingQueue {
     std::uint32_t items_epoch() const noexcept { return items_ec_.prepare(); }
     std::uint32_t space_epoch() const noexcept { return space_ec_.prepare(); }
 
+    // Test peers: the thread_index() the spin token names, stale or not
+    // (nullopt while it is free), and the waiters standing by.
+    std::optional<std::size_t> debug_spin_holder() const noexcept {
+        const std::uint64_t held = spin_token_.load(std::memory_order_relaxed);
+        if (held == 0) return std::nullopt;
+        return static_cast<std::size_t>((held & kHolderMask) - 1);
+    }
+    std::uint32_t debug_standby_waiters() const noexcept {
+        return standby_ec_.registered_threads();
+    }
+
   private:
     // The coroutine facade registers and parks its frames on items_ec_ and
     // space_ec_.
@@ -637,6 +679,11 @@ class BlockingQueue {
     static constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
     // A tally folds into the shared estimate once per this many counts.
     static constexpr std::int64_t kFoldBatch = 64;
+    // The spin token's low bits name its holder, as thread_index() + 1 so
+    // that 0 means free; the bits above hold the TSC stamp.
+    static constexpr unsigned kHolderBits = 10;
+    static constexpr std::uint64_t kHolderMask = (std::uint64_t{1} << kHolderBits) - 1;
+    static_assert(kMaxThreads <= kHolderMask);
 
     // The bounded admission check (see the file comment): admit at once
     // while the estimate plus kFoldBatch per table entry (more than any
@@ -682,6 +729,61 @@ class BlockingQueue {
         }
     }
 
+    // A token this thread may take at TSC time `now`: free, its own, or
+    // stale — its holder's window, opened at the stamp, has ended.  Stamps
+    // keep the TSC's low 64 - kHolderBits bits, so ages are taken modulo
+    // that width.  A stamp less than a window ahead of `now` is fresh: rdtsc
+    // does not wait for the load that saw the stamp, so `now` can be read
+    // before the holder took it.
+    bool token_open(std::uint64_t held, std::uint64_t now) const noexcept {
+        if (held == 0 || (held & kHolderMask) == thread_index() + 1) return true;
+        const std::uint64_t stamp = held & ~kHolderMask;
+        const std::uint64_t age = ((now << kHolderBits) - stamp) >> kHolderBits;
+        const std::uint64_t ahead = (stamp - (now << kHolderBits)) >> kHolderBits;
+        return age >= spin_window_ticks_ && ahead >= spin_window_ticks_;
+    }
+
+    // Take the spin token, stamped with the start of the window about to
+    // open; false when another waiter's window is running or a rival took
+    // the token first.  Relaxed: the token decides who spins, never who
+    // gets an item, so nothing is published through it.
+    bool claim_spin_token() noexcept {
+        std::uint64_t held = spin_token_.load(std::memory_order_relaxed);
+        const std::uint64_t now = rdtsc();
+        if (!token_open(held, now)) return false;
+        return spin_token_.compare_exchange_strong(
+            held, (now << kHolderBits) | (thread_index() + 1), std::memory_order_relaxed);
+    }
+
+    // A waiter without the token parks on standby_ec_ in kSpinWindowNs
+    // slices, each ending in a peek.  True: make a real attempt (the peek
+    // shows items, the queue closed, or the token is open); false: the
+    // deadline passed first.  No admit signals standby_ec_ — only close()
+    // does — so the peek is what delivers to a standby.
+    bool stand_by(std::uint64_t deadline_ns, bool& counted_block) {
+        detail::WaiterGuard guard(standby_ec_, detail::Waiter::kThread);
+        for (;;) {
+            const std::uint32_t observed = standby_ec_.prepare();
+            if (closed_.load(std::memory_order_acquire)) return true;
+            count_block(counted_block);
+            LCRQ_INJECT_POINT(kBlockWait);
+            const std::uint64_t nw = now_ns();
+            if (nw >= deadline_ns) return false;
+            standby_ec_.wait_slice(observed, std::min(deadline_ns - nw, kSpinWindowNs));
+            if (!base_.looks_empty() ||
+                token_open(spin_token_.load(std::memory_order_relaxed), rdtsc())) {
+                return true;
+            }
+        }
+    }
+
+    // kBlockedDeq counts a wait call that parked, once, whichever way.
+    static void count_block(bool& counted) noexcept {
+        if (counted) return;
+        stats::count(stats::Event::kBlockedDeq);
+        counted = true;
+    }
+
     // Closed observed on the dequeue path: deliver any remaining item.  One
     // EMPTY is not conclusive while pre-close enqueuers may still be
     // publishing, so EMPTY is re-checked kClosedRecheckRounds times before
@@ -704,13 +806,19 @@ class BlockingQueue {
     // process) at construction rather than inside the first waiter's spin
     // window.
     const double tsc_per_ns_ = tsc_per_ns();
-    detail::EventCount items_ec_;  // consumers wait; admissions signal
-    detail::EventCount space_ec_;  // bounded producers wait; dequeues signal
+    const std::uint64_t spin_window_ticks_ =
+        static_cast<std::uint64_t>(static_cast<double>(kSpinWindowNs) * tsc_per_ns_);
+    detail::EventCount items_ec_;    // the spinner parks; admissions signal
+    detail::EventCount standby_ec_;  // standby waiters park; only close() signals
+    detail::EventCount space_ec_;    // bounded producers wait; dequeues signal
     // approx_size() and the watermark: per-thread admitted and dequeued
     // tallies, and (bounded only) the folded estimate of their sum.
     alignas(kCacheLineSize) ThreadTable<detail::SizeTally> tallies_;
     alignas(kCacheLineSize) std::atomic<std::int64_t> estimate_{0};
     alignas(kCacheLineSize) std::atomic<bool> closed_{false};
+    // Who runs the consumer spin window (see the file comment); written by
+    // waiters only, on a line no producer reads.
+    alignas(kCacheLineSize) std::atomic<std::uint64_t> spin_token_{0};
 };
 
 }  // namespace lcrq

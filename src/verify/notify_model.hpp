@@ -26,8 +26,14 @@
 // a notifier that reads the registrations before it publishes, a waiter
 // that reads the epoch after its re-check, and a frame that parks without
 // registering.
+//
+// The spin token (one spinner per facade) gets a model of its own below:
+// a holder, a standby and a notifier whose admits wake nobody the standby
+// sleeps on.  The standby loops, so that explorer walks the state graph
+// instead of schedules.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -207,6 +213,216 @@ inline NotifyExploreResult explore_handshake(WaiterKind kind,
                               {}, {}};
     e.run(NotifyModelState{}, 0, 0);
     return e.out;
+}
+
+// --- the spin token ----------------------------------------------------------
+//
+// BlockingQueue lets only the waiter holding the spin token spin; the
+// others stand by on an eventcount that no admit signals, each slice
+// ending in a peek.  Three roles, each step atomic under SC:
+//
+//   holder H:   owns the token (its window open) at the start; spins on
+//               the peek, dequeues, and leaves with the first item it
+//               gets; one window later its stamp is stale
+//   standby S:  a consumer that calls again after every item: dequeue;
+//               on a miss claim the token (its own, or H's stale one) and
+//               spin on the peek, or else stand by: sleep a slice, then
+//               return to the dequeue when the peek shows items or the
+//               token is open, and sleep again otherwise
+//   notifier N: publishes two items; its signal reaches only the items
+//               eventcount, which nobody here sleeps on
+//
+// S's loop is unbounded, so the explorer walks the state graph (each
+// state once) and checks liveness: from every reachable state some
+// schedule still publishes and takes every item.  With no admit waking
+// S, its own peek and the stale stamp are all that can deliver to it.
+// The mutant drops both: its standby goes back to sleep whenever the
+// token names another thread, without peeking.
+
+enum class TokenMutant : std::uint8_t {
+    kNone,
+    kReparkOnHeldToken,  // standby: re-park while the token names another
+};
+
+struct TokenModelState {
+    std::uint8_t published = 0;     // items N has published, 0..2
+    std::uint8_t queued = 0;        // published and not yet taken
+    std::uint8_t holder = 0;        // H's phase (detail_token::Holder)
+    std::uint8_t standby = 0;       // S's phase (detail_token::Standby)
+    bool standby_owns = false;      // the token names S (else H)
+
+    std::uint32_t code() const noexcept {
+        return static_cast<std::uint32_t>(published | queued << 2 | holder << 4 |
+                                          standby << 6 | (standby_owns ? 1 << 8 : 0));
+    }
+    static TokenModelState decode(std::uint32_t c) noexcept {
+        return {static_cast<std::uint8_t>(c & 3), static_cast<std::uint8_t>(c >> 2 & 3),
+                static_cast<std::uint8_t>(c >> 4 & 3), static_cast<std::uint8_t>(c >> 6 & 3),
+                (c >> 8 & 1) != 0};
+    }
+    bool every_item_taken() const noexcept { return published == 2 && queued == 0; }
+};
+
+struct TokenExploreResult {
+    std::uint64_t states = 0;       // reachable states
+    std::uint64_t transitions = 0;  // enabled steps out of them
+    std::uint64_t violations = 0;   // states from which no schedule takes every item
+    std::uint64_t peek_wakes = 0;   // steps: S's slice ended with its peek seeing items
+    std::uint64_t takeovers = 0;    // steps: S claimed the token from the stale H
+    std::string first_violation;
+
+    bool ok() const noexcept { return violations == 0; }
+};
+
+namespace detail_token {
+
+enum Holder : std::uint8_t { kHolderSpins, kHolderDequeues, kHolderLeft, kHolderStale };
+enum Standby : std::uint8_t { kStandbyDequeues, kStandbyClaims, kStandbyParked, kStandbySpins };
+
+constexpr std::uint32_t kCodes = 1u << 9;
+
+enum class Edge : std::uint8_t { kPlain, kPeekWake, kTakeover };
+
+// Call emit(name, next, edge) for every step enabled in `s`.  A spinner's
+// peek is a guarded step: it fires only when items show.
+template <typename Emit>
+void successors(const TokenModelState& s, TokenMutant m, Emit&& emit) {
+    if (s.published < 2) {
+        TokenModelState n = s;
+        ++n.published;
+        ++n.queued;
+        emit("N:publish", n, Edge::kPlain);
+    }
+
+    TokenModelState n = s;
+    switch (s.holder) {
+        case kHolderSpins:
+            if (s.queued > 0) {
+                n.holder = kHolderDequeues;
+                emit("H:peek", n, Edge::kPlain);
+            }
+            break;
+        case kHolderDequeues:
+            if (n.queued > 0) {
+                --n.queued;
+                n.holder = kHolderLeft;
+            } else {
+                n.holder = kHolderSpins;
+            }
+            emit("H:dequeue", n, Edge::kPlain);
+            break;
+        case kHolderLeft:
+            n.holder = kHolderStale;
+            emit("H:stamp_stale", n, Edge::kPlain);
+            break;
+        default:
+            break;
+    }
+
+    n = s;
+    const bool open = s.standby_owns || s.holder == kHolderStale;
+    switch (s.standby) {
+        case kStandbyDequeues:
+            if (n.queued > 0) {
+                --n.queued;
+            } else {
+                n.standby = kStandbyClaims;
+            }
+            emit("S:dequeue", n, Edge::kPlain);
+            break;
+        case kStandbyClaims:
+            n.standby = open ? kStandbySpins : kStandbyParked;
+            n.standby_owns = s.standby_owns || open;
+            emit(open ? "S:claim" : "S:stand_by", n,
+                 open && !s.standby_owns ? Edge::kTakeover : Edge::kPlain);
+            break;
+        case kStandbyParked: {
+            Edge e = Edge::kPlain;
+            if (m == TokenMutant::kReparkOnHeldToken) {
+                if (s.standby_owns) n.standby = kStandbyDequeues;
+            } else if (s.queued > 0) {
+                n.standby = kStandbyDequeues;
+                e = Edge::kPeekWake;
+            } else if (open) {
+                n.standby = kStandbyDequeues;
+            }
+            emit("S:slice_end", n, e);
+            break;
+        }
+        case kStandbySpins:
+            if (s.queued > 0) {
+                n.standby = kStandbyDequeues;
+                emit("S:peek", n, Edge::kPlain);
+            }
+            break;
+        default:
+            break;
+    }
+}
+
+}  // namespace detail_token
+
+// Every reachable state of the holder, the standby and the notifier.
+inline TokenExploreResult explore_spin_token(TokenMutant m = TokenMutant::kNone) {
+    using namespace detail_token;
+    constexpr std::uint32_t kNone = ~0u;
+    std::array<std::uint32_t, kCodes> parent;
+    std::array<const char*, kCodes> via{};
+    parent.fill(kNone);
+    std::vector<std::uint32_t> order;
+    std::vector<std::vector<std::uint32_t>> preds(kCodes);
+    TokenExploreResult out;
+
+    const std::uint32_t start = TokenModelState{}.code();
+    parent[start] = start;
+    order.push_back(start);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        const std::uint32_t c = order[i];
+        successors(TokenModelState::decode(c), m,
+                   [&](const char* name, const TokenModelState& next, Edge e) {
+                       const std::uint32_t nc = next.code();
+                       ++out.transitions;
+                       if (e == Edge::kPeekWake) ++out.peek_wakes;
+                       if (e == Edge::kTakeover) ++out.takeovers;
+                       preds[nc].push_back(c);
+                       if (parent[nc] != kNone) return;
+                       parent[nc] = c;
+                       via[nc] = name;
+                       order.push_back(nc);
+                   });
+    }
+    out.states = order.size();
+
+    // Backward from the states where every item is taken.
+    std::array<bool, kCodes> live{};
+    std::vector<std::uint32_t> work;
+    for (const std::uint32_t c : order) {
+        if (TokenModelState::decode(c).every_item_taken()) {
+            live[c] = true;
+            work.push_back(c);
+        }
+    }
+    while (!work.empty()) {
+        const std::uint32_t c = work.back();
+        work.pop_back();
+        for (const std::uint32_t p : preds[c]) {
+            if (!live[p]) {
+                live[p] = true;
+                work.push_back(p);
+            }
+        }
+    }
+    for (const std::uint32_t c : order) {
+        if (live[c]) continue;
+        if (out.violations++ != 0) continue;
+        std::vector<const char*> path;
+        for (std::uint32_t at = c; at != start; at = parent[at]) path.push_back(via[at]);
+        out.first_violation = "no schedule takes every item after:";
+        for (auto it = path.rbegin(); it != path.rend(); ++it) {
+            out.first_violation += std::string(" ") + *it;
+        }
+    }
+    return out;
 }
 
 }  // namespace lcrq::verify

@@ -43,6 +43,32 @@ Facade<Base> make_facade(const QueueOptions& opt = {}, std::size_t capacity = 0)
     }
 }
 
+// Poll `cond` until it holds or `timeout_ns` pass; true when it held.
+template <typename Cond>
+bool eventually(Cond cond, std::uint64_t timeout_ns = 5'000'000'000) {
+    const std::uint64_t deadline = now_ns() + timeout_ns;
+    while (!cond()) {
+        if (now_ns() >= deadline) return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+inline constexpr std::size_t kNoIndex = ~std::size_t{0};
+
+// A waiter that keeps the blocking facade's spin token fresh: it loops
+// 5 us waits, each of which re-claims the token and spins to its deadline,
+// until it gets an item (returned) or the facade closes (nullopt).  `index`
+// receives its thread_index() before the first wait.
+template <typename Q>
+std::optional<value_t> hold_spin_token(Q& q, std::atomic<std::size_t>& index) {
+    index.store(thread_index(), std::memory_order_release);
+    for (;;) {
+        const WaitResult r = q.wait_dequeue_for(5'000);
+        if (!r.timed_out()) return r.to_optional();
+    }
+}
+
 // --- blocking facade -------------------------------------------------------
 
 template <typename Base>
@@ -128,11 +154,8 @@ TYPED_TEST_P(BlockingThreads, ParkedConsumerWakesOnEveryAdmit) {
     stats::reset_all();
     std::thread producer([&] {
         for (value_t v = 1; v <= kRounds; ++v) {
-            const std::uint64_t deadline = now_ns() + 5'000'000'000;
-            while (stats::global_snapshot()[stats::Event::kBlockedDeq] < v &&
-                   now_ns() < deadline) {
-                std::this_thread::yield();
-            }
+            (void)eventually(
+                [&] { return stats::global_snapshot()[stats::Event::kBlockedDeq] >= v; });
             ASSERT_TRUE(q.try_enqueue(v));
         }
     });
@@ -220,12 +243,120 @@ TYPED_TEST_P(BlockingThreads, ProducersOvershootCapacityByFewerThanTheirNumber) 
         << "one shed per producer: its first and only refusal";
 }
 
+TYPED_TEST_P(BlockingThreads, OneWaiterSpinsAtATime) {
+    // Two waiters on an empty facade: A keeps the spin token fresh, so B's
+    // one long wait finds it taken and parks as a standby instead of
+    // spinning beside A.  Sampled, because a preempted A lets B take the
+    // token over for a window; no assertion on CPU time.
+    auto q = make_facade<BlockingQueue, TypeParam>();
+    std::atomic<std::size_t> a{kNoIndex};
+    std::thread holder([&] { EXPECT_FALSE(hold_spin_token(q, a).has_value()); });
+    const bool held = eventually([&] { return q.debug_spin_holder() == a.load(); });
+    WaitResult b_got;
+    std::thread standby([&] { b_got = q.wait_dequeue_for(10'000'000'000); });
+    const bool seen = held && eventually([&] {
+        return q.debug_standby_waiters() == 1 && q.debug_spin_holder() == a.load();
+    });
+    q.close();
+    holder.join();
+    standby.join();
+    EXPECT_TRUE(held) << "the first waiter never took the spin token";
+    EXPECT_TRUE(seen) << "never one token holder and one standby waiter at once";
+    EXPECT_TRUE(b_got.closed());
+}
+
+TYPED_TEST_P(BlockingThreads, StandbyTakesOverFromAHolderThatLeft) {
+    // Holder A takes item 1 and never calls again, so its token stays in
+    // the word.  Item 2 must still reach the standby B: no admit wakes a
+    // standby, so B's own peek at the end of a slice carries it (and A's
+    // stamp goes stale one window after A left).  100 ms is thousands of
+    // slices.  A standby that re-parks on a held token without peeking
+    // keeps B asleep to its deadline.  B can beat a preempted A to item 1
+    // through that same peek, or take the token while A is off its CPU;
+    // such an attempt sets nothing up and is retried on a fresh facade (on
+    // an oversubscribed host B wins about half of them).
+    constexpr std::uint64_t kDeliveryBoundNs = 100'000'000;
+    bool set_up = false;
+    for (int attempt = 0; attempt < 50 && !set_up; ++attempt) {
+        auto q = make_facade<BlockingQueue, TypeParam>();
+        std::atomic<std::size_t> a{kNoIndex};
+        std::optional<value_t> a_got;
+        std::atomic<bool> a_left{false};
+        std::thread holder([&] {
+            a_got = hold_spin_token(q, a);
+            a_left.store(true, std::memory_order_release);
+        });
+        const bool held = eventually([&] { return q.debug_spin_holder() == a.load(); });
+        WaitResult b_got;
+        std::atomic<bool> b_back{false};
+        std::thread standby([&] {
+            b_got = q.wait_dequeue_for(5'000'000'000);
+            b_back.store(true, std::memory_order_release);
+        });
+        const bool stood_by = held && eventually([&] {
+            return q.debug_standby_waiters() == 1 && q.debug_spin_holder() == a.load();
+        });
+        bool delivered = false;
+        std::uint64_t waited = 0;
+        if (stood_by && q.try_enqueue(1) && eventually([&] {
+                return a_left.load(std::memory_order_acquire) ||
+                       b_back.load(std::memory_order_acquire);
+            }) &&
+            a_left.load(std::memory_order_acquire)) {
+            set_up = true;
+            const std::uint64_t t0 = now_ns();
+            EXPECT_TRUE(q.try_enqueue(2));
+            delivered = eventually([&] { return b_back.load(std::memory_order_acquire); },
+                                   kDeliveryBoundNs);
+            waited = now_ns() - t0;
+        }
+        q.close();  // ends A's loop, and releases a stranded B
+        holder.join();
+        standby.join();
+        ASSERT_TRUE(stood_by) << "no holder and standby to start from";
+        if (!set_up) continue;
+        EXPECT_EQ(a_got.value_or(0), 1u);
+        EXPECT_TRUE(delivered) << "item 2 did not reach the standby in "
+                               << kDeliveryBoundNs / 1'000'000 << " ms";
+        EXPECT_LT(waited, kDeliveryBoundNs);
+        ASSERT_TRUE(b_got.ok());
+        EXPECT_EQ(b_got.value, 2u);
+    }
+    EXPECT_TRUE(set_up) << "B took item 1 from A in every attempt";
+}
+
+TYPED_TEST_P(BlockingThreads, CloseReleasesStandbyWaiters) {
+    // A standby sleeps on an eventcount that no admit signals; close()
+    // does, and the standby reports closed-and-drained long before its own
+    // 10 s deadline.
+    auto q = make_facade<BlockingQueue, TypeParam>();
+    std::atomic<std::size_t> a{kNoIndex};
+    std::thread holder([&] { EXPECT_FALSE(hold_spin_token(q, a).has_value()); });
+    const bool held = eventually([&] { return q.debug_spin_holder() == a.load(); });
+    WaitResult b_got;
+    std::atomic<std::uint64_t> b_back_at{0};
+    std::thread standby([&] {
+        b_got = q.wait_dequeue_for(10'000'000'000);
+        b_back_at.store(now_ns(), std::memory_order_release);
+    });
+    const bool stood_by = held && eventually([&] { return q.debug_standby_waiters() == 1; });
+    const std::uint64_t closed_at = now_ns();
+    q.close();
+    holder.join();
+    standby.join();
+    ASSERT_TRUE(stood_by) << "no holder and standby to start from";
+    EXPECT_TRUE(b_got.closed());
+    EXPECT_LT(b_back_at.load() - closed_at, 1'000'000'000u) << "close left the standby asleep";
+}
+
 REGISTER_TYPED_TEST_SUITE_P(BlockingThreads, WaitDequeueGetsItem, CloseWakesSleepers,
                             ProducerConsumerThroughputWithShutdown,
                             WaitForSeesConcurrentProducer, ParkedConsumerWakesOnEveryAdmit,
                             WaitEnqueueBlocksUntilSpace, WaitEnqueueWakesOnClose,
                             DrainRacesConcurrentConsumersWithoutLoss,
-                            ProducersOvershootCapacityByFewerThanTheirNumber);
+                            ProducersOvershootCapacityByFewerThanTheirNumber,
+                            OneWaiterSpinsAtATime, StandbyTakesOverFromAHolderThatLeft,
+                            CloseReleasesStandbyWaiters);
 
 // --- coroutine facade ------------------------------------------------------
 
@@ -270,11 +401,7 @@ TYPED_TEST_P(AsyncThreads, ParkedDequeueResumesOnBlockingSideAdmit) {
     });
     spin_for_ns(20'000'000);  // give the frame time to park
     ASSERT_TRUE(q.blocking().try_enqueue(57));
-    const std::uint64_t deadline = now_ns() + 5'000'000'000;
-    while (!done.load(std::memory_order_acquire) && now_ns() < deadline) {
-        std::this_thread::yield();
-    }
-    const bool resumed = done.load(std::memory_order_acquire);
+    const bool resumed = eventually([&] { return done.load(std::memory_order_acquire); });
     if (!resumed) q.close();
     consumer.join();
     EXPECT_TRUE(resumed) << "the parked frame slept through a blocking() admit";

@@ -1,8 +1,9 @@
 // Schedule injection against the blocking facade's sleep/notify protocol:
 // a producer killed between publishing and waking (the lost-notify
-// adversary the sliced wait exists for), a drainer killed mid-sweep, a
-// bounded producer killed while registered as a waiter (the WaiterGuard
-// unwind), and a seeded random sweep over the bounded-enqueue wait window.
+// adversary the sliced wait exists for), a consumer killed holding the
+// spin token, a drainer killed mid-sweep, a bounded producer killed while
+// registered as a waiter (the WaiterGuard unwind), and a seeded random
+// sweep over the bounded-enqueue wait window.
 //
 // Uses the LSCQ base: its hot paths carry no cmpxchg16b, so this binary is
 // eligible for the TSan-inject configuration.
@@ -115,6 +116,57 @@ TEST_F(InjectBlocking, OneAdmitWakesARegisteredConsumer) {
     EXPECT_EQ(ctl().hold_timeouts(), 0u) << "window was not constructed";
     EXPECT_EQ(ctl().visits(1, Point::kBlockNotify), 1u);
     ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value, 42u);
+}
+
+// A consumer killed at kBlockSpin has claimed the spin token and dies
+// before its window opens, so the token names a dead thread.  The live
+// waiter stands by only until that stamp goes stale, one window later,
+// then takes the token, and an admitted item reaches it.  The victim stays
+// alive after the kill so that no later thread inherits its
+// thread_index() and finds the token its own.
+TEST_F(InjectBlocking, KilledSpinnerHoldsTheTokenForOneWindow) {
+    BlockingQueue<LscqQueue> q(tiny());
+    ctl().kill_at(0, Point::kBlockSpin, 1);
+    ctl().arm();
+
+    std::atomic<std::size_t> survivor{~std::size_t{0}};
+    std::atomic<bool> done{false};
+    bool victim_killed = false;
+    bool took_over = false;
+    WaitResult got;
+    run_threads(3, [&](int id) {
+        ctl().bind_thread(id);
+        if (id == 0) {
+            try {
+                (void)q.wait_dequeue_for(5'000'000'000);
+            } catch (const ThreadKilled&) {
+                victim_killed = true;
+            }
+            await([&] { return done.load(std::memory_order_acquire); });
+        } else if (id == 1) {
+            survivor.store(thread_index(), std::memory_order_release);
+            await([&] { return ctl().kills_fired() >= 1; });
+            got = q.wait_dequeue_for(5'000'000'000);  // 5 s: never the bound
+        } else {
+            await([&] { return ctl().kills_fired() >= 1; });
+            // 1 s is 40,000 windows: the takeover never comes without a
+            // stale-token claim.
+            const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{1};
+            while (!(took_over = q.debug_spin_holder() == survivor.load()) &&
+                   std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+            }
+            EXPECT_TRUE(q.try_enqueue(42));
+            done.store(true, std::memory_order_release);
+        }
+    });
+
+    EXPECT_TRUE(victim_killed);
+    EXPECT_EQ(ctl().kills_fired(), 1u);
+    EXPECT_TRUE(took_over) << "the live waiter never took the dead spinner's token";
+    EXPECT_GE(ctl().visits(1, Point::kBlockSpin), 1u);
+    ASSERT_TRUE(got.ok()) << "the admitted item never reached the live waiter";
     EXPECT_EQ(got.value, 42u);
 }
 

@@ -1020,5 +1020,22 @@ TEST(NotifyModel, CatchesAFrameThatParksWithoutRegistering) {
     EXPECT_GT(r.violations, 0u) << "the explorer missed the stranded frame";
 }
 
+TEST(NotifyModel, SpinTokenStandbyTakesEveryItem) {
+    // No admit wakes the standby, yet from every reachable state some
+    // schedule takes both items.  Both ways an item reaches the standby
+    // were explored: its slice-end peek, and the stale token it claims.
+    const TokenExploreResult r = explore_spin_token();
+    EXPECT_TRUE(r.ok()) << r.first_violation;
+    EXPECT_EQ(r.states, 57u);
+    EXPECT_EQ(r.transitions, 110u);
+    EXPECT_GT(r.peek_wakes, 0u);
+    EXPECT_GT(r.takeovers, 0u);
+}
+
+TEST(NotifyModel, CatchesAStandbyThatReparksOnAHeldTokenWithoutPeeking) {
+    const TokenExploreResult r = explore_spin_token(TokenMutant::kReparkOnHeldToken);
+    EXPECT_GT(r.violations, 0u) << "the explorer missed the stranded item";
+}
+
 }  // namespace
 }  // namespace lcrq::verify
