@@ -33,32 +33,33 @@ namespace lcrq::inject {
 //   kEnqPublished / kListAppend / kRingCloseCas — the publishing RMW
 //                  *succeeded*; the effect is globally visible.
 enum class Point : std::uint8_t {
-    kEnqAfterFaa = 0,      // Crq::enqueue, single ticket obtained
-    kEnqBeforeCas2,        // Crq::try_put, cell checked, about to publish
-    kEnqPublished,         // Crq::try_put, CAS2 succeeded (item visible)
-    kDeqAfterFaa,          // Crq::dequeue, single ticket obtained
-    kDeqBeforeCas2,        // Crq::try_take, before the dequeue transition
-    kDeqBeforeEmptyCas2,   // Crq::try_take, before the empty transition
-    kDeqBeforeUnsafeCas2,  // Crq::try_take, before the unsafe transition
-    kRingCloseCas,         // Crq::close / ScqTicketCore::close, CLOSED bit now set
-    kBulkEnqAfterFaa,      // Crq::try_enqueue_bulk, ticket range claimed
-    kBulkDeqAfterFaa,      // Crq::dequeue_bulk, ticket range claimed
-    kBulkTicketReturn,     // Crq::dequeue_bulk, before the handback CAS
+    kEnqAfterFaa = 0,      // Crq::try_enqueue (TicketRing::claim_enqueue), ticket obtained
+    kEnqBeforeCas2,        // Crq::put_at, cell checked, about to publish
+    kEnqPublished,         // Crq::put_at, CAS2 succeeded (item visible)
+    kDeqAfterFaa,          // Crq::dequeue (TicketRing::claim_dequeue), ticket obtained
+    kDeqBeforeCas2,        // Crq::take_at, before the dequeue transition
+    kDeqBeforeEmptyCas2,   // Crq::take_at, before the empty transition
+    kDeqBeforeUnsafeCas2,  // Crq::take_at, before the unsafe transition
+    kRingCloseCas,         // TicketRing::close (every ring), CLOSED bit now set
+    kBulkEnqAfterFaa,      // Crq::try_enqueue_bulk (TicketRing's walk), range claimed
+    kBulkDeqAfterFaa,      // Crq::dequeue_bulk (TicketRing's walk), range claimed
+    kBulkTicketReturn,     // TicketRing::claim_dequeue_bulk (CRQ and ScqRing),
+                           //   past the frozen-tail guard, before the handback CAS
     kListEmptyObserved,    // LinkedSegments::dequeue[_bulk], segment reported EMPTY
     kListAppend,           // LinkedSegments, fresh segment linked (append CAS succeeded)
     kListHeadSwing,        // LinkedSegments, before the head-swing CAS
     kHazardRetire,         // HazardDomain::retire, object handed over
     kHazardScan,           // HazardDomain::drain, reclamation pass starting
-    kScqEnqAfterFaa,       // ScqTicketCore::fast_enqueue (both SCQ-family rings)
-                           //   and ScqRing::enqueue_bulk, ticket obtained
+    kScqEnqAfterFaa,       // TicketRing's enqueue loops as the SCQ-family rings
+                           //   run them (ScqRing's batch too), ticket obtained
     kScqAfterCycleLoad,    // ScqTicketCore::put_at/take_at, entry loaded, not yet acted on
     kScqBeforeEntryCas,    // SCQ-family ring, entry validated, single-word CAS pending
                            //   (put_at's publish, wCQ's consume, dequeue_transition)
     kScqEnqPublished,      // ScqTicketCore::put_at, entry CAS succeeded (index visible)
-    kScqDeqAfterFaa,       // ScqTicketCore::fast_dequeue (both SCQ-family rings)
-                           //   and ScqRing::dequeue_bulk, ticket obtained
-    kScqThresholdDecrement,// ScqTicketCore::burned_ticket_empty (and ScqRing::
-                           //   dequeue_bulk), about to decrement the threshold
+    kScqDeqAfterFaa,       // TicketRing's dequeue loops as the SCQ-family rings
+                           //   run them (ScqRing's batch too), ticket obtained
+    kScqThresholdDecrement,// ScqTicketCore::empty_after_burn (every burned
+                           //   dequeue ticket), about to decrement the threshold
     kScqCatchup,           // ScqTicketCore::catchup, tail repair loop entered
     kLaneEnqPending,       // Multilane::enqueue, presence announced, lane
                            //   insert not yet performed
@@ -135,6 +136,8 @@ constexpr std::string_view point_name(Point p) noexcept {
 void on_point(Point p);
 
 #define LCRQ_INJECT_POINT(p) ::lcrq::inject::on_point(::lcrq::inject::Point::p)
+// The same for a Point value, such as the point a ring names for its claims.
+#define LCRQ_INJECT_AT(p) ::lcrq::inject::on_point(p)
 // Functions that contain (or call through to) injection points drop their
 // noexcept in instrumented builds so kill injection can unwind out of them.
 #define LCRQ_INJECT_NOEXCEPT
@@ -142,6 +145,7 @@ void on_point(Point p);
 #else
 
 #define LCRQ_INJECT_POINT(p) ((void)0)
+#define LCRQ_INJECT_AT(p) ((void)0)
 #define LCRQ_INJECT_NOEXCEPT noexcept
 
 #endif

@@ -2,11 +2,12 @@
 // "wCQ: A Fast Wait-Free Queue with Bounded Memory Usage", SPAA'22 /
 // arXiv 2201.02179; see PAPERS.md).
 //
-// WcqRing runs ScqRing's fast path: ScqTicketCore (scq.hpp) holds the
-// geometry, head/tail/threshold, the single-item claim loops with put_at/
-// take_at, and the EMPTY rules, and calls back three hooks where wCQ
-// differs from SCQ — resolve_note when an entry holds a reservation, a
-// CAS consume, and patience in failed_round.  On top it adds the wCQ idea:
+// WcqRing runs ScqRing's fast path: the ticket core (ticket_ring.hpp)
+// holds head/tail and the claim loops, ScqTicketCore (scq.hpp) the
+// geometry, the threshold, the entry steps put_at/take_at and the EMPTY
+// rules, and they call back three hooks where wCQ differs from SCQ —
+// resolve_note when an entry holds a reservation, a CAS consume, and
+// patience in failed_round.  On top it adds the wCQ idea:
 // when a thread runs out of patience (or is descheduled forever), its
 // operation is published as a *helping record* that any other thread can
 // finish.  Every shared-memory step stays a single-word CAS/F&A; there is
@@ -130,7 +131,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     explicit WcqRing(unsigned order, std::uint64_t seed_begin = 0,
                      std::uint64_t seed_end = 0, WcqConfig cfg = {},
                      bool huge = false)
-        : ScqTicketCore(order, seed_begin, seed_end, huge), cfg_(cfg) {
+        : ScqTicketCore(Faa{}, order, seed_begin, seed_end, huge), cfg_(cfg) {
         assert(order <= 20 && "wcq entries carry 24 bits of helping metadata");
     }
 
@@ -153,12 +154,12 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
 
     EnqueueResult enqueue(std::uint64_t idx) {
         help_if_needed();
-        return fast_enqueue<Faa>(*this, idx);
+        return claim_enqueue<Faa>(*this, idx);
     }
 
     std::optional<std::uint64_t> dequeue() {
         help_if_needed();
-        return fast_dequeue<Faa>(*this);
+        return claim_dequeue<Faa>(*this);
     }
 
     // Force the slow path (tests / model differential): publish a request
@@ -200,13 +201,10 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
         return &record(s);
     }
 
-    std::uint64_t debug_take_enqueue_ticket() {
-        return Faa::fetch_add(*tail_, 1) & ~detail::kScqMsb;
-    }
-    std::uint64_t debug_take_dequeue_ticket() { return Faa::fetch_add(*head_, 1); }
-
   private:
-    friend class ScqTicketCore<kWcqNoteBits>;  // calls the fast-path hooks
+    // The claim loops and the entry steps call the hooks below.
+    friend class TicketRing;
+    friend class ScqTicketCore<kWcqNoteBits>;
 
     // --- word layouts -----------------------------------------------------
     //
@@ -336,16 +334,20 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
 
     // Patience: past it, a failed round publishes a helping request.  On a
     // record collision the operation stays on the fast path for another
-    // patience's worth of rounds.
-    std::optional<EnqueueResult> failed_round(unsigned& rounds, std::uint64_t idx) {
+    // patience's worth of rounds.  A slow dequeue's index comes back in idx.
+    std::optional<EnqueueResult> failed_round(std::uint64_t, unsigned& rounds,
+                                              std::uint64_t idx) {
         if (++rounds <= cfg_.patience) return std::nullopt;
         rounds = 0;
         return enqueue_slow(idx);
     }
-    bool failed_round(unsigned& rounds, std::optional<std::uint64_t>& out) {
-        if (++rounds <= cfg_.patience) return false;
+    std::optional<bool> failed_round(unsigned& rounds, std::uint64_t& idx) {
+        if (++rounds <= cfg_.patience) return std::nullopt;
         rounds = 0;
-        return dequeue_slow(out);
+        std::optional<std::uint64_t> out;
+        if (!dequeue_slow(out)) return std::nullopt;
+        idx = out.value_or(idx);
+        return out.has_value();
     }
 
     // --- helping layer ----------------------------------------------------
@@ -393,7 +395,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
         // The first candidate ticket; the slow path claims none by F&A.
         const std::uint64_t t0 =
             kind == kKindEnq
-                ? tail_->load(std::memory_order_seq_cst) & ~detail::kScqMsb
+                ? tail_->load(std::memory_order_seq_cst) & detail::kIdxMask
                 : head_->load(std::memory_order_seq_cst);
         rec.req.store(pack_req(g, kind, kStPending, t0), std::memory_order_seq_cst);
         stats::count(stats::Event::kWcqSlowPath);
@@ -479,8 +481,8 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
     bool fix_tail(std::uint64_t t) {
         for (;;) {
             const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
-            if ((traw & detail::kScqMsb) != 0) {
-                return (traw & ~detail::kScqMsb) > t;
+            if ((traw & detail::kMsb) != 0) {
+                return (traw & detail::kIdxMask) > t;
             }
             if (traw > t) return true;
             if (counted_cas(*tail_, traw, t + 1)) return true;
@@ -523,8 +525,8 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
             const std::uint64_t v = payload_of(vw);
 
             const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
-            if ((traw & detail::kScqMsb) != 0 &&
-                (traw & ~detail::kScqMsb) <= t) {
+            if ((traw & detail::kMsb) != 0 &&
+                (traw & detail::kIdxMask) <= t) {
                 counted_cas(rec.arg, a, pack_tagged(g, kClosedPayload));
                 continue;
             }
@@ -650,7 +652,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
             // then either answer EMPTY or advance the candidate.
             if (cycle_of(e) < hc && !dequeue_transition(entry, e, hc)) continue;
             const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
-            if ((traw & ~detail::kScqMsb) <= h + 1) {
+            if ((traw & detail::kIdxMask) <= h + 1) {
                 catchup(traw, h + 1);
                 LCRQ_INJECT_POINT(kWcqBeforeCommit);
                 counted_cas(rec.arg, a, pack_tagged(g, kEmptyPayload));
@@ -670,7 +672,7 @@ class WcqRing : public ScqTicketCore<kWcqNoteBits> {
 
     std::uint64_t next_enq_candidate(std::uint64_t t) const {
         const std::uint64_t traw =
-            tail_->load(std::memory_order_seq_cst) & ~detail::kScqMsb;
+            tail_->load(std::memory_order_seq_cst) & detail::kIdxMask;
         return std::max(t + 1, traw);
     }
 

@@ -3,10 +3,12 @@
 // Real-thread tests explore schedules at the mercy of the OS; on a
 // 1-hardware-thread host almost all interesting interleavings — the ones
 // the safe-bit protocol exists for — never occur.  This model mirrors
-// `queues/crq.hpp` with *every shared-memory access as one atomic step*
-// (including the separate val/si loads, so torn reads are modeled), which
-// lets the explorer in explore.hpp drive any interleaving deterministically
-// and check every outcome against the exact linearizability checker.
+// `queues/crq.hpp` — its cell steps inside the ticket core's claim loops
+// (`queues/ticket_ring.hpp`) — with *every shared-memory access as one
+// atomic step* (including the separate val/si loads, so torn reads are
+// modeled), which lets the explorer in explore.hpp drive any interleaving
+// deterministically and check every outcome against the exact
+// linearizability checker.
 //
 // Fidelity notes (kept in sync with crq.hpp by the differential test):
 //   * spin_wait_iters is modeled as 0 — the optimization only suppresses
@@ -89,7 +91,9 @@ class CrqModelOp {
         return Status::kDone;
     }
 
-    // --- enqueue: mirrors Crq::enqueue -----------------------------------
+    // --- enqueue: mirrors Crq::try_enqueue -------------------------------
+    //     (TicketRing::claim_enqueue with Crq::put_at and the tantrum in
+    //     Crq::failed_round)
     //  pc 0: F&A(tail) -> t (or CLOSED)
     //  pc 1: read cell.val
     //  pc 2: read cell.si; branch
@@ -156,6 +160,7 @@ class CrqModelOp {
     }
 
     // --- dequeue: mirrors Crq::dequeue (spin-wait = 0) --------------------
+    //     (TicketRing::claim_dequeue with Crq::take_at and Crq::fix_state)
     //  pc 10: F&A(head) -> h
     //  pc 11: read cell.val
     //  pc 12: read cell.si; branch

@@ -158,7 +158,7 @@ class ScqFastPath {
   private:
     Derived& self() { return static_cast<Derived&>(*this); }
 
-    // --- enqueue: mirrors ScqTicketCore::fast_enqueue / put_at ------------
+    // --- enqueue: mirrors TicketRing::claim_enqueue / ScqTicketCore::put_at -
     //  pc 0: F&A(tail) -> t
     //  pc 1: load entry; branch on (cycle, idx, safe)
     //  pc 2: read head (the "unsafe, head <= t" rescue check)
@@ -212,8 +212,8 @@ class ScqFastPath {
         }
     }
 
-    // --- dequeue: mirrors ScqTicketCore::fast_dequeue / take_at and its
-    //     threshold_exhausted / burned_ticket_empty / catchup
+    // --- dequeue: mirrors TicketRing::claim_dequeue / ScqTicketCore::take_at
+    //     and its empty_before_claim / empty_after_burn / catchup
     //  pc 10: read threshold (EMPTY fast path)
     //  pc 11: F&A(head) -> h
     //  pc 12: load entry; branch on cycle vs cycle(h)

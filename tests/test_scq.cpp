@@ -201,6 +201,25 @@ TEST(ScqRing, EmptyBulkDequeueReturnsUnspentTickets) {
     for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(out[i], i);
 }
 
+// The batch hand-back's frozen-tail guard.  Two enqueuers stall after their
+// tail F&A (tickets 16 and 17), then the ring closes with its tail frozen
+// at 18.  A batch claiming 16..19 sees EMPTY at ticket 16 by the exhausted
+// threshold; handing 17..19 back there would drop head to 17, below the
+// frozen tail, and re-expose ticket 17 to a later dequeuer while its
+// stalled enqueuer can still publish into a segment the list layer
+// retires on EMPTY.  The guard spends ticket 17 instead, and hands back
+// only what lies past the frozen tail.
+TEST(ScqRing, BulkHandBackNeverDropsHeadBelowAFrozenTail) {
+    ScqRing<> r(3);  // capacity 8: head = tail = 16 on a fresh ring
+    r.debug_take_enqueue_ticket();
+    r.debug_take_enqueue_ticket();
+    r.close();
+    std::uint64_t out[4];
+    EXPECT_EQ(r.dequeue_bulk(out, 4), 0u);
+    EXPECT_EQ(r.tail_index(), 18u);
+    EXPECT_EQ(r.head_index(), 18u);
+}
+
 // --- the aq/fq value queue ------------------------------------------------
 
 template <typename Q>
